@@ -22,6 +22,7 @@ from .linalg import (
     Vector,
     matrix_commutant,
     envelope_dimension,
+    linear_combination,
     nullspace,
     solve,
     subspace_intersect,
@@ -113,7 +114,7 @@ class LeibnizAlgebra:
         bad: list[tuple[int, int, int]] = []
         for j in range(n):
             for k in range(n):
-                inner = self._right_mult_of(self.table[j][k])
+                inner = linear_combination(self.table[j][k], rights, n, n)
                 residual = rights[k] * rights[j] - rights[j] * rights[k] - inner
                 if not residual.is_zero():
                     for i in range(n):
@@ -181,20 +182,6 @@ class LeibnizAlgebra:
         """Matrix of v -> [b_j, v]."""
         return Matrix([[self.table[j][i][t] for i in range(self.dim)]
                        for t in range(self.dim)])
-
-    def _right_mult_of(self, y: Vector) -> Matrix:
-        m = Matrix.zeros(self.dim, self.dim)
-        for j, c in enumerate(y):
-            if c != 0:
-                m = m + self.right_mult_matrix_basis(j).scale(c)
-        return m
-
-    def _left_mult_of(self, x: Vector) -> Matrix:
-        m = Matrix.zeros(self.dim, self.dim)
-        for j, c in enumerate(x):
-            if c != 0:
-                m = m + self.left_mult_matrix_basis(j).scale(c)
-        return m
 
     # -- basic structure --
 

@@ -17,8 +17,8 @@ from fractions import Fraction
 from .algebra import InternalCheckError, LeibnizAlgebra, algebra_from_brackets
 from .linalg import (
     Matrix, Subspace, commutator_equation_rows, matrix_commutant,
-    minimal_polynomial, nullspace, rational_roots, subspace_intersect,
-    subspace_sum,
+    minimal_polynomial, nullspace, poly_eval, rational_roots,
+    subspace_intersect, subspace_sum,
 )
 from .reps import (
     Representation, adjoint_rep, direct_sum, is_invariant, module_restriction,
@@ -91,13 +91,6 @@ def _poly_divide_out_root(coeffs: list[Fraction], a: Fraction) -> list[Fraction]
     return out
 
 
-def _poly_eval(coeffs: list[Fraction], a: Fraction) -> Fraction:
-    acc = ZERO
-    for c in reversed(coeffs):
-        acc = acc * a + c
-    return acc
-
-
 def _poly_of_matrix(coeffs: list[Fraction], m: Matrix) -> Matrix:
     d = m.rows
     acc = Matrix.zeros(d, d)
@@ -118,7 +111,7 @@ def _primary_components(c: Matrix) -> list[Subspace]:
     pieces = []
     for a in rational_roots(poly):
         e = 0
-        while len(poly) >= 2 and _poly_eval(poly, a) == 0:
+        while len(poly) >= 2 and poly_eval(poly, a) == 0:
             poly = _poly_divide_out_root(poly, a)
             e += 1
         power = c - Matrix.identity(d).scale(a)
@@ -158,14 +151,7 @@ def _try_split(rep: Representation) -> list[Subspace] | None:
 
 def _lift(sub: Subspace, piece: Subspace) -> Subspace:
     """Rewrite a subspace given in piece coordinates as an ambient subspace."""
-    rows = []
-    for r in sub.basis.data:
-        v = [ZERO] * piece.ambient_dim
-        for coeff, base in zip(r, piece.basis.data):
-            if coeff != 0:
-                v = [x + coeff * y for x, y in zip(v, base)]
-        rows.append(tuple(v))
-    return Subspace.from_vectors(piece.ambient_dim, rows)
+    return Subspace.from_vectors(piece.ambient_dim, (sub.basis * piece.basis).data)
 
 
 def decompose(rep: Representation) -> DecompositionResult:

@@ -1,15 +1,17 @@
 """JSON-shaped file formats for algebras and representations.
 
 Rationals travel as strings "p/q" (a bare "p" is accepted on input) so
-round-trips stay exact. Algebra files list only the nonzero brackets;
-representation files carry one dense matrix per basis label and side, and
-may reference the algebra inline or by file path.
+round-trips stay exact; input must match -?[0-9]+(/[0-9]+)? exactly, with
+at most MAX_DIGITS digits in each of p and q. Algebra files list only the
+nonzero brackets; representation files carry one dense matrix per basis
+label and side, and may reference the algebra inline or by file path.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from fractions import Fraction
 
 from .algebra import LeibnizAlgebra
@@ -17,6 +19,8 @@ from .linalg import Matrix
 from .reps import Representation
 
 ZERO = Fraction(0)
+MAX_DIGITS = 1000
+_RATIONAL = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
 
 
 class ParseError(ValueError):
@@ -30,9 +34,14 @@ def frac_str(q: Fraction) -> str:
 def _parse_frac(text, locus: str) -> Fraction:
     if not isinstance(text, str):
         raise ParseError(f"{locus}: rational values must be strings like \"p/q\"")
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ParseError(f"{locus}: expected an integer or \"p/q\"")
+    if any(len(part) > MAX_DIGITS for part in match.groups() if part):
+        raise ParseError(f"{locus}: more than {MAX_DIGITS} digits")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise ParseError(f"{locus}: {exc}") from None
 
 
@@ -57,8 +66,8 @@ def _algebra_from_object(obj: dict, locus: str = "") -> LeibnizAlgebra:
         raise ParseError(f"{prefix}basis: duplicate label")
     n = len(basis)
     dim = obj.get("dim")
-    if dim is not None and dim != n:
-        raise ParseError(f"{prefix}dim: {dim} does not match {n} basis labels")
+    if dim is not None and (type(dim) is not int or dim != n):  # bool is no count
+        raise ParseError(f"{prefix}dim: {dim!r} does not match {n} basis labels")
     pos = {b: i for i, b in enumerate(basis)}
     table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
     seen = set()
@@ -150,7 +159,7 @@ def parse_rep(text: str, base_dir: str = ".") -> Representation:
     else:
         raise ParseError("algebra: expected an inline object or a file path")
     d = obj.get("module_dim")
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:
         raise ParseError("module_dim: expected a positive count")
     sides = {}
     for key in ("rho", "lambda"):

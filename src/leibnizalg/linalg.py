@@ -1,14 +1,26 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Everything here works with fractions.Fraction entries, so results are exact:
-no tolerances, no floating point. Matrices are immutable; subspaces are kept
-in reduced row echelon form, which makes equality of subspaces structural.
+no tolerances, no floating point. Matrices are immutable and dense;
+subspaces are kept in reduced row echelon form, which makes equality of
+subspaces structural.
+
+All elimination runs on one sparse, fraction-free kernel, `Echelon`. Its
+rows are dicts from column to int: each input row has its denominators
+cleared once, rows are combined by integer cross-multiplication, and every
+row is divided by the gcd of its entries after each step. One division per
+pivot at the end gives the unique reduced row echelon form as Fraction
+rows. `rref`, `nullspace`, `solve`, `Subspace.from_vectors`, `Matrix.rank`
+and `Matrix.inverse` all run on it, and the commutant and intertwiner
+systems reach it as sparse rows built from the nonzero action entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 QQ = Fraction
@@ -36,24 +48,21 @@ def vzero(n: int) -> Vector:
     return (ZERO,) * n
 
 
-def vadd(a: Vector, b: Vector) -> Vector:
-    if len(a) != len(b):
-        raise ValueError(f"vector length mismatch: {len(a)} vs {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vsub(a: Vector, b: Vector) -> Vector:
-    if len(a) != len(b):
-        raise ValueError(f"vector length mismatch: {len(a)} vs {len(b)}")
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vscale(c: Fraction, a: Vector) -> Vector:
-    return tuple(c * x for x in a)
-
-
 def is_zero_vec(a: Vector) -> bool:
     return all(x == 0 for x in a)
+
+
+def linear_combination(coeffs: Sequence, mats: Sequence["Matrix"],
+                       rows: int, cols: int) -> "Matrix":
+    """Sum of c * m over paired coefficients and rows x cols matrices."""
+    acc = [[ZERO] * cols for _ in range(rows)]
+    for c, m in zip(coeffs, mats):
+        if c:
+            for arow, mrow in zip(acc, m.data):
+                for j, x in enumerate(mrow):
+                    if x:
+                        arow[j] += c * x
+    return Matrix(acc, cols=cols)
 
 
 class Matrix:
@@ -197,7 +206,7 @@ class Matrix:
         return self.rows == self.cols
 
     def rank(self) -> int:
-        return len(rref(self)[1])
+        return _eliminate(_rows_of(self), self.cols).dim
 
     def is_invertible(self) -> bool:
         return self.is_square() and self.rank() == self.rows
@@ -206,59 +215,153 @@ class Matrix:
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        aug = [list(row) + [ONE if i == j else ZERO for j in range(n)]
-               for i, row in enumerate(self.data)]
-        reduced, pivots = _rref_rows(aug)
-        if list(pivots) != list(range(n)):
+        aug = _rows_of(self)
+        for i, row in enumerate(aug):
+            row[n + i] = ONE
+        reduced = _eliminate(aug, 2 * n).rref()
+        if [p for p, _ in reduced] != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix([row[n:] for row in reduced])
+        return Matrix([[row.get(n + j, ZERO) for j in range(n)]
+                       for _, row in reduced])
 
 
-def stack(matrices: Sequence[Matrix]) -> Matrix:
-    """Vertical concatenation."""
-    if not matrices:
-        raise ValueError("nothing to stack")
-    width = matrices[0].cols
-    rows: list[Sequence[Fraction]] = []
-    for m in matrices:
-        if m.cols != width:
-            raise ValueError("column count mismatch in stack")
-        rows.extend(m.data)
-    return Matrix(rows)
+# ---- the elimination kernel ----
+# A sparse row is a dict from column to a nonzero entry. Rows inside the
+# kernel hold ints and are primitive: the gcd of their entries is 1.
 
 
-def _rref_rows(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], tuple[int, ...]]:
-    """In-place reduced row echelon form. Returns (rows, pivot columns)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            inv = ONE / pv
-            rows[r] = [x * inv for x in rows[r]]
-        prow = rows[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f != 0:
-                ri = rows[i]
-                rows[i] = [a - f * b for a, b in zip(ri, prow)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+def _primitive(row: dict) -> dict:
+    g = gcd(*row.values())
+    return {c: x // g for c, x in row.items()} if g > 1 else row
+
+
+def _integral(row: dict) -> dict:
+    """Primitive integer row proportional to a sparse rational row."""
+    den = lcm(*[x.denominator for x in row.values()])
+    return _primitive({c: x.numerator * (den // x.denominator)
+                       for c, x in row.items()})
+
+
+def _combine(w: dict, r: dict, p: int) -> dict:
+    """a w - b r made primitive, with a/b the ratio r[p]/w[p] in lowest
+    terms, so that the entry at p cancels. Neither input is changed."""
+    a, b = r[p], w[p]
+    g = gcd(a, b)
+    a //= g
+    b //= g
+    w = {c: a * x for c, x in w.items()} if a != 1 else dict(w)
+    for c, y in r.items():
+        x = w.get(c, 0) - b * y
+        if x:
+            w[c] = x
+        else:
+            del w[c]
+    return _primitive(w)
+
+
+def _sparse(values: Iterable, width: int) -> dict:
+    """Sparse form of a dense rational vector of length width."""
+    row = {}
+    n = 0
+    for n, x in enumerate(values, 1):
+        if x.__class__ is not Fraction:
+            x = _frac(x)
+        if x:
+            row[n - 1] = x
+    if n != width:
+        raise ValueError("vector length does not match ambient dimension")
+    return row
+
+
+def _rows_of(m: Matrix) -> list[dict]:
+    return [{j: x for j, x in enumerate(row) if x} for row in m.data]
+
+
+def _dense(row: dict, width: int) -> Vector:
+    out = [ZERO] * width
+    for c, x in row.items():
+        out[c] = x
+    return tuple(out)
+
+
+class Echelon:
+    """Sparse fraction-free row echelon form: the package's elimination kernel.
+
+    rows maps each pivot column to a primitive integer row whose first
+    nonzero column is that pivot. A new row is reduced against them in
+    increasing pivot order; whatever is left becomes a new pivot row.
+    """
+
+    def __init__(self, width: int):
+        self.width = width
+        self.rows: dict[int, dict] = {}
+
+    def _add(self, row: dict) -> bool:
+        rows = self.rows
+        w = _integral(row)
+        heap = [c for c in w if c in rows]
+        heapify(heap)
+        while heap:
+            p = heappop(heap)
+            if p in w:
+                r = rows[p]
+                w = _combine(w, r, p)
+                for c in r:
+                    if c in rows and c in w:
+                        heappush(heap, c)
+        if w:
+            rows[min(w)] = w
+        return bool(w)
+
+    def insert(self, v: Sequence[Fraction]) -> bool:
+        """Add v to the span. Returns True when the span grew."""
+        return self._add(_sparse(v, self.width))
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def rref(self) -> list[tuple[int, dict[int, Fraction]]]:
+        """(pivot, row) pairs of the reduced row echelon form, in pivot order.
+
+        Back-substitution from the last pivot up, then one division by each
+        pivot; the reduced integer rows replace the echelon rows.
+        """
+        done: dict[int, dict] = {}
+        for p in sorted(self.rows, reverse=True):
+            w = self.rows[p]
+            for q in [c for c in w if c != p and c in done]:
+                w = _combine(w, done[q], q)
+            done[p] = w
+        self.rows = done
+        return [(p, {c: Fraction(x, done[p][p]) for c, x in done[p].items()})
+                for p in sorted(done)]
+
+    def subspace(self) -> "Subspace":
+        width = self.width
+        return Subspace(width, Matrix([_dense(row, width) for _, row in self.rref()],
+                                      cols=width))
+
+
+def _eliminate(rows: Iterable[dict], width: int) -> Echelon:
+    """Echelon form of sparse rational rows; stops once the rank is full."""
+    ech = Echelon(width)
+    for row in rows:
+        ech._add(row)
+        if ech.dim == width:
             break
-    return rows, tuple(pivots)
+    return ech
+
+
+def _kernel(reduced: list[tuple[int, dict]], width: int) -> "Subspace":
+    """Kernel of a reduced row echelon form: one vector per free column."""
+    pivots = {p for p, _ in reduced}
+    basis = {f: {f: ONE} for f in range(width) if f not in pivots}
+    for p, row in reduced:
+        for c, x in row.items():
+            if c != p:
+                basis[c][p] = -x
+    return _eliminate(basis.values(), width).subspace()
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -266,23 +369,15 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
     Zero rows sink to the bottom; the result has the same shape as m.
     """
-    rows = [list(r) for r in m.data]
-    reduced, pivots = _rref_rows(rows)
-    return Matrix(reduced, cols=m.cols), pivots
+    reduced = _eliminate(_rows_of(m), m.cols).rref()
+    rows = [_dense(row, m.cols) for _, row in reduced]
+    rows.extend([vzero(m.cols)] * (m.rows - len(rows)))
+    return Matrix(rows, cols=m.cols), tuple(p for p, _ in reduced)
 
 
 def nullspace(m: Matrix) -> "Subspace":
     """Kernel of m acting on column vectors, as a canonical Subspace."""
-    reduced, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -reduced.entry(r, f)
-        basis.append(v)
-    return Subspace.from_vectors(m.cols, basis)
+    return _kernel(_eliminate(_rows_of(m), m.cols).rref(), m.cols)
 
 
 def solve(a: Matrix, b: Vector) -> tuple[Vector | None, "Subspace"]:
@@ -294,16 +389,23 @@ def solve(a: Matrix, b: Vector) -> tuple[Vector | None, "Subspace"]:
     """
     if len(b) != a.rows:
         raise ValueError("right hand side length does not match row count")
-    aug = [list(row) + [bv] for row, bv in zip(a.data, b)]
-    if not aug:
-        return vzero(a.cols), Subspace.full(a.cols)
-    reduced, pivots = _rref_rows(aug)
-    if a.cols in pivots:
-        return None, nullspace(a)
-    x = [ZERO] * a.cols
-    for r, p in enumerate(pivots):
-        x[p] = reduced[r][a.cols]
-    return tuple(x), nullspace(a)
+    n = a.cols
+    if not a.rows:
+        return vzero(n), Subspace.full(n)
+    reduced = _eliminate([_sparse((*row, bv), n + 1) for row, bv in zip(a.data, b)],
+                         n + 1).rref()
+    consistent = not reduced or reduced[-1][0] != n
+    if not consistent:
+        reduced.pop()
+    # with the last column dropped, this is the reduced form of a
+    hom = _kernel([(p, {c: x for c, x in row.items() if c != n})
+                   for p, row in reduced], n)
+    if not consistent:
+        return None, hom
+    x = [ZERO] * n
+    for p, row in reduced:
+        x[p] = row.get(n, ZERO)
+    return tuple(x), hom
 
 
 @dataclass(frozen=True)
@@ -319,14 +421,8 @@ class Subspace:
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        rows = [list(vec(v)) for v in vectors]
-        for row in rows:
-            if len(row) != ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
-        if not rows:
-            return Subspace(ambient_dim, Matrix.zeros(0, ambient_dim))
-        reduced, pivots = _rref_rows(rows)
-        return Subspace(ambient_dim, Matrix(reduced[:len(pivots)], cols=ambient_dim))
+        rows = [_sparse(v, ambient_dim) for v in vectors]
+        return _eliminate(rows, ambient_dim).subspace()
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -377,18 +473,11 @@ class Subspace:
 
     def coordinates_of(self, v: Sequence) -> Vector | None:
         """Coefficients of v in the RREF basis, None when v lies outside."""
-        w = list(vec(v))
-        coords = []
-        for row, p in zip(self.basis.data, self.pivots):
-            f = w[p]
-            coords.append(f)
-            if f != 0:
-                for j, x in enumerate(row):
-                    if x != 0:
-                        w[j] -= f * x
-        if not is_zero_vec(tuple(w)):
+        w = vec(v)
+        if not self.contains(w):
             return None
-        return tuple(coords)
+        # an RREF row is 1 at its own pivot and 0 at the others
+        return tuple(w[p] for p in self.pivots)
 
     def vectors(self) -> tuple[Vector, ...]:
         return self.basis.data
@@ -412,18 +501,8 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     m = Matrix([[a.basis.entry(k, i) for k in range(ra)]
                 + [-b.basis.entry(k, i) for k in range(rb)]
                 for i in range(n)])
-    ker = nullspace(m)
-    vecs = []
-    for u in ker.basis.data:
-        w = [ZERO] * n
-        for k in range(ra):
-            c = u[k]
-            if c != 0:
-                row = a.basis.data[k]
-                for j in range(n):
-                    w[j] += c * row[j]
-        vecs.append(w)
-    return Subspace.from_vectors(n, vecs)
+    coeffs = Matrix([u[:ra] for u in nullspace(m).basis.data], cols=ra)
+    return Subspace.from_vectors(n, (coeffs * a.basis).data)
 
 
 # ---- polynomials ----
@@ -505,13 +584,9 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
         roots.add(ZERO)
         cs = cs[v:]
     if len(cs) > 1:
-        denom_lcm = 1
-        for c in cs:
-            denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
+        denom_lcm = lcm(*[c.denominator for c in cs])
         ints = [int(c * denom_lcm) for c in cs]
-        g = 0
-        for x in ints:
-            g = _gcd(g, x)
+        g = gcd(*ints)
         ints = [x // g for x in ints]
         for p in _divisors(ints[0]):
             for q in _divisors(ints[-1]):
@@ -519,58 +594,6 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
                     if poly_eval(cs, cand) == 0:
                         roots.add(cand)
     return tuple(sorted(roots))
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
-# ---- echelon accumulator ----
-
-
-class Echelon:
-    """Incremental row echelon accumulator for span growth."""
-
-    def __init__(self, width: int):
-        self.width = width
-        self.rows: dict[int, Vector] = {}  # pivot column -> row with pivot 1
-
-    def _reduce(self, v: Sequence[Fraction]) -> list[Fraction]:
-        w = list(v)
-        for p in sorted(self.rows):
-            f = w[p]
-            if f != 0:
-                row = self.rows[p]
-                for j in range(p, self.width):
-                    x = row[j]
-                    if x != 0:
-                        w[j] -= f * x
-        return w
-
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        return all(x == 0 for x in self._reduce(v))
-
-    def insert(self, v: Sequence[Fraction]) -> bool:
-        """Add v to the span. Returns True when the span grew."""
-        w = self._reduce(v)
-        for p, x in enumerate(w):
-            if x != 0:
-                if x != 1:
-                    inv = ONE / x
-                    w = [y * inv for y in w]
-                self.rows[p] = tuple(w)
-                return True
-        return False
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def subspace(self) -> Subspace:
-        return Subspace.from_vectors(self.width, list(self.rows.values()))
 
 
 def envelope_dimension(generators: Sequence[Matrix], dim: int) -> int:
@@ -601,51 +624,56 @@ def envelope_dimension(generators: Sequence[Matrix], dim: int) -> int:
     return ech.dim
 
 
-def commutator_equation_rows(a: Matrix, b: Matrix) -> list[list[Fraction]]:
-    """Rows of the linear map X -> X a - b X on flattened X.
+def _commutator_rows(a: Matrix, b: Matrix) -> list[dict[int, Fraction]]:
+    """Sparse rows of the linear map X -> X a - b X on flattened X.
 
     X has shape (b.rows x a.cols); rows come out in row-major entry order.
+    Row (i, j) holds a[k][j] at X[i][k] and -b[i][k] at X[k][j]; the two
+    meet only at X[i][j].
     """
-    p, q = b.rows, a.cols
     if a.rows != a.cols or b.rows != b.cols:
         raise ValueError("commutator equations need square factors")
+    q = a.cols
+    a_cols = [[(k, x) for k, x in enumerate(col) if x] for col in zip(*a.data)]
+    b_rows = [[(k * q, x) for k, x in enumerate(row) if x] for row in b.data]
     rows = []
-    for i in range(p):
-        for j in range(q):
-            row = [ZERO] * (p * q)
-            for k in range(q):
-                row[i * q + k] += a.entry(k, j)
-            for k in range(p):
-                row[k * q + j] -= b.entry(i, k)
+    for i, b_row in enumerate(b_rows):
+        at = i * q
+        for j, a_col in enumerate(a_cols):
+            row = {at + k: x for k, x in a_col}
+            for kq, x in b_row:
+                c = kq + j
+                y = row.get(c, 0) - x
+                if y:
+                    row[c] = y
+                else:
+                    row.pop(c, None)
             rows.append(row)
     return rows
 
 
+def commutator_equation_rows(a: Matrix, b: Matrix) -> list[list[Fraction]]:
+    """Dense rows of the linear map X -> X a - b X on flattened X."""
+    width = b.rows * a.cols
+    return [list(_dense(row, width)) for row in _commutator_rows(a, b)]
+
+
 def matrix_commutant(mats: Sequence[Matrix], dim: int) -> list[Matrix]:
     """Basis of {X : X m = m X for every m in mats}, in RREF order."""
-    rows: list[list[Fraction]] = []
-    for m in mats:
-        if m.rows != dim or m.cols != dim:
-            raise ValueError("matrix shape does not match the ambient dimension")
-        rows.extend(commutator_equation_rows(m, m))
-    if not rows:
-        return [Matrix.from_flat(v, dim, dim)
-                for v in Subspace.full(dim * dim).basis.data]
-    ker = nullspace(Matrix(rows))
-    return [Matrix.from_flat(v, dim, dim) for v in ker.basis.data]
+    if any(m.rows != dim or m.cols != dim for m in mats):
+        raise ValueError("matrix shape does not match the ambient dimension")
+    return intertwiner_space([(m, m) for m in mats], dim, dim)
 
 
 def intertwiner_space(
     pairs: Sequence[tuple[Matrix, Matrix]], rows_dim: int, cols_dim: int
 ) -> list[Matrix]:
     """Basis of {X : X a = b X for every (a, b) pair}; X is rows_dim x cols_dim."""
-    eq_rows: list[list[Fraction]] = []
+    eq_rows: list[dict] = []
     for a, b in pairs:
         if a.rows != cols_dim or b.rows != rows_dim:
             raise ValueError("intertwiner pair shapes are inconsistent")
-        eq_rows.extend(commutator_equation_rows(a, b))
-    if not eq_rows:
-        return [Matrix.from_flat(v, rows_dim, cols_dim)
-                for v in Subspace.full(rows_dim * cols_dim).basis.data]
-    ker = nullspace(Matrix(eq_rows))
+        eq_rows.extend(_commutator_rows(a, b))
+    width = rows_dim * cols_dim
+    ker = _kernel(_eliminate(eq_rows, width).rref(), width)
     return [Matrix.from_flat(v, rows_dim, cols_dim) for v in ker.basis.data]

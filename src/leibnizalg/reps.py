@@ -28,6 +28,7 @@ from .linalg import (
     char_poly,
     envelope_dimension,
     intertwiner_space,
+    linear_combination,
     rational_roots,
     nullspace,
     vec,
@@ -108,21 +109,13 @@ class Representation:
 
     def rho_of(self, x: Sequence) -> Matrix:
         """Right action of an arbitrary algebra vector."""
-        x = vec(x)
-        out = Matrix.zeros(self.space_dim, self.space_dim)
-        for j, c in enumerate(x):
-            if c != 0:
-                out = out + self.right[j].scale(c)
-        return out
+        d = self.space_dim
+        return linear_combination(vec(x), self.right, d, d)
 
     def lambda_of(self, x: Sequence) -> Matrix:
         """Left action of an arbitrary algebra vector."""
-        x = vec(x)
-        out = Matrix.zeros(self.space_dim, self.space_dim)
-        for j, c in enumerate(x):
-            if c != 0:
-                out = out + self.left[j].scale(c)
-        return out
+        d = self.space_dim
+        return linear_combination(vec(x), self.left, d, d)
 
     def action_matrices(self) -> list[Matrix]:
         return list(self.right) + list(self.left)
@@ -165,11 +158,7 @@ def from_lie_rep(
     d = phi[0].rows if phi else 0
     for i in range(algebra.dim):
         for j in range(algebra.dim):
-            br = algebra.table[i][j]
-            combo = Matrix.zeros(d, d)
-            for t, c in enumerate(br):
-                if c != 0:
-                    combo = combo + phi[t].scale(c)
+            combo = linear_combination(algebra.table[i][j], phi, d, d)
             if combo != phi[i] * phi[j] - phi[j] * phi[i]:
                 raise ValueError(f"phi is not a Lie homomorphism at pair ({i},{j})")
     right = tuple(-m for m in phi)

@@ -182,6 +182,9 @@ def test_input_errors_exit_one():
         (["levi", "-"], json.dumps({"basis": ["a"], "brackets": []})),
         (["nonsense-command"], None),
         (["rep", "classify", "-"], None),  # --m is required
+        (["check", "-"], json.dumps({"basis": ["a"], "brackets": [
+            {"left": "a", "right": "a", "result": {"a": "1e999999"}}]})),
+        (["check", "-"], json.dumps({"basis": ["a"], "dim": True, "brackets": []})),
     ]
     for argv, text in cases:
         code, out, err = run(argv, stdin_text=text)

@@ -1,12 +1,14 @@
 """File-format round trips and parse diagnostics."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from leibnizalg.algebra import abelian_algebra, direct_sum_algebra
 from leibnizalg.decompose import example_5_3, example_5_5
 from leibnizalg.fileio import (
+    MAX_DIGITS,
     ParseError,
     frac_str,
     parse_algebra,
@@ -172,6 +174,34 @@ def test_bad_rationals_are_rejected_with_locus():
     entry["result"]["a"] = 1.5  # numbers must arrive as strings
     with pytest.raises(ParseError, match="must be strings"):
         parse_algebra(json.dumps({"basis": ["a"], "brackets": [entry]}))
+
+
+def test_rationals_follow_the_documented_grammar():
+    def parse_value(text):
+        entry = {"left": "a", "right": "a", "result": {"a": text}}
+        alg = parse_algebra(json.dumps({"basis": ["a"], "brackets": [entry]}))
+        return alg.table[0][0][0]
+
+    assert parse_value("-3/4") == Fraction(-3, 4)
+    assert parse_value("12") == 12
+    assert parse_value("0/5") == 0
+    assert parse_value("9" * MAX_DIGITS) == int("9" * MAX_DIGITS)
+    hostile = ["1.5", " 1e3 ", "1e999999", "+1", "1/-2", " 1", "1 ", "1/", "/2",
+               "", "-", "1_000", "\uff11", "1\n", "9" * (MAX_DIGITS + 1),
+               "1/" + "7" * (MAX_DIGITS + 1)]
+    for text in hostile:
+        with pytest.raises(ParseError, match=r"result\.a"):
+            parse_value(text)
+
+
+def test_boolean_counts_are_rejected():
+    with pytest.raises(ParseError, match="dim"):
+        parse_algebra(json.dumps({"basis": ["a"], "dim": True, "brackets": []}))
+    alg_obj = json.loads(serialize_algebra(abelian_algebra(1)))
+    obj = {"algebra": alg_obj, "module_dim": True,
+           "rho": {"a0": [["0"]]}, "lambda": {"a0": [["0"]]}}
+    with pytest.raises(ParseError, match="module_dim"):
+        parse_rep(json.dumps(obj))
 
 
 def test_json_syntax_errors_carry_line_and_column():

@@ -8,6 +8,7 @@ throughout this file.
 from fractions import Fraction
 import random
 
+import pytest
 import sympy
 
 from leibnizalg.linalg import (
@@ -29,6 +30,8 @@ from leibnizalg.linalg import (
     subspace_sum,
     vec,
 )
+from leibnizalg.reps import direct_sum
+from leibnizalg.sl2 import sl2_leibniz_irrep
 
 QQ = Fraction
 
@@ -46,6 +49,35 @@ def from_sympy(m: sympy.Matrix) -> Matrix:
 def random_matrix(rng: random.Random, rows: int, cols: int) -> Matrix:
     return Matrix([[QQ(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
                    for _ in range(rows)])
+
+
+def ladder_sum(*sizes: int, variant: str = "zero_lambda"):
+    """Direct sum of the sl2 ladder modules of the given sizes (dimension m + 1 each)."""
+    rep = sl2_leibniz_irrep(sizes[0], variant)
+    for m in sizes[1:]:
+        rep = direct_sum(rep, sl2_leibniz_irrep(m, variant))
+    return rep
+
+
+def oracle_matrices(rng: random.Random, count: int) -> list[Matrix]:
+    """count small random matrices, then the shapes the sparse kernel meets:
+    a tall, very sparse commutant system, wide matrices, zero rows, a zero
+    matrix, and entries with large numerators and denominators."""
+    out = [random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5)) for _ in range(count)]
+    rep = ladder_sum(1, 1, 2, variant="anti_symmetric")
+    out.append(Matrix([row for m in rep.action_matrices()
+                       for row in commutator_equation_rows(m, m)]))  # 294 x 49
+    out += [random_matrix(rng, rng.randint(1, 3), rng.randint(7, 12)) for _ in range(4)]
+    for _ in range(3):
+        m = random_matrix(rng, 5, 4)
+        keep = rng.sample(range(5), 3)
+        out.append(Matrix([row if i in keep else [0] * 4 for i, row in enumerate(m.data)]))
+    out += [Matrix.zeros(3, 4), Matrix.zeros(1, 1)]
+    for _ in range(4):
+        n = rng.randint(2, 5)
+        out.append(Matrix([[QQ(rng.randint(-10**30, 10**30), rng.randint(1, 10**20))
+                            for _ in range(n)] for _ in range(rng.randint(2, 5))]))
+    return out
 
 
 def mat_poly(coeffs, m: Matrix) -> Matrix:
@@ -196,24 +228,42 @@ def test_echelon_incremental():
 
 def test_rref_matches_sympy_and_is_idempotent():
     rng = random.Random(101)
-    for _ in range(40):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        m = random_matrix(rng, rows, cols)
+    for m in oracle_matrices(rng, 40):
         ours, pivots = rref(m)
         smat, spivots = to_sympy(m).rref()
         assert ours == from_sympy(smat)
         assert pivots == tuple(spivots)
+        assert m.rank() == len(spivots)
         again, _ = rref(ours)
         assert again == ours
+        # row by row insertion spans what the one-shot elimination spans
+        ech = Echelon(m.cols)
+        for row in m.data:
+            ech.insert(row)
+        assert ech.dim == len(spivots)
+        assert ech.subspace() == Subspace.from_vectors(m.cols, m.data)
+        assert ech.subspace().basis == from_sympy(smat[:len(spivots), :])
+
+
+def test_inverse_matches_sympy():
+    rng = random.Random(111)
+    for m in oracle_matrices(rng, 40):
+        if not m.is_square():
+            continue
+        if to_sympy(m).rank() < m.rows:
+            assert not m.is_invertible()
+            with pytest.raises(ValueError, match="singular"):
+                m.inverse()
+            continue
+        inv = m.inverse()
+        assert inv == from_sympy(to_sympy(m).inv())
+        assert m * inv == Matrix.identity(m.rows)
 
 
 def test_nullspace_matches_sympy():
     rng = random.Random(202)
-    for _ in range(40):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        m = random_matrix(rng, rows, cols)
+    for m in oracle_matrices(rng, 40):
+        cols = m.cols
         ker = nullspace(m)
         assert ker.dim == cols - m.rank()
         for v in ker.basis.data:
@@ -224,15 +274,26 @@ def test_nullspace_matches_sympy():
 
 def test_solve_exactness_sweep():
     rng = random.Random(303)
-    for _ in range(40):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        a = random_matrix(rng, rows, cols)
-        x_true = tuple(QQ(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(cols))
+    for a in oracle_matrices(rng, 40):
+        x_true = tuple(QQ(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(a.cols))
         b = a.apply(x_true)
         particular, hom = solve(a, b)
         assert particular is not None
         assert a.apply(particular) == b
+        assert hom == nullspace(a)
+        # sympy's solution with every free parameter set to zero
+        sol, params = to_sympy(a).gauss_jordan_solve(to_sympy(Matrix([b]).transpose()))
+        sol = sol.subs({p: 0 for p in params})
+        assert particular == from_sympy(sol.T).row(0)
+        # a right hand side off the column space
+        b_off = tuple(QQ(rng.randint(-3, 3)) for _ in range(a.rows))
+        particular, hom = solve(a, b_off)
+        try:
+            to_sympy(a).gauss_jordan_solve(to_sympy(Matrix([b_off]).transpose()))
+        except ValueError:
+            assert particular is None
+        else:
+            assert a.apply(particular) == b_off
         assert hom == nullspace(a)
 
 
@@ -325,6 +386,17 @@ def test_commutant_members_commute():
         for c in matrix_commutant(mats, n):
             for m in mats:
                 assert c * m == m * c
+
+
+def test_commutant_of_ladder_sum_2_3_4_4():
+    rep = ladder_sum(2, 3, 4, 4)  # dimension 3 + 4 + 5 + 5 = 17
+    mats = rep.action_matrices()
+    comm = matrix_commutant(mats, 17)
+    # Schur: one scalar per distinct ladder, M_2 on the repeated ladder 4
+    assert len(comm) == 1 + 1 + 2 ** 2
+    for c in comm:
+        for m in mats:
+            assert c * m == m * c
 
 
 def test_commutator_equation_rows_shape():
