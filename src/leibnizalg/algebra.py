@@ -18,6 +18,8 @@ from typing import Iterable, Sequence
 
 from .linalg import (
     Matrix,
+    _sparse,
+    _span_closure,
     Subspace,
     Vector,
     matrix_commutant,
@@ -224,18 +226,12 @@ class LeibnizAlgebra:
     def ideal_closure(self, seeds: Iterable[Sequence]) -> Subspace:
         """Smallest two-sided ideal containing the seed vectors."""
         self._require_valid()
-        span = Subspace.from_vectors(self.dim, [vec(s) for s in seeds])
-        while True:
-            grown = list(span.basis.data)
-            for v in span.basis.data:
-                for j in range(self.dim):
-                    ej = tuple(ONE if t == j else ZERO for t in range(self.dim))
-                    grown.append(self.bracket(v, ej))
-                    grown.append(self.bracket(ej, v))
-            bigger = Subspace.from_vectors(self.dim, grown)
-            if bigger.dim == span.dim:
-                return span
-            span = bigger
+        n, table = self.dim, self.table
+        nonzero = [[[(t, c) for t, c in enumerate(v) if c] for v in row] for row in table]
+        # column k of v -> [v, b_j] is [b_k, b_j]; of v -> [b_j, v] it is [b_j, b_k]
+        maps = [[nonzero[k][j] for k in range(n)] for j in range(n)]
+        maps += [nonzero[j] for j in range(n)]
+        return _span_closure([_sparse(s, n) for s in seeds], maps, n).subspace()
 
     def is_subalgebra(self, u: Subspace) -> bool:
         self._require_valid()

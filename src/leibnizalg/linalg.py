@@ -13,10 +13,19 @@ pivot at the end gives the unique reduced row echelon form as Fraction
 rows. `rref`, `nullspace`, `solve`, `Subspace.from_vectors`, `Matrix.rank`
 and `Matrix.inverse` all run on it, and the commutant and intertwiner
 systems reach it as sparse rows built from the nonzero action entries.
+
+Span closure has one routine on the same kernel, `_span_closure`: the
+smallest subspace that contains some seed rows and is closed under a list
+of linear maps given by their sparse columns, each scaled once to integers,
+grown breadth first from the images that enlarge it. `envelope_dimension` (X -> X g on flattened
+matrices), `reps.spin_submodule` (the action matrices) and
+`LeibnizAlgebra.ideal_closure` (right and left multiplications read from
+the structure constants) call it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -90,6 +99,15 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @staticmethod
+    def _of(data: tuple[Vector, ...], cols: int) -> "Matrix":
+        """Matrix over rows that are already tuples of Fraction, not re-coerced."""
+        m = object.__new__(Matrix)
+        object.__setattr__(m, "rows", len(data))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "data", data)
+        return m
+
+    @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
         return Matrix([[ZERO] * cols for _ in range(rows)], cols=cols)
 
@@ -148,18 +166,17 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = [[ZERO] * other.cols for _ in range(self.rows)]
-        odata = other.data
-        for i, row in enumerate(self.data):
-            acc = out[i]
-            for k, a in enumerate(row):
-                if a == 0:
-                    continue
-                orow = odata[k]
-                for j, b in enumerate(orow):
-                    if b != 0:
+        width = other.cols
+        nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
+        out = []
+        for row in self.data:
+            acc = [ZERO] * width
+            for a, orow in zip(row, nonzero):
+                if a:
+                    for j, b in orow:
                         acc[j] += a * b
-        return Matrix(out)
+            out.append(tuple(acc))
+        return Matrix._of(tuple(out), width)
 
     def apply(self, v: Vector) -> Vector:
         """Matrix times column vector."""
@@ -548,10 +565,13 @@ def char_poly(m: Matrix) -> Poly:
     n = m.rows
     coeffs = [ZERO] * (n + 1)
     coeffs[n] = ONE
-    mk = Matrix.zeros(n, n)
+    prod = Matrix.zeros(n, n)  # m * mk, with mk = 0 before the first step
     for k in range(1, n + 1):
-        mk = m * mk + coeffs[n - k + 1] * Matrix.identity(n)
-        coeffs[n - k] = -(m * mk).trace() / k
+        c = coeffs[n - k + 1]
+        mk = Matrix._of(tuple(row[:i] + (row[i] + c,) + row[i + 1:]
+                              for i, row in enumerate(prod.data)), n)
+        prod = m * mk
+        coeffs[n - k] = -prod.trace() / k
     return tuple(coeffs)
 
 
@@ -596,32 +616,73 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(sorted(roots))
 
 
+def _span_closure(seeds: Iterable[dict], maps: Sequence[Sequence[Sequence[tuple]]],
+                  width: int) -> Echelon:
+    """Echelon of the smallest subspace of QQ^width that contains the sparse
+    seed rows and is closed under every map.
+
+    A map is given by its sparse columns: maps[t][k] lists the nonzero (i, x)
+    of the image of the k-th unit vector. A map in the span of the identity
+    and the maps before it cannot grow the closure and is dropped; the others
+    are scaled once to primitive integer maps. The closure runs breadth
+    first: every image that grows the span is queued, made primitive, and
+    mapped in turn, until the queue is empty or the span is full. The queue
+    holds images, never the echelon rows: images of images grow only
+    linearly in bit length, while the entries of reduced rows compound when
+    they are mapped again.
+    """
+    spanned = Echelon(width * width)  # the identity and the maps kept so far
+    spanned._add({k * width + k: 1 for k in range(width)})
+    columns = []
+    for cols in maps:
+        flat = {k * width + i: x for k, col in enumerate(cols) for i, x in col}
+        if not spanned._add(flat):
+            continue
+        flat = _integral(flat)
+        integral: list[list[tuple[int, int]]] = [[] for _ in range(width)]
+        for key, x in flat.items():
+            k, i = divmod(key, width)
+            integral[k].append((i, x))
+        columns.append(integral)
+    ech = Echelon(width)
+    queue = deque()
+    for row in seeds:
+        if ech._add(row):
+            queue.append(_integral(row))
+    while queue and ech.dim < width:
+        v = queue.popleft()
+        for cols in columns:
+            image: dict[int, int] = {}
+            for k, a in v.items():
+                for i, x in cols[k]:
+                    y = image.get(i, 0) + a * x
+                    if y:
+                        image[i] = y
+                    else:
+                        del image[i]
+            if ech._add(image):
+                queue.append(_primitive(image))
+                if ech.dim == width:
+                    break
+    return ech
+
+
 def envelope_dimension(generators: Sequence[Matrix], dim: int) -> int:
     """Dimension of the unital associative algebra generated inside dim x dim matrices.
 
-    Runs a breadth-first closure: every word in the generators is reached by
-    right multiplication, starting from the identity.
+    The closure of the identity under right multiplication by each
+    generator, X -> X g on row-major flattened X, reaches every word.
     """
     for g in generators:
         if g.rows != dim or g.cols != dim:
             raise ValueError("generator shape does not match the ambient dimension")
-    ech = Echelon(dim * dim)
-    frontier: list[Matrix] = []
-    seed = [Matrix.identity(dim)] + list(generators)
-    for m in seed:
-        if ech.insert(m.flatten()):
-            frontier.append(m)
-    while frontier and ech.dim < dim * dim:
-        fresh: list[Matrix] = []
-        for m in frontier:
-            for g in generators:
-                prod = m * g
-                if ech.insert(prod.flatten()):
-                    fresh.append(prod)
-                    if ech.dim == dim * dim:
-                        return ech.dim
-        frontier = fresh
-    return ech.dim
+    maps = []
+    for g in generators:
+        g_rows = [[(j, x) for j, x in enumerate(row) if x] for row in g.data]
+        maps.append([[(i * dim + j, x) for j, x in g_rows[k]]
+                     for i in range(dim) for k in range(dim)])
+    identity = {i * dim + i: ONE for i in range(dim)}
+    return _span_closure([identity], maps, dim * dim).dim
 
 
 def _commutator_rows(a: Matrix, b: Matrix) -> list[dict[int, Fraction]]:

@@ -18,11 +18,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .algebra import InternalCheckError, LeibnizAlgebra
 from .linalg import (
     Matrix,
+    _sparse,
+    _span_closure,
     Subspace,
     Vector,
     char_poly,
@@ -244,17 +246,10 @@ def module_restriction(rep: Representation, w: Subspace) -> Representation:
 
 def spin_submodule(rep: Representation, seeds: Sequence[Sequence]) -> Subspace:
     """Smallest subspace containing the seeds and invariant under both actions."""
-    span = Subspace.from_vectors(rep.space_dim, [vec(s) for s in seeds])
-    mats = rep.action_matrices()
-    while True:
-        grown = list(span.basis.data)
-        for v in span.basis.data:
-            for m in mats:
-                grown.append(m.apply(v))
-        bigger = Subspace.from_vectors(rep.space_dim, grown)
-        if bigger.dim == span.dim:
-            return span
-        span = bigger
+    d = rep.space_dim
+    maps = [[[(i, x) for i, x in enumerate(col) if x] for col in zip(*m.data)]
+            for m in rep.action_matrices()]
+    return _span_closure([_sparse(s, d) for s in seeds], maps, d).subspace()
 
 
 def irreducibility(rep: Representation) -> IrreducibilityVerdict:
@@ -274,14 +269,7 @@ def irreducibility(rep: Representation) -> IrreducibilityVerdict:
     if env == d * d:
         return IrreducibilityVerdict("abs_irreducible", None,
                                      f"envelope dimension {env}")
-    candidates: list[Vector] = [
-        tuple(ONE if t == i else ZERO for t in range(d)) for i in range(d)]
-    for m in rep.action_matrices():
-        coeffs = char_poly(m)
-        for root in rational_roots(coeffs):
-            shifted = m - Matrix.identity(d).scale(root)
-            candidates.extend(nullspace(shifted).basis.data)
-    for v in candidates:
+    for v in _witness_candidates(rep):
         sub = spin_submodule(rep, [v])
         if 0 < sub.dim < d:
             return IrreducibilityVerdict("reducible", sub,
@@ -289,6 +277,19 @@ def irreducibility(rep: Representation) -> IrreducibilityVerdict:
     return IrreducibilityVerdict(
         "undetermined", None,
         f"envelope dimension {env} below {d * d} but no witness found")
+
+
+def _witness_candidates(rep: Representation) -> Iterator[Vector]:
+    """Coordinate vectors, then the rational eigenvectors of each action matrix.
+
+    Generated lazily: the coordinate vectors often find a witness already.
+    """
+    d = rep.space_dim
+    for i in range(d):
+        yield tuple(ONE if t == i else ZERO for t in range(d))
+    for m in rep.action_matrices():
+        for root in rational_roots(char_poly(m)):
+            yield from nullspace(m - Matrix.identity(d).scale(root)).basis.data
 
 
 def sym_span(rep: Representation) -> Subspace:

@@ -208,12 +208,40 @@ def test_kernel_invariants_zoo():
         assert quo.is_lie(), alg.name
 
 
+def ideal_by_fixed_point(alg, seeds):
+    """Reference ideal closure: bracket the whole span with every basis
+    vector on both sides until the dimension stops growing."""
+    n = alg.dim
+    units = [tuple(F(t == j) for t in range(n)) for j in range(n)]
+    span = Subspace.from_vectors(n, seeds)
+    while True:
+        grown = list(span.basis.data)
+        for v in span.basis.data:
+            for e in units:
+                grown += [alg.bracket(v, e), alg.bracket(e, v)]
+        bigger = Subspace.from_vectors(n, grown)
+        if bigger.dim == span.dim:
+            return span
+        span = bigger
+
+
 def test_ideal_closure_frozen():
     alg = ext5()
     tail = alg.ideal_closure([(0, 0, 0, 1, 0)])
     assert tail == alg.leibniz_kernel()
     everything = alg.ideal_closure([(1, 0, 0, 0, 0)])
     assert everything.is_full()
+    # against the fixed point, on the zoo and after dense changes of basis
+    rng = random.Random(6151)
+    algs = zoo() + [change_basis(a, random_invertible(rng, a.dim))
+                    for a in (ext5(), heisenberg(), direct_sum_algebra(sl2(), nilp2()))]
+    for alg in algs:
+        n = alg.dim
+        seed_lists = [[tuple(F(t == i) for t in range(n))] for i in range(n)]
+        seed_lists += [[tuple(F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n))
+                        for _ in range(rng.randint(0, 2))] for _ in range(4)]
+        for seeds in seed_lists:
+            assert alg.ideal_closure(seeds) == ideal_by_fixed_point(alg, seeds)
 
 
 def test_subalgebra_and_ideal_predicates():

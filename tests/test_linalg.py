@@ -175,6 +175,30 @@ def test_rational_roots_frozen():
     assert rational_roots([QQ(-3, 2), QQ(5, 2), QQ(1)]) == (QQ(-3), QQ(1, 2))
 
 
+def envelope_by_products(generators, dim: int) -> int:
+    """Reference envelope dimension: breadth-first search over dense word
+    matrices, each product flattened and inserted into an Echelon."""
+    ech = Echelon(dim * dim)
+    frontier = []
+    for m in [Matrix.identity(dim)] + list(generators):
+        if ech.insert(m.flatten()):
+            frontier.append(m)
+    while frontier and ech.dim < dim * dim:
+        fresh = []
+        for m in frontier:
+            for g in generators:
+                prod = m * g
+                if ech.insert(prod.flatten()):
+                    fresh.append(prod)
+        frontier = fresh
+    return ech.dim
+
+
+def conjugate(mats, p: Matrix) -> list[Matrix]:
+    p_inv = p.inverse()
+    return [p * m * p_inv for m in mats]
+
+
 def test_envelope_dimension_hand_cases():
     # no generators: only the identity
     assert envelope_dimension([], 2) == 1
@@ -185,6 +209,31 @@ def test_envelope_dimension_hand_cases():
     # single idempotent: span{I, E11}
     e11 = Matrix([[1, 0], [0, 0]])
     assert envelope_dimension([e11], 2) == 2
+    # duplicated, negated, zero and scalar generators add nothing
+    zero, two = Matrix.zeros(2, 2), Matrix.identity(2).scale(QQ(2))
+    for gens, expected in [([e12, e12], 2), ([e12, -e12, zero], 2),
+                           ([zero, two], 1), ([two, e11, -e11, zero, e11], 2),
+                           ([zero, e12, two, e21, -e21, e12], 4)]:
+        assert envelope_dimension(gens, 2) == expected == envelope_by_products(gens, 2)
+    # Burnside: a ladder of dimension d gives M_d, a sum of distinct ladders
+    # the block diagonal, and equal ladders one diagonal copy of M_d; a
+    # dense integer change of basis keeps the dimension
+    p = {d: Matrix([[(i * j + i + 2 * j) % 5 - 2 + (i == j) * 3 for j in range(d)]
+                    for i in range(d)]) for d in (4, 5)}
+    cases = [((1,), 4), ((2,), 9), ((3,), 16), ((4,), 25), ((1, 2), 13),
+             ((2, 2), 9), ((1, 1, 2), 13)]
+    for sizes, expected in cases:
+        for variant in ("zero_lambda", "anti_symmetric"):
+            mats = ladder_sum(*sizes, variant=variant).action_matrices()
+            d = mats[0].rows
+            assert envelope_dimension(mats, d) == expected
+            if d in p:
+                assert p[d].is_invertible()
+                dense = conjugate(mats, p[d])
+                assert envelope_dimension(dense, d) == expected
+                assert envelope_by_products(dense, d) == expected
+            else:
+                assert envelope_by_products(mats, d) == expected
 
 
 def test_matrix_commutant_hand_cases():
@@ -375,7 +424,11 @@ def test_envelope_of_single_matrix_is_minpoly_degree():
     for _ in range(20):
         n = rng.randint(1, 4)
         m = random_matrix(rng, n, n)
-        assert envelope_dimension([m], n) == len(minimal_polynomial(m)) - 1
+        degree = len(minimal_polynomial(m)) - 1
+        assert envelope_dimension([m], n) == degree == envelope_by_products([m], n)
+        # m, -m, 0 and scalars generate the same algebra as m alone
+        assert envelope_dimension([m, -m, Matrix.zeros(n, n), m.scale(QQ(3, 2)),
+                                   Matrix.identity(n).scale(QQ(-5))], n) == degree
 
 
 def test_commutant_members_commute():

@@ -11,9 +11,10 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import assume, given, settings, strategies as st
 
 from leibnizalg.algebra import algebra_from_brackets
-from leibnizalg.linalg import Matrix, Subspace
+from leibnizalg.linalg import Matrix, Subspace, envelope_dimension
 from leibnizalg.reps import (
     AxiomViolationError,
     Representation,
@@ -239,10 +240,36 @@ def test_irreducibility_reducible_cases():
     assert v5.witness is not None and v5.witness.dim == 2
 
 
+def spin_by_fixed_point(rep, seeds):
+    """Reference spin: apply every action matrix to the whole span until
+    the dimension stops growing."""
+    span = Subspace.from_vectors(rep.space_dim, seeds)
+    while True:
+        grown = list(span.basis.data)
+        grown += [m.apply(v) for v in span.basis.data for m in rep.action_matrices()]
+        bigger = Subspace.from_vectors(rep.space_dim, grown)
+        if bigger.dim == span.dim:
+            return span
+        span = bigger
+
+
 def test_spin_submodule_frozen():
     s = direct_sum(ladder_rep(1, "zero_lambda"), ladder_rep(1, "zero_lambda"))
     sub = spin_submodule(s, [(1, 0, 0, 0)])
     assert sub == Subspace.from_vectors(4, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    # against the fixed point, on canonical and dense bases
+    rng = random.Random(3301)
+    sums = [direct_sum(ladder_rep(1, v), ladder_rep(2, v))
+            for v in ("zero_lambda", "anti_symmetric")]
+    sums += [s, direct_sum(ladder_rep(2, "anti_symmetric"), ladder_rep(0, "anti_symmetric")),
+             adjoint_rep(ext5())]
+    for rep in sums + [conjugate_rep(r, random_invertible(rng, r.space_dim)) for r in sums]:
+        d = rep.space_dim
+        seed_lists = [[tuple(F(t == i) for t in range(d))] for i in range(d)]
+        seed_lists += [[tuple(F(rng.randint(-2, 2)) for _ in range(d))
+                        for _ in range(rng.randint(0, 2))] for _ in range(4)]
+        for seeds in seed_lists:
+            assert spin_submodule(rep, seeds) == spin_by_fixed_point(rep, seeds)
 
 
 def test_sym_span_frozen():
@@ -351,6 +378,27 @@ def test_intertwiner_dims_match_sympy_oracle():
         ours = len(intertwiner_space(sys_pairs, b.space_dim, a.space_dim))
         assert ours == expected
         assert sympy_intertwiner_dim(a, b) == expected
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(sizes=st.lists(st.integers(0, 3), min_size=1, max_size=2),
+       variant=st.sampled_from(["zero_lambda", "anti_symmetric"]),
+       data=st.data())
+def test_verdict_and_envelope_survive_integer_conjugation(sizes, variant, data):
+    rep = ladder_rep(sizes[0], variant)
+    for m in sizes[1:]:
+        rep = direct_sum(rep, ladder_rep(m, variant))
+    d = rep.space_dim
+    entries = data.draw(st.lists(st.integers(-2, 2), min_size=d * d, max_size=d * d))
+    p = Matrix([entries[i * d:(i + 1) * d] for i in range(d)])
+    assume(p.is_invertible())
+    other = conjugate_rep(rep, p)
+    assert other.is_valid
+    mats = rep.action_matrices()
+    assert (envelope_dimension(other.action_matrices(), d)
+            == envelope_dimension(mats, d)
+            == sum((m + 1) ** 2 for m in set(sizes)))
+    assert irreducibility(other).value == irreducibility(rep).value
 
 
 def test_invariants_survive_conjugation():
