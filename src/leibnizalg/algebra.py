@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .linalg import (
@@ -24,7 +25,6 @@ from .linalg import (
     Vector,
     matrix_commutant,
     envelope_dimension,
-    linear_combination,
     nullspace,
     solve,
     subspace_intersect,
@@ -111,17 +111,27 @@ class LeibnizAlgebra:
     # -- identity and validity --
 
     def _find_violations(self) -> tuple[tuple[int, int, int], ...]:
+        """Triples (i, j, k), in (j, k, i) order, where
+        [[b_i,b_j],b_k] - [[b_i,b_k],b_j] - [b_i,[b_j,b_k]] is not zero."""
         n = self.dim
-        rights = [self.right_mult_matrix_basis(j) for j in range(n)]
+        # each term is a product of two structure constants, so scaling them
+        # all to integers by a common denominator keeps every zero a zero
+        den = lcm(*[c.denominator for row in self.table for v in row for c in v])
+        nz = [[[(t, c.numerator * (den // c.denominator)) for t, c in enumerate(v) if c]
+               for v in row] for row in self.table]
         bad: list[tuple[int, int, int]] = []
         for j in range(n):
             for k in range(n):
-                inner = linear_combination(self.table[j][k], rights, n, n)
-                residual = rights[k] * rights[j] - rights[j] * rights[k] - inner
-                if not residual.is_zero():
-                    for i in range(n):
-                        if not is_zero_vec(residual.col(i)):
-                            bad.append((i, j, k))
+                for i in range(n):
+                    parts = [(c, nz[t][k]) for t, c in nz[i][j]]
+                    parts += [(-c, nz[t][j]) for t, c in nz[i][k]]
+                    parts += [(-c, nz[i][t]) for t, c in nz[j][k]]
+                    acc: dict[int, int] = {}
+                    for c, terms in parts:
+                        for s, x in terms:
+                            acc[s] = acc.get(s, 0) + c * x
+                    if any(acc.values()):
+                        bad.append((i, j, k))
         return tuple(bad)
 
     @property
@@ -433,19 +443,12 @@ class LeibnizAlgebra:
     def _kernel_action_matrices(self, kernel: Subspace) -> list[Matrix]:
         """Left and right actions of every basis element on the kernel."""
         mats = []
-        k = kernel.dim
         for j in range(self.dim):
-            ej = tuple(ONE if t == j else ZERO for t in range(self.dim))
-            for side in ("right", "left"):
-                cols = []
-                for a in range(k):
-                    u = kernel.basis.row(a)
-                    image = self.bracket(u, ej) if side == "right" else self.bracket(ej, u)
-                    coords = kernel.coordinates_of(image)
-                    if coords is None:
-                        raise InternalCheckError("kernel is not acting into itself")
-                    cols.append(coords)
-                mats.append(Matrix([[cols[a][t] for a in range(k)] for t in range(k)]))
+            for mult in (self.right_mult_matrix_basis(j), self.left_mult_matrix_basis(j)):
+                induced = kernel.induced(mult)
+                if induced is None:
+                    raise InternalCheckError("kernel is not acting into itself")
+                mats.append(induced)
         return mats
 
     # -- derivations --

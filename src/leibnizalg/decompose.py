@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .algebra import InternalCheckError, LeibnizAlgebra, algebra_from_brackets
 from .linalg import (
-    Matrix, Subspace, commutator_equation_rows, matrix_commutant,
+    Matrix, Subspace, _axiom_rows, _solutions, matrix_commutant,
     minimal_polynomial, nullspace, poly_eval, rational_roots,
     subspace_intersect, subspace_sum,
 )
@@ -270,10 +270,4 @@ def solve_lowering_left(rho_h: Matrix) -> Subspace:
     diagonal with distinct weight differences.
     """
     d = rho_h.rows
-    comm = commutator_equation_rows(rho_h, rho_h)
-    rows = []
-    for r in range(d * d):
-        row = [-x for x in comm[r]]
-        row[r] += 2
-        rows.append(row)
-    return nullspace(Matrix(rows))
+    return _solutions(_axiom_rows([((-2,), 0, rho_h, rho_h)], d, d), d * d)

@@ -10,9 +10,16 @@ rows are dicts from column to int: each input row has its denominators
 cleared once, rows are combined by integer cross-multiplication, and every
 row is divided by the gcd of its entries after each step. One division per
 pivot at the end gives the unique reduced row echelon form as Fraction
-rows. `rref`, `nullspace`, `solve`, `Subspace.from_vectors`, `Matrix.rank`
-and `Matrix.inverse` all run on it, and the commutant and intertwiner
-systems reach it as sparse rows built from the nonzero action entries.
+rows. `rref`, `nullspace`, `solve`, `Subspace.from_vectors`, `Matrix.rank`,
+`Matrix.inverse` and `minimal_polynomial` all run on it.
+
+Linear equations in unknown matrices have one builder, `_axiom_rows`: the
+sparse rows of (X_0, ..., X_{u-1}) -> sum_t c_t X_t + X_i a - b X_i, read
+from the nonzero entries of a and b, and `_solutions` takes their kernel.
+The commutant and intertwiner systems (no c_t), the dense
+`commutator_equation_rows`, the linearised pairing axioms in `sl2` (tail
+forcing and the left block over sl2) and `decompose.solve_lowering_left`
+all build their equations with it.
 
 Span closure has one routine on the same kernel, `_span_closure`: the
 smallest subspace that contains some seed rows and is closed under a list
@@ -381,6 +388,11 @@ def _kernel(reduced: list[tuple[int, dict]], width: int) -> "Subspace":
     return _eliminate(basis.values(), width).subspace()
 
 
+def _solutions(rows: Iterable[dict], width: int) -> "Subspace":
+    """Kernel of sparse rational rows over QQ^width, as a canonical Subspace."""
+    return _kernel(_eliminate(rows, width).rref(), width)
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form of m, with the pivot column indices.
 
@@ -394,7 +406,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 def nullspace(m: Matrix) -> "Subspace":
     """Kernel of m acting on column vectors, as a canonical Subspace."""
-    return _kernel(_eliminate(_rows_of(m), m.cols).rref(), m.cols)
+    return _solutions(_rows_of(m), m.cols)
 
 
 def solve(a: Matrix, b: Vector) -> tuple[Vector | None, "Subspace"]:
@@ -496,6 +508,17 @@ class Subspace:
         # an RREF row is 1 at its own pivot and 0 at the others
         return tuple(w[p] for p in self.pivots)
 
+    def induced(self, m: Matrix) -> Matrix | None:
+        """Matrix of m on this subspace, in coordinates of the RREF basis;
+        None when m maps a basis vector out of the subspace."""
+        cols = []
+        for v in self.basis.data:
+            coords = self.coordinates_of(m.apply(v))
+            if coords is None:
+                return None
+            cols.append(coords)
+        return Matrix([[col[t] for col in cols] for t in range(self.dim)])
+
     def vectors(self) -> tuple[Vector, ...]:
         return self.basis.data
 
@@ -538,23 +561,30 @@ def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
 def minimal_polynomial(m: Matrix) -> Poly:
     """Monic minimal polynomial of a square matrix, ascending coefficients.
 
-    Found as the first linear dependency among I, m, m^2, ...
+    Found as the first linear dependency among I, m, m^2, ...: each power
+    m^k enters one echelon form as flat(m^k) followed by a tag column e_k.
+    The first row that reduces to zero on the flat part keeps the
+    dependency in its tag columns, with a nonzero coefficient at e_k.
     """
     if not m.is_square():
         raise ValueError("minimal polynomial of a non-square matrix")
     n = m.rows
     if n == 0:
         return (ZERO, ONE)
+    tags = n * n
+    ech = Echelon(tags + n + 1)
     power = Matrix.identity(n)
-    flats = [power.flatten()]
-    for k in range(1, n + 1):
-        power = power * m
-        target = power.flatten()
-        a = Matrix([[flats[i][j] for i in range(k)] for j in range(n * n)])
-        particular, _ = solve(a, target)
-        if particular is not None:
-            return tuple(-c for c in particular) + (ONE,)
-        flats.append(target)
+    for k in range(n + 1):
+        if k:
+            power = power * m
+        row = {c: x for c, x in enumerate(power.flatten()) if x}
+        row[tags + k] = ONE
+        ech._add(row)
+        last = max(ech.rows)
+        if last >= tags:
+            dep = ech.rows[last]
+            return tuple(Fraction(dep.get(tags + j, 0), dep[tags + k])
+                         for j in range(k)) + (ONE,)
     raise AssertionError("no dependency up to degree n; impossible over a field")
 
 
@@ -685,38 +715,48 @@ def envelope_dimension(generators: Sequence[Matrix], dim: int) -> int:
     return _span_closure([identity], maps, dim * dim).dim
 
 
-def _commutator_rows(a: Matrix, b: Matrix) -> list[dict[int, Fraction]]:
-    """Sparse rows of the linear map X -> X a - b X on flattened X.
+def _axiom_rows(equations: Iterable[tuple], rows: int, cols: int) -> list[dict]:
+    """Sparse rows of (X_0, ..., X_{u-1}) -> sum_t c_t X_t + X_i a - b X_i.
 
-    X has shape (b.rows x a.cols); rows come out in row-major entry order.
-    Row (i, j) holds a[k][j] at X[i][k] and -b[i][k] at X[k][j]; the two
-    meet only at X[i][j].
+    The unknowns are rows x cols matrices, flattened row-major one after the
+    other: entry (r, s) of X_t is column t*rows*cols + r*cols + s. Each
+    equation (coeffs, i, a, b) has c_t = coeffs[t] (zero past the end), a
+    of shape cols x cols and b of shape rows x rows; it gives one row per
+    entry (r, s), in row-major order. Entries that cancel are not stored,
+    so a row may be empty. This is the one place where the linearised
+    pairing axioms and the commutant systems become equations.
     """
-    if a.rows != a.cols or b.rows != b.cols:
-        raise ValueError("commutator equations need square factors")
-    q = a.cols
-    a_cols = [[(k, x) for k, x in enumerate(col) if x] for col in zip(*a.data)]
-    b_rows = [[(k * q, x) for k, x in enumerate(row) if x] for row in b.data]
-    rows = []
-    for i, b_row in enumerate(b_rows):
-        at = i * q
-        for j, a_col in enumerate(a_cols):
-            row = {at + k: x for k, x in a_col}
-            for kq, x in b_row:
-                c = kq + j
-                y = row.get(c, 0) - x
-                if y:
-                    row[c] = y
-                else:
-                    row.pop(c, None)
-            rows.append(row)
-    return rows
+    size = rows * cols
+    out = []
+    for coeffs, i, a, b in equations:
+        if a.rows != cols or a.cols != cols or b.rows != rows or b.cols != rows:
+            raise ValueError("equation factors do not match the unknown shape")
+        at = i * size
+        a_cols = [[(at + k, x) for k, x in enumerate(col) if x] for col in zip(*a.data)]
+        for r, b_row in enumerate(b.data):
+            # at entry (r, s), X_i a reads row r of X_i; the columns that
+            # b X_i and the c_t X_t read are these offsets plus s
+            base = r * cols
+            terms = [(at + k * cols, -x) for k, x in enumerate(b_row) if x]
+            terms += [(t * size + base, c) for t, c in enumerate(coeffs) if c]
+            for s, a_col in enumerate(a_cols):
+                row = {base + k: x for k, x in a_col}
+                for c, x in terms:
+                    c += s
+                    y = row.get(c, 0) + x
+                    if y:
+                        row[c] = y
+                    else:
+                        del row[c]
+                out.append(row)
+    return out
 
 
 def commutator_equation_rows(a: Matrix, b: Matrix) -> list[list[Fraction]]:
     """Dense rows of the linear map X -> X a - b X on flattened X."""
     width = b.rows * a.cols
-    return [list(_dense(row, width)) for row in _commutator_rows(a, b)]
+    return [list(_dense(row, width))
+            for row in _axiom_rows([((), 0, a, b)], b.rows, a.cols)]
 
 
 def matrix_commutant(mats: Sequence[Matrix], dim: int) -> list[Matrix]:
@@ -730,11 +770,6 @@ def intertwiner_space(
     pairs: Sequence[tuple[Matrix, Matrix]], rows_dim: int, cols_dim: int
 ) -> list[Matrix]:
     """Basis of {X : X a = b X for every (a, b) pair}; X is rows_dim x cols_dim."""
-    eq_rows: list[dict] = []
-    for a, b in pairs:
-        if a.rows != cols_dim or b.rows != rows_dim:
-            raise ValueError("intertwiner pair shapes are inconsistent")
-        eq_rows.extend(_commutator_rows(a, b))
-    width = rows_dim * cols_dim
-    ker = _kernel(_eliminate(eq_rows, width).rref(), width)
+    rows = _axiom_rows([((), 0, a, b) for a, b in pairs], rows_dim, cols_dim)
+    ker = _solutions(rows, rows_dim * cols_dim)
     return [Matrix.from_flat(v, rows_dim, cols_dim) for v in ker.basis.data]

@@ -229,13 +229,10 @@ def module_restriction(rep: Representation, w: Subspace) -> Representation:
         raise ValueError("subspace is not invariant under both actions")
 
     def cut(m: Matrix) -> Matrix:
-        cols = []
-        for v in w.basis.data:
-            coords = w.coordinates_of(m.apply(v))
-            if coords is None:
-                raise InternalCheckError("invariant subspace lost a coordinate")
-            cols.append(coords)
-        return Matrix([[cols[a][t] for a in range(w.dim)] for t in range(w.dim)])
+        induced = w.induced(m)
+        if induced is None:
+            raise InternalCheckError("invariant subspace lost a coordinate")
+        return induced
 
     right = [cut(m) for m in rep.right]
     left = [cut(m) for m in rep.left]

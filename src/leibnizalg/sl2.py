@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import InternalCheckError, LeibnizAlgebra, algebra_from_brackets
-from .linalg import Matrix, Subspace, nullspace, rational_roots
+from .linalg import Matrix, Subspace, _axiom_rows, _solutions, nullspace, rational_roots
 from .reps import Representation
 
 ZERO = Fraction(0)
@@ -186,120 +186,50 @@ class ExtensionSolution:
     obstruction: str | None = None
 
 
-def _h_weight_positions(c: Fraction, d: int) -> list[tuple[int, int]]:
-    """Entries (i, j) surviving the diagonal equation c*X = [rho_h, X]."""
-    return [(i, j) for i in range(d) for j in range(d) if c == 2 * (j - i)]
-
-
 def _tail_stage1_basis(n: int, m: int) -> list[list[Matrix]]:
     """Nullspace basis of the linear tail system, as lists of tail matrices.
 
-    The unknown entries are first cut down by the bracket-with-h weight
-    equations (each is a one-term equation, so an entry either dies or is
-    unconstrained by it); the e and f pair equations are then assembled
-    over the surviving entries only.
+    The unknowns are the tail right actions X_0, ..., X_{n-4}. Axiom (1) on
+    each pair (x_k, y), y in (e, f, h), with [x_k, y] = sum_t c_t x_t, reads
+    sum_t c_t X_t + X_k rho_y - rho_y X_k = 0.
     """
     alg = simple_ext_algebra(n)
     rho = sl2_irrep_rho(m)
     d = m + 1
     nx = n - 3
-    kept: list[tuple[int, int, int]] = []
-    index: dict[tuple[int, int, int], int] = {}
+    equations = []
     for k in range(nx):
-        for (i, j) in _h_weight_positions(Fraction(n - 4 - 2 * k), d):
-            index[(k, i, j)] = len(kept)
-            kept.append((k, i, j))
-    if not kept:
-        return []
-    rows = []
-    for k in range(nx):
-        xi = 3 + k
         for y in range(3):
-            ry = rho[y]
-            cvec = alg.table[xi][y]
-            if any(cvec[t] != 0 for t in range(3)):
+            cvec = alg.table[3 + k][y]
+            if any(cvec[:3]):
                 raise InternalCheckError("tail bracket left the kernel span")
-            for r in range(d):
-                for s in range(d):
-                    row = [ZERO] * len(kept)
-                    for t in range(nx):
-                        c = cvec[3 + t]
-                        if c != 0 and (t, r, s) in index:
-                            row[index[(t, r, s)]] += c
-                    for a in range(d):
-                        if ry.entry(a, s) != 0 and (k, r, a) in index:
-                            row[index[(k, r, a)]] += ry.entry(a, s)
-                        if ry.entry(r, a) != 0 and (k, a, s) in index:
-                            row[index[(k, a, s)]] -= ry.entry(r, a)
-                    if any(x != 0 for x in row):
-                        rows.append(row)
-    if rows:
-        space = nullspace(Matrix(rows))
-    else:
-        space = Subspace.full(len(kept))
-    out = []
-    for v in space.basis.data:
-        grids = [[[ZERO] * d for _ in range(d)] for _ in range(nx)]
-        for val, (k, i, j) in zip(v, kept):
-            grids[k][i][j] = val
-        out.append([Matrix(g) for g in grids])
-    return out
+            equations.append((cvec[3:], k, rho[y], rho[y]))
+    space = _solutions(_axiom_rows(equations, d, d), nx * d * d)
+    return [[Matrix.from_flat(v[k * d * d:(k + 1) * d * d], d, d) for k in range(nx)]
+            for v in space.basis.data]
 
 
-def _sl2_left_block_check(m: int) -> None:
+def _sl2_left_block_check(m: int) -> Subspace:
     """Verify the linear left-action block over sl2 is exactly the rho line.
 
-    The unknowns are the three left matrices; the equations come from the
-    second axiom over all nine (e, f, h) pairs. For m >= 1 the solution
-    space must be one-dimensional, spanned by the right-action triple.
+    The unknowns are the three left matrices, flattened one after the
+    other; axiom (2) on each of the nine (e, f, h) pairs (x, y), with
+    [x, y] = sum_t c_t b_t, reads sum_t c_t L_t + L_x rho_y - rho_y L_x = 0.
+    For m >= 1 the solution space must be one-dimensional, spanned by the
+    right-action triple. Returns the verified solution space.
     """
     rho = sl2_irrep_rho(m)
     d = m + 1
-    sl2 = sl2_algebra()
-    weights = (TWO, -TWO, ZERO)  # weight of the slot under bracketing with h
-    kept: list[tuple[int, int, int]] = []
-    index: dict[tuple[int, int, int], int] = {}
-    for slot in range(3):
-        for (i, j) in _h_weight_positions(weights[slot], d):
-            index[(slot, i, j)] = len(kept)
-            kept.append((slot, i, j))
-    for slot in range(3):
-        for i in range(d):
-            for j in range(d):
-                if rho[slot].entry(i, j) != 0 and (slot, i, j) not in index:
-                    raise InternalCheckError("right action violates its own weights")
-    rows = []
-    for bi in range(3):
-        for bj in range(3):
-            rj = rho[bj]
-            cvec = sl2.table[bi][bj]
-            for r in range(d):
-                for s in range(d):
-                    row = [ZERO] * len(kept)
-                    for t in range(3):
-                        if cvec[t] != 0 and (t, r, s) in index:
-                            row[index[(t, r, s)]] += cvec[t]
-                    for a in range(d):
-                        if rj.entry(a, s) != 0 and (bi, r, a) in index:
-                            row[index[(bi, r, a)]] += rj.entry(a, s)
-                        if rj.entry(r, a) != 0 and (bi, a, s) in index:
-                            row[index[(bi, a, s)]] -= rj.entry(r, a)
-                    if any(x != 0 for x in row):
-                        rows.append(row)
-    if rows:
-        space = nullspace(Matrix(rows))
-    else:
-        space = Subspace.full(len(kept))
+    table = sl2_algebra().table
+    equations = [(table[x][y], x, rho[y], rho[y]) for x in range(3) for y in range(3)]
+    space = _solutions(_axiom_rows(equations, d, d), 3 * d * d)
     expected_dim = 1 if m >= 1 else 0
     if space.dim != expected_dim:
         raise InternalCheckError(
             f"left sl2 block has dimension {space.dim}, expected {expected_dim}")
-    if m >= 1:
-        reduced_rho = [ZERO] * len(kept)
-        for (slot, i, j), pos in index.items():
-            reduced_rho[pos] = rho[slot].entry(i, j)
-        if not space.contains(tuple(reduced_rho)):
-            raise InternalCheckError("left sl2 block does not contain the rho line")
+    if m >= 1 and not space.contains([x for r in rho for x in r.flatten()]):
+        raise InternalCheckError("left sl2 block does not contain the rho line")
+    return space
 
 
 def _tail_quadratic_matrices(basis_mats: list[list[Matrix]],

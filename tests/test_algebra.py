@@ -142,6 +142,38 @@ def test_invalid_table_detected():
         bad.leibniz_kernel()
 
 
+def violations_by_products(alg):
+    """Reference Leibniz check: column i of R_k R_j - R_j R_k - sum_t c_t R_t,
+    with R_j the matrix of v -> [v, b_j] and [b_j, b_k] = sum_t c_t b_t,
+    is [[b_i,b_j],b_k] - [[b_i,b_k],b_j] - [b_i,[b_j,b_k]]."""
+    n = alg.dim
+    rights = [alg.right_mult_matrix_basis(j) for j in range(n)]
+    bad = []
+    for j in range(n):
+        for k in range(n):
+            residual = rights[k] * rights[j] - rights[j] * rights[k]
+            for t, c in enumerate(alg.table[j][k]):
+                residual = residual - rights[t].scale(c)
+            bad.extend((i, j, k) for i in range(n) if any(residual.col(i)))
+    return tuple(bad)
+
+
+def test_violations_match_the_product_residual_on_corrupted_tables():
+    rng = random.Random(77)
+    found = 0
+    for alg in zoo() + [ext5()]:
+        n = alg.dim
+        for _ in range(8):
+            table = [[list(v) for v in row] for row in alg.table]
+            for _ in range(rng.randint(1, 3)):
+                i, j, t = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+                table[i][j][t] += rng.choice([F(1), F(-1), F(1, 2), F(-2, 3), F(3)])
+            corrupted = LeibnizAlgebra(alg.basis_names, table)
+            assert corrupted.leibniz_violations == violations_by_products(corrupted)
+            found += len(corrupted.leibniz_violations)
+    assert found > 100  # the corruptions do break the identity
+
+
 def test_shape_errors():
     with pytest.raises(ValueError):
         LeibnizAlgebra(["a", "a"], [[[0, 0]] * 2] * 2)

@@ -13,6 +13,7 @@ import sympy
 
 from leibnizalg.linalg import (
     Echelon,
+    _axiom_rows,
     Matrix,
     Subspace,
     char_poly,
@@ -261,6 +262,60 @@ def test_intertwiner_space_conjugation():
     assert flat_span.contains(g.flatten())
     for x in space:
         assert x * a == b * x
+
+
+def axiom_value(equation, xs: list[Matrix]) -> Matrix:
+    """sum_t c_t X_t + X_i a - b X_i by matrix arithmetic."""
+    coeffs, i, a, b = equation
+    value = xs[i] * a - b * xs[i]
+    for t, c in enumerate(coeffs):
+        value = value + xs[t].scale(c)
+    return value
+
+
+def test_axiom_rows_evaluate_the_linear_map():
+    rng = random.Random(2024)
+    # (rows, cols, unknowns): square, rectangular both ways, one and several unknowns
+    for rows_dim, cols_dim, count in ((2, 2, 1), (3, 3, 3), (2, 4, 2), (4, 1, 2), (3, 2, 4)):
+        for _ in range(5):
+            xs = [random_matrix(rng, rows_dim, cols_dim) for _ in range(count)]
+            flat = [x for m in xs for x in m.flatten()]
+            equations = []
+            for _ in range(rng.randint(1, 4)):
+                coeffs = [QQ(rng.randint(-3, 3)) for _ in range(rng.randint(0, count))]
+                equations.append((coeffs, rng.randrange(count),
+                                  random_matrix(rng, cols_dim, cols_dim),
+                                  random_matrix(rng, rows_dim, rows_dim)))
+            got = _axiom_rows(equations, rows_dim, cols_dim)
+            expected = [x for eq in equations for x in axiom_value(eq, xs).flatten()]
+            assert len(got) == len(expected)
+            for row, e in zip(got, expected):
+                assert all(x != 0 and 0 <= c < len(flat) for c, x in row.items())
+                assert sum(x * flat[c] for c, x in row.items()) == e
+
+
+def test_axiom_rows_store_no_cancelled_entries():
+    # entry (r, s) of 2X + X a - b X is (2 + a_ss - b_rr) X[r][s]
+    a = Matrix([[1, 0], [0, 3]])
+    b = Matrix([[3, 0], [0, 1]])
+    assert _axiom_rows([((2,), 0, a, b)], 2, 2) == [{}, {1: 2}, {2: 2}, {3: 4}]
+    # X_1 a - b X_1 with a = b = I cancels everywhere; the c_0 X_0 terms stay
+    one = Matrix.identity(2)
+    assert _axiom_rows([((5,), 1, one, one)], 2, 2) == [{0: 5}, {1: 5}, {2: 5}, {3: 5}]
+    # the X_i a and b X_i terms cancel each other where a_ss = b_rr
+    assert _axiom_rows([((), 0, a, a)], 2, 2) == [{}, {1: 2}, {2: -2}, {}]
+    with pytest.raises(ValueError):
+        _axiom_rows([((), 0, a, Matrix.identity(3))], 2, 2)
+
+
+def test_subspace_induced_matrix():
+    m = Matrix([[1, 2, 0], [0, 3, 0], [4, 5, 6]])
+    w = Subspace.from_vectors(3, [[0, 0, 1]])  # m e_2 = 6 e_2
+    assert w.induced(m) == Matrix([[6]])
+    u = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]])
+    assert u.induced(m) is None  # m e_0 has an e_2 component
+    assert Subspace.full(3).induced(m) == m
+    assert Subspace.zero(3).induced(m) == Matrix([])
 
 
 def test_echelon_incremental():

@@ -6,11 +6,15 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from leibnizalg.linalg import Matrix, Subspace
+from leibnizalg import sl2
+from leibnizalg.algebra import InternalCheckError
+from leibnizalg.linalg import Matrix, Subspace, nullspace
 from leibnizalg.reps import Representation, equivalence, irreducibility, restrict
 from leibnizalg.sl2 import (
     ExtensionSolution,
     _reduce_quadratics,
+    _sl2_left_block_check,
+    _tail_stage1_basis,
     check_sl2_constraints,
     classify_extension_irreps,
     extension_rep_solve,
@@ -249,6 +253,88 @@ def sympy_stage1_dim(n, m):
     syms = [sym for x in xs for sym in x]
     a, _ = sympy.linear_eq_to_matrix(eqs, syms)
     return len(syms) - a.rank()
+
+
+# Reference versions of the linear stages as they were first written: the
+# one-term bracket-with-h equations cut the unknowns down to the entries of
+# matching weight, and the remaining equations are assembled over those.
+
+def weight_cut_positions(c, d):
+    return [(i, j) for i in range(d) for j in range(d) if c == 2 * (j - i)]
+
+
+def weight_cut_space(kept, equations, rho, d, slots):
+    """Solutions over the kept (slot, i, j) unknowns of
+    sum_t c_t X_t + X_i rho_y - rho_y X_i = 0, zero-padded to every entry
+    of every slot; each equation is (c by slot, the slot i, the index y)."""
+    index = {key: pos for pos, key in enumerate(kept)}
+    rows = []
+    for cvec, slot, y in equations:
+        ry = rho[y]
+        for r in range(d):
+            for s in range(d):
+                row = [Q(0)] * len(kept)
+                for t, c in enumerate(cvec):
+                    if c != 0 and (t, r, s) in index:
+                        row[index[(t, r, s)]] += c
+                for a in range(d):
+                    if ry.entry(a, s) != 0 and (slot, r, a) in index:
+                        row[index[(slot, r, a)]] += ry.entry(a, s)
+                    if ry.entry(r, a) != 0 and (slot, a, s) in index:
+                        row[index[(slot, a, s)]] -= ry.entry(r, a)
+                if any(x != 0 for x in row):
+                    rows.append(row)
+    space = nullspace(Matrix(rows)) if rows else Subspace.full(len(kept))
+    padded = []
+    for v in space.basis.data:
+        full = [Q(0)] * (slots * d * d)
+        for x, (slot, i, j) in zip(v, kept):
+            full[(slot * d + i) * d + j] = x
+        padded.append(full)
+    return padded
+
+
+def test_stage1_basis_equals_the_weight_cut_version():
+    for n in (5, 6, 8, 9, 12):
+        for m in (1, 2, 3, 4):
+            alg = simple_ext_algebra(n)
+            rho = sl2_irrep_rho(m)
+            d, nx = m + 1, n - 3
+            kept = [(k, i, j) for k in range(nx)
+                    for (i, j) in weight_cut_positions(n - 4 - 2 * k, d)]
+            equations = [(alg.table[3 + k][y][3:], k, y)
+                         for k in range(nx) for y in range(3)]
+            padded = weight_cut_space(kept, equations, rho, d, nx)
+            expected = [[Matrix.from_flat(v[k * d * d:(k + 1) * d * d], d, d)
+                         for k in range(nx)] for v in padded]
+            assert _tail_stage1_basis(n, m) == expected, (n, m)
+
+
+def test_left_block_space_equals_the_weight_cut_version():
+    table = sl2_algebra().table
+    for m in range(0, 7):
+        rho = sl2_irrep_rho(m)
+        d = m + 1
+        kept = [(slot, i, j) for slot, w in enumerate((2, -2, 0))
+                for (i, j) in weight_cut_positions(w, d)]
+        equations = [(table[x][y], x, y) for x in range(3) for y in range(3)]
+        padded = weight_cut_space(kept, equations, rho, d, 3)
+        assert _sl2_left_block_check(m) == Subspace.from_vectors(3 * d * d, padded)
+
+
+def test_left_block_check_catches_a_corrupted_raising_matrix(monkeypatch):
+    ladder = sl2.sl2_irrep_rho
+
+    def corrupted(m):
+        e, f, h = ladder(m)
+        rows = [list(row) for row in e.data]
+        rows[0][1] += 1
+        return Matrix(rows), f, h
+
+    monkeypatch.setattr(sl2, "sl2_irrep_rho", corrupted)
+    for m in (1, 2, 3, 4):
+        with pytest.raises(InternalCheckError):
+            _sl2_left_block_check(m)
 
 
 def test_stage1_dimension_matches_sympy():
