@@ -23,6 +23,7 @@ from .linalg import (
     _span_closure,
     Subspace,
     Vector,
+    _solutions,
     matrix_commutant,
     envelope_dimension,
     nullspace,
@@ -106,6 +107,15 @@ class LeibnizAlgebra:
         self.table = tuple(rows)
         self.name = name
         self.dim = n
+        # the structure constants scaled to integers by their common
+        # denominator, as the nonzero (t, c) of each bracket; the identity
+        # checks of the table and of its modules, `derivations` and
+        # `ideal_closure` read this form
+        den = lcm(*[c.denominator for row in self.table for v in row for c in v])
+        self._den = den
+        self._int_table = tuple(
+            tuple(tuple((t, c.numerator * (den // c.denominator)) for t, c in enumerate(v) if c)
+                  for v in row) for row in self.table)
         self.leibniz_violations = self._find_violations()
 
     # -- identity and validity --
@@ -114,11 +124,9 @@ class LeibnizAlgebra:
         """Triples (i, j, k), in (j, k, i) order, where
         [[b_i,b_j],b_k] - [[b_i,b_k],b_j] - [b_i,[b_j,b_k]] is not zero."""
         n = self.dim
-        # each term is a product of two structure constants, so scaling them
-        # all to integers by a common denominator keeps every zero a zero
-        den = lcm(*[c.denominator for row in self.table for v in row for c in v])
-        nz = [[[(t, c.numerator * (den // c.denominator)) for t, c in enumerate(v) if c]
-               for v in row] for row in self.table]
+        # each term is a product of two structure constants, so the integer
+        # form keeps every zero a zero
+        nz = self._int_table
         bad: list[tuple[int, int, int]] = []
         for j in range(n):
             for k in range(n):
@@ -236,8 +244,7 @@ class LeibnizAlgebra:
     def ideal_closure(self, seeds: Iterable[Sequence]) -> Subspace:
         """Smallest two-sided ideal containing the seed vectors."""
         self._require_valid()
-        n, table = self.dim, self.table
-        nonzero = [[[(t, c) for t, c in enumerate(v) if c] for v in row] for row in table]
+        n, nonzero = self.dim, self._int_table
         # column k of v -> [v, b_j] is [b_k, b_j]; of v -> [b_j, v] it is [b_j, b_k]
         maps = [[nonzero[k][j] for k in range(n)] for j in range(n)]
         maps += [nonzero[j] for j in range(n)]
@@ -456,19 +463,33 @@ class LeibnizAlgebra:
     def derivations(self) -> Subspace:
         """All d with d[x,y] = [dx,y] + [x,dy], flattened row-major into QQ^(n^2)."""
         self._require_valid()
-        n = self.dim
+        n, nz = self.dim, self._int_table
+        # entry (r, s) of d is unknown r*n + s; the equation at (p, q, r) is
+        # sum_s c_pq^s d_rs - c_sq^r d_sp - c_ps^r d_sq = 0, in integers
+        right = [[[] for _ in range(n)] for _ in range(n)]  # right[q][r]: (s, c_sq^r)
+        left = [[[] for _ in range(n)] for _ in range(n)]  # left[p][r]: (s, c_ps^r)
+        for s in range(n):
+            for q in range(n):
+                for r, c in nz[s][q]:
+                    right[q][r].append((s, c))
+                for r, c in nz[q][s]:
+                    left[q][r].append((s, c))
         rows = []
         for p in range(n):
             for q in range(n):
-                cpq = self.table[p][q]
                 for r in range(n):
-                    row = [ZERO] * (n * n)
-                    for s in range(n):
-                        row[r * n + s] += cpq[s]
-                        row[s * n + p] -= self.table[s][q][r]
-                        row[s * n + q] -= self.table[p][s][r]
-                    rows.append(row)
-        return nullspace(Matrix(rows))
+                    row = {r * n + s: c for s, c in nz[p][q]}
+                    terms = [(s * n + p, c) for s, c in right[q][r]]
+                    terms += [(s * n + q, c) for s, c in left[p][r]]
+                    for col, c in terms:
+                        y = row.get(col, 0) - c
+                        if y:
+                            row[col] = y
+                        else:
+                            del row[col]
+                    if row:
+                        rows.append(row)
+        return _solutions(rows, n * n)
 
     def inner_derivations(self) -> Subspace:
         """Span of the right multiplications, flattened row-major."""
@@ -523,6 +544,11 @@ class LeibnizAlgebra:
                 raise InternalCheckError("vector expected inside the kernel")
             return coords
 
+        # kernel coordinates of [s_a, k_l] and of [k_l, s_b]
+        right = [[kcoords(self.bracket(section[a], kb[l])) for l in range(r)]
+                 for a in range(q)]
+        left = [[kcoords(self.bracket(kb[l], section[b])) for l in range(r)]
+                for b in range(q)]
         # unknowns w[a][l]: coefficient of kernel basis l in the correction of
         # section vector a; equation per ordered quotient pair and kernel coord
         rows = []
@@ -547,10 +573,8 @@ class LeibnizAlgebra:
                             base[l][t * r + l] += c
                 for l in range(r):
                     for m in range(r):
-                        right = kcoords(self.bracket(section[a], kb[l]))
-                        base[m][b * r + l] -= right[m]
-                        left = kcoords(self.bracket(kb[l], section[b]))
-                        base[m][a * r + l] -= left[m]
+                        base[m][b * r + l] -= right[a][l][m]
+                        base[m][a * r + l] -= left[b][l][m]
                 rows.extend(base)
                 rhs.extend(gamma_k)
         particular, _ = solve(Matrix(rows), tuple(rhs))

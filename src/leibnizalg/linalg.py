@@ -28,6 +28,12 @@ grown breadth first from the images that enlarge it. `envelope_dimension` (X -> 
 matrices), `reps.spin_submodule` (the action matrices) and
 `LeibnizAlgebra.ideal_closure` (right and left multiplications read from
 the structure constants) call it.
+
+Sparse matrices `row -> {col: x}`, with no zero entry and no empty row
+stored, have a product `_sparse_matmul` and a linear combination
+`_sparse_combination`; `_int_matrix` scales a Matrix to that form with
+integer entries. The module axiom check in `reps` and the tail quadratics
+in `sl2` use them.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -471,8 +478,10 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
-    @property
+    @cached_property
     def pivots(self) -> tuple[int, ...]:
+        # kept in the instance dict, outside the fields: equality and hash
+        # stay those of (ambient_dim, basis)
         out = []
         for row in self.basis.data:
             for c, x in enumerate(row):
@@ -750,6 +759,45 @@ def _axiom_rows(equations: Iterable[tuple], rows: int, cols: int) -> list[dict]:
                         del row[c]
                 out.append(row)
     return out
+
+
+def _int_matrix(m: Matrix, den: int) -> dict:
+    """den * m as a sparse integer matrix, row -> {col: int}, with no empty
+    row stored; den must be a multiple of every denominator of m."""
+    out = {}
+    for r, row in enumerate(m.data):
+        srow = {c: x.numerator * (den // x.denominator) for c, x in enumerate(row) if x}
+        if srow:
+            out[r] = srow
+    return out
+
+
+def _sparse_matmul(a: dict, b: dict) -> dict:
+    """Product of two sparse matrices row -> {col: x}; zero entries and
+    empty rows are not stored, so equal products compare equal."""
+    out = {}
+    for r, arow in a.items():
+        acc: dict = {}
+        for k, x in arow.items():
+            for c, y in b.get(k, {}).items():
+                acc[c] = acc.get(c, 0) + x * y
+        acc = {c: z for c, z in acc.items() if z}
+        if acc:
+            out[r] = acc
+    return out
+
+
+def _sparse_combination(terms: Iterable[tuple]) -> dict:
+    """sum of c * m over (c, m) pairs of sparse matrices, stored like
+    `_sparse_matmul` results."""
+    out: dict = {}
+    for c, m in terms:
+        for r, mrow in m.items():
+            acc = out.setdefault(r, {})
+            for k, x in mrow.items():
+                acc[k] = acc.get(k, 0) + c * x
+    out = {r: {k: z for k, z in acc.items() if z} for r, acc in out.items()}
+    return {r: acc for r, acc in out.items() if acc}
 
 
 def commutator_equation_rows(a: Matrix, b: Matrix) -> list[list[Fraction]]:

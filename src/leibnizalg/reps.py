@@ -11,6 +11,14 @@ axioms (checked over the structure constants, basis pair by basis pair):
 Axiom (1) forces the right action of the algebra's kernel to vanish; the
 left action of the kernel is genuinely extra data, which is what separates
 this theory from Lie module theory.
+
+Every Representation checks the axioms when it is built, on integers: the
+action matrices are scaled by one common denominator D to sparse integer
+matrices R_k, L_k, the structure constants by theirs, E, to C_ij^k, and
+axiom (1) at (i, j) is checked as D sum_k C_ij^k R_k = E (R_j R_i - R_i R_j),
+axioms (2) and (3) the same way. Each product R_a R_b is formed once and
+serves both (a, b) and (b, a); products with a zero left action are never
+formed.
 """
 
 from __future__ import annotations
@@ -18,12 +26,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Sequence
 
 from .algebra import InternalCheckError, LeibnizAlgebra
 from .linalg import (
     Matrix,
+    _int_matrix,
     _sparse,
+    _sparse_combination,
+    _sparse_matmul,
     _span_closure,
     Subspace,
     Vector,
@@ -82,19 +94,34 @@ class Representation:
         self.axiom_violations = self._check_axioms()
 
     def _check_axioms(self) -> tuple[tuple[int, int, int], ...]:
+        """Violating (axiom, i, j) triples, pair by pair, axioms in order;
+        the integer form of the check is described in the module docstring."""
         alg = self.algebra
+        n, e = alg.dim, alg._den
+        den = lcm(*[x.denominator for m in self.right + self.left
+                    for row in m.data for x in row])
+        right = [_int_matrix(m, den) for m in self.right]
+        left = [_int_matrix(m, den) for m in self.left]
+        prod = {(a, b): _sparse_matmul(right[a], right[b])
+                for a in range(n) for b in range(n) if a != b}
         bad = []
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                rho_br = self.rho_of(alg.table[i][j])
-                lam_br = self.lambda_of(alg.table[i][j])
-                ri, rj = self.right[i], self.right[j]
-                li, lj = self.left[i], self.left[j]
-                if rho_br != rj * ri - ri * rj:
+        for i in range(n):
+            for j in range(n):
+                cs = alg._int_table[i][j]
+                comm = {} if i == j else _sparse_combination(
+                    [(e, prod[j, i]), (-e, prod[i, j])])
+                if _sparse_combination([(den * c, right[k]) for k, c in cs]) != comm:
                     bad.append((1, i, j))
-                if lam_br != rj * li - li * rj:
+                lam = _sparse_combination([(den * c, left[k]) for k, c in cs])
+                two = three = {}
+                if left[i]:
+                    rl = _sparse_matmul(right[j], left[i])
+                    lr = _sparse_matmul(left[i], right[j])
+                    two = _sparse_combination([(e, rl), (-e, lr)])
+                    three = _sparse_combination([(e, rl), (e, _sparse_matmul(left[i], left[j]))])
+                if lam != two:
                     bad.append((2, i, j))
-                if lam_br != rj * li + li * lj:
+                if lam != three:
                     bad.append((3, i, j))
         return tuple(bad)
 

@@ -17,7 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import InternalCheckError, LeibnizAlgebra, algebra_from_brackets
-from .linalg import Matrix, Subspace, _axiom_rows, _solutions, nullspace, rational_roots
+from .linalg import (Matrix, Subspace, _axiom_rows, _solutions, _sparse_matmul, nullspace,
+                     rational_roots)
 from .reps import Representation
 
 ZERO = Fraction(0)
@@ -232,54 +233,55 @@ def _sl2_left_block_check(m: int) -> Subspace:
     return space
 
 
-def _tail_quadratic_matrices(basis_mats: list[list[Matrix]],
-                             nx: int, d: int) -> list[Matrix]:
+def _tail_quadratic_matrices(basis_mats: list[list[Matrix]], nx: int) -> list[Matrix]:
     """Symmetric coefficient matrices of the tail-tail quadratic equations.
 
     Parameters are (t_1..t_p) for the right tail block and (u_1..u_p) for
     the left one, sharing the stage-1 basis. Equations come from the three
-    axioms on every ordered tail pair; all are homogeneous quadratics.
+    axioms on every ordered tail pair; all are homogeneous quadratics. The
+    equation at entry (r, s) of the pair (x_k, x_l) has three coefficient
+    grids; each nonzero entry of a product B_ik B_jl is added into the grids
+    it enters, and the nonzero grids come out in (k, l, r, s) order.
     """
     p = len(basis_mats)
     dim = 2 * p
     half = Fraction(1, 2)
-    out = []
-    prod: dict[tuple[int, int, int, int], Matrix] = {}
+    sparse = [[{r: {c: x for c, x in enumerate(row) if x} for r, row in enumerate(m.data)}
+               for m in mats] for mats in basis_mats]
+    grids: dict[tuple[int, int, int, int], tuple[dict, dict, dict]] = {}
+
+    def add(grid: dict, u: int, v: int, x: Fraction) -> None:
+        grid[u, v] = grid.get((u, v), 0) + x
+        grid[v, u] = grid.get((v, u), 0) + x
+
     for i in range(p):
-        for j in range(p):
-            for k in range(nx):
+        for k in range(nx):
+            for j in range(p):
                 for l in range(nx):
-                    prod[(i, k, j, l)] = basis_mats[i][k] * basis_mats[j][l]
-    for k in range(nx):
-        for l in range(nx):
-            for r in range(d):
-                for s in range(d):
-                    s1 = [[ZERO] * dim for _ in range(dim)]
-                    s2 = [[ZERO] * dim for _ in range(dim)]
-                    s3 = [[ZERO] * dim for _ in range(dim)]
-                    for i in range(p):
-                        for j in range(p):
-                            # commutator coefficient of t_i t_j (and of u_i t_j)
-                            comm = (prod[(j, l, i, k)].entry(r, s)
-                                    - prod[(i, k, j, l)].entry(r, s))
-                            if comm != 0:
-                                s1[i][j] += comm * half
-                                s1[j][i] += comm * half
-                                s2[p + i][j] += comm * half
-                                s2[j][p + i] += comm * half
-                            # left-times-left and right-times-left pieces
-                            lr = prod[(j, l, i, k)].entry(r, s)
-                            if lr != 0:
-                                s3[p + i][j] += lr * half
-                                s3[j][p + i] += lr * half
-                            ll = prod[(i, k, j, l)].entry(r, s)
-                            if ll != 0:
-                                s3[p + i][p + j] += ll * half
-                                s3[p + j][p + i] += ll * half
-                    for grid in (s1, s2, s3):
-                        mat = Matrix(grid)
-                        if not mat.is_zero():
-                            out.append(mat)
+                    for r, row in _sparse_matmul(sparse[i][k], sparse[j][l]).items():
+                        for s, x in row.items():
+                            # B_ik B_jl at (r, s) on the pair (x_k, x_l): it
+                            # enters the commutator of t_i t_j and of u_i t_j
+                            # with -x, and the left-times-left piece u_i u_j
+                            s1, s2, s3 = grids.setdefault((k, l, r, s), ({}, {}, {}))
+                            add(s1, i, j, -x)
+                            add(s2, p + i, j, -x)
+                            add(s3, p + i, p + j, x)
+                            # on the pair (x_l, x_k) it is B_jl B_ik, which
+                            # enters the commutator of t_j t_i and of u_j t_i
+                            # with +x, and the right-times-left piece u_j t_i
+                            s1, s2, s3 = grids.setdefault((l, k, r, s), ({}, {}, {}))
+                            add(s1, j, i, x)
+                            add(s2, p + j, i, x)
+                            add(s3, p + j, i, x)
+    out = []
+    for key in sorted(grids):
+        for grid in grids[key]:
+            if any(grid.values()):
+                rows = [[ZERO] * dim for _ in range(dim)]
+                for (u, v), x in grid.items():
+                    rows[u][v] = x * half
+                out.append(Matrix(rows))
     return out
 
 
@@ -360,7 +362,7 @@ def extension_rep_solve(n: int, m: int) -> ExtensionSolution:
     if p == 0:
         free, obstruction = 0, None
     else:
-        quads = _tail_quadratic_matrices(basis_mats, nx, d)
+        quads = _tail_quadratic_matrices(basis_mats, nx)
         free, obstruction = _reduce_quadratics(quads, 2 * p)
     coeffs = _left_coefficient_roots(m)
     if obstruction is None and free == 0:

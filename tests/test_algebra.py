@@ -460,6 +460,35 @@ def test_derivation_members_satisfy_rule():
                 assert lhs == rhs_vec
 
 
+def derivations_by_dense_rows(alg):
+    """Reference derivation space: one dense row per (p, q, r), through nullspace."""
+    from leibnizalg.linalg import nullspace
+    n = alg.dim
+    rows = []
+    for p in range(n):
+        for q in range(n):
+            cpq = alg.table[p][q]
+            for r in range(n):
+                row = [F(0)] * (n * n)
+                for s in range(n):
+                    row[r * n + s] += cpq[s]
+                    row[s * n + p] -= alg.table[s][q][r]
+                    row[s * n + q] -= alg.table[p][s][r]
+                rows.append(row)
+    return nullspace(Matrix(rows, cols=n * n))
+
+
+def test_derivations_match_the_dense_rows():
+    from leibnizalg.sl2 import simple_ext_algebra
+    rng = random.Random(2718)
+    algs = zoo() + [direct_sum_algebra(sl2(), nilp2()), abelian_algebra(1),
+                    simple_ext_algebra(6), simple_ext_algebra(7)]
+    algs += [change_basis(ext5(), random_invertible(rng, 5)),
+             change_basis(heisenberg(), random_invertible(rng, 3))]
+    for alg in algs:
+        assert alg.derivations() == derivations_by_dense_rows(alg), alg.name
+
+
 def test_inner_derivations_form_ideal():
     for alg in [sl2(), nilp2(), solv2(), ext5(), abelian_algebra(2)]:
         assert alg.check_inn_ideal(), alg.name

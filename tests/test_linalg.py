@@ -517,3 +517,14 @@ def test_commutator_equation_rows_shape():
     expected = (x * a - b * x).flatten()
     for row, e in zip(rows, expected):
         assert sum(c * v for c, v in zip(row, x.flatten())) == e
+
+
+def test_subspace_pivots_are_kept_outside_the_fields():
+    s = Subspace.from_vectors(4, [(0, 2, 1, 0), (0, 0, 0, 3), (0, 4, 2, 3)])
+    fresh = Subspace.from_vectors(4, [(0, 1, QQ(1, 2), 0), (0, 0, 0, 1)])
+    assert s.pivots == (1, 3)
+    assert s.pivots is s.pivots  # computed once
+    assert s == fresh and hash(s) == hash(fresh)  # one side cached, one not
+    assert s.reduce((1, 1, 1, 1)) == (1, 0, QQ(1, 2), 0)
+    assert s.coordinates_of((0, 2, 1, 5)) == (2, 5)
+    assert Subspace.zero(3).pivots == () and Subspace.full(2).pivots == (0, 1)

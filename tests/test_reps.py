@@ -13,7 +13,7 @@ import pytest
 import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
-from leibnizalg.algebra import algebra_from_brackets
+from leibnizalg.algebra import LeibnizAlgebra, algebra_from_brackets
 from leibnizalg.linalg import Matrix, Subspace, envelope_dimension
 from leibnizalg.reps import (
     AxiomViolationError,
@@ -410,3 +410,137 @@ def test_invariants_survive_conjugation():
             assert other.is_valid
             assert irreducibility(other).value == "abs_irreducible"
             assert dichotomy_classify(other) == dichotomy_classify(rep)
+
+
+# -- the sparse integer axiom check against the dense products --
+
+def axiom_violations_by_dense_products(rep):
+    """Reference axiom check: dense Fraction products, basis pair by basis pair."""
+    alg = rep.algebra
+    bad = []
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            rho_br = rep.rho_of(alg.table[i][j])
+            lam_br = rep.lambda_of(alg.table[i][j])
+            ri, rj = rep.right[i], rep.right[j]
+            li, lj = rep.left[i], rep.left[j]
+            if rho_br != rj * ri - ri * rj:
+                bad.append((1, i, j))
+            if lam_br != rj * li - li * rj:
+                bad.append((2, i, j))
+            if lam_br != rj * li + li * lj:
+                bad.append((3, i, j))
+    return tuple(bad)
+
+
+def rescale_algebra(rep, scales):
+    """The same module over the basis s_i b_i, where
+    [s_i b_i, s_j b_j] = sum_t (s_i s_j / s_t) c_ij^t (s_t b_t)."""
+    alg = rep.algebra
+    n = alg.dim
+    table = [[[F(scales[i]) * scales[j] / scales[t] * alg.table[i][j][t] for t in range(n)]
+              for j in range(n)] for i in range(n)]
+    return Representation(LeibnizAlgebra(alg.basis_names, table),
+                          [m.scale(F(s)) for m, s in zip(rep.right, scales)],
+                          [m.scale(F(s)) for m, s in zip(rep.left, scales)])
+
+
+def random_fractional_invertible(rng, n):
+    while True:
+        m = Matrix([[rng.choice([-1, 0, 1, F(1, 2), F(-2, 3), F(3, 2)]) for _ in range(n)]
+                    for _ in range(n)])
+        if m.is_invertible():
+            return m
+
+
+CORRUPTIONS = (F(1), F(-1), F(1, 2), F(-2, 3), F(3))
+
+
+def corrupt(rep, changes):
+    """Copy of rep with each (side, k, r, c, x) adding x at entry (r, c) of
+    the right (side 0) or left (side 1) action of basis element k."""
+    sides = [[[list(row) for row in m.data] for m in rep.right],
+             [[list(row) for row in m.data] for m in rep.left]]
+    for side, k, r, c, x in changes:
+        sides[side][k][r][c] += x
+    return Representation(rep.algebra, [Matrix(m) for m in sides[0]],
+                          [Matrix(m) for m in sides[1]])
+
+
+def one_dimensional_modules():
+    line = algebra_from_brackets(["a"], {})
+    rot = Matrix([[0, -1], [1, 0]])
+    return [Representation(line, [rot], [-rot]),
+            Representation(line, [rot], [Matrix.zeros(2, 2)])]
+
+
+def axiom_check_modules():
+    rng = random.Random(6301)
+    mods = [ladder_rep(m, v) for m in (0, 1, 2, 3)
+            for v in ("anti_symmetric", "zero_lambda")]
+    mods += [direct_sum(ladder_rep(1, v), ladder_rep(2, v))
+             for v in ("anti_symmetric", "zero_lambda")]
+    mods += [conjugate_rep(ladder_rep(2, v), random_invertible(rng, 3))
+             for v in ("anti_symmetric", "zero_lambda")]
+    mods += [conjugate_rep(ladder_rep(m, v), random_fractional_invertible(rng, m + 1))
+             for m, v in ((1, "anti_symmetric"), (2, "zero_lambda"))]
+    mods += [rescale_algebra(ladder_rep(2, v), (F(1, 2), 3, F(-2, 3)))
+             for v in ("anti_symmetric", "zero_lambda")]
+    mods += [adjoint_rep(ext5()), adjoint_rep(sl2())]
+    mods += one_dimensional_modules()
+    return mods
+
+
+def test_axiom_check_matches_dense_products_on_corrupted_modules():
+    rng = random.Random(4417)
+    found = set()
+    for rep in axiom_check_modules():
+        assert rep.axiom_violations == axiom_violations_by_dense_products(rep) == ()
+        n, d = rep.algebra.dim, rep.space_dim
+        for _ in range(10):
+            changes = [(rng.randrange(2), rng.randrange(n), rng.randrange(d),
+                        rng.randrange(d), rng.choice(CORRUPTIONS))
+                       for _ in range(rng.randint(1, 3))]
+            bad = corrupt(rep, changes)
+            assert bad.axiom_violations == axiom_violations_by_dense_products(bad)
+            found.update(a for a, _, _ in bad.axiom_violations)
+    assert found == {1, 2, 3}  # the corruptions break every axiom
+
+
+def test_axiom_check_matches_dense_products_with_some_zero_left_actions():
+    # one nonzero left action among zero ones, and one zero among nonzero ones
+    zero = Matrix.zeros(3, 3)
+    rho = ladder_rep(2, "zero_lambda").right
+    for k in range(3):
+        lefts = [[zero if t == k else -m for t, m in enumerate(rho)]]
+        for x in (Matrix.identity(3).scale(F(-1, 2)), -rho[(k + 1) % 3]):
+            lefts.append([x if t == k else zero for t in range(3)])
+        for left in lefts:
+            rep = Representation(sl2(), rho, left)
+            assert rep.axiom_violations
+            assert rep.axiom_violations == axiom_violations_by_dense_products(rep)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(0, 2),
+       variant=st.sampled_from(["zero_lambda", "anti_symmetric"]),
+       extra=st.sampled_from([None, 0, 1]),
+       scales=st.sampled_from([None, (1, -1, 2), (F(1, 2), 3, F(-2, 3))]),
+       data=st.data())
+def test_axiom_check_matches_dense_products_property(m, variant, extra, scales, data):
+    rep = ladder_rep(m, variant)
+    if extra is not None:
+        rep = direct_sum(rep, ladder_rep(extra, variant))
+    d = rep.space_dim
+    entries = data.draw(st.lists(st.sampled_from([-1, 0, 1, 2, F(1, 2), F(-2, 3)]),
+                                 min_size=d * d, max_size=d * d))
+    p = Matrix([entries[i * d:(i + 1) * d] for i in range(d)])
+    assume(p.is_invertible())
+    rep = conjugate_rep(rep, p)
+    if scales is not None:
+        rep = rescale_algebra(rep, scales)
+    changes = data.draw(st.lists(
+        st.tuples(st.integers(0, 1), st.integers(0, 2), st.integers(0, d - 1),
+                  st.integers(0, d - 1), st.sampled_from(CORRUPTIONS)), max_size=3))
+    bad = corrupt(rep, changes)
+    assert bad.axiom_violations == axiom_violations_by_dense_products(bad)

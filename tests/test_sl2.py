@@ -13,6 +13,7 @@ from leibnizalg.reps import Representation, equivalence, irreducibility, restric
 from leibnizalg.sl2 import (
     ExtensionSolution,
     _reduce_quadratics,
+    _tail_quadratic_matrices,
     _sl2_left_block_check,
     _tail_stage1_basis,
     check_sl2_constraints,
@@ -434,3 +435,59 @@ def test_classified_reps_are_absolutely_irreducible():
     for n, m in ((5, 1), (6, 2)):
         for rep in classify_extension_irreps(n, m):
             assert irreducibility(rep).value == "abs_irreducible"
+
+
+def tail_quadratics_by_dense_grids(basis_mats, nx, d):
+    """Reference tail-tail quadratics: every (k, l, r, s) grid built densely."""
+    p = len(basis_mats)
+    dim = 2 * p
+    half = Q(1, 2)
+    prod = {(i, k, j, l): basis_mats[i][k] * basis_mats[j][l]
+            for i in range(p) for j in range(p) for k in range(nx) for l in range(nx)}
+    out = []
+    for k in range(nx):
+        for l in range(nx):
+            for r in range(d):
+                for s in range(d):
+                    s1 = [[Q(0)] * dim for _ in range(dim)]
+                    s2 = [[Q(0)] * dim for _ in range(dim)]
+                    s3 = [[Q(0)] * dim for _ in range(dim)]
+                    for i in range(p):
+                        for j in range(p):
+                            ll = prod[(i, k, j, l)].entry(r, s)
+                            lr = prod[(j, l, i, k)].entry(r, s)
+                            comm = lr - ll
+                            s1[i][j] += comm * half
+                            s1[j][i] += comm * half
+                            s2[p + i][j] += comm * half
+                            s2[j][p + i] += comm * half
+                            s3[p + i][j] += lr * half
+                            s3[j][p + i] += lr * half
+                            s3[p + i][p + j] += ll * half
+                            s3[p + j][p + i] += ll * half
+                    for grid in (s1, s2, s3):
+                        mat = Matrix(grid)
+                        if not mat.is_zero():
+                            out.append(mat)
+    return out
+
+
+def test_tail_quadratics_match_the_dense_grids():
+    for n in (6, 8, 10, 12):
+        for m in (1, 2, 3, 4):
+            basis = _tail_stage1_basis(n, m)
+            assert (_tail_quadratic_matrices(basis, n - 3)
+                    == tail_quadratics_by_dense_grids(basis, n - 3, m + 1)), (n, m)
+
+
+def test_tail_quadratics_match_the_dense_grids_on_random_bases():
+    # several stage-1 parameters, so the grids mix distinct pairs (i, j)
+    import random
+    rng = random.Random(3119)
+    for p, nx, d in ((2, 2, 2), (3, 2, 3), (2, 3, 2), (4, 1, 2)):
+        for _ in range(3):
+            basis = [[Matrix([[rng.choice([0, 0, 1, -1, Q(1, 2), Q(-3, 2)]) for _ in range(d)]
+                              for _ in range(d)]) for _ in range(nx)] for _ in range(p)]
+            ours = _tail_quadratic_matrices(basis, nx)
+            assert ours == tail_quadratics_by_dense_grids(basis, nx, d), (p, nx, d)
+            assert ours  # random products do not all cancel
