@@ -19,6 +19,8 @@ from typing import Iterable, Sequence
 
 from .linalg import (
     Matrix,
+    _axiom_rows,
+    _particular,
     _sparse,
     _span_closure,
     Subspace,
@@ -27,7 +29,6 @@ from .linalg import (
     matrix_commutant,
     envelope_dimension,
     nullspace,
-    solve,
     subspace_intersect,
     subspace_sum,
     vec,
@@ -281,14 +282,7 @@ class LeibnizAlgebra:
             reduced = ideal.reduce(e_s)
             proj_cols.append([reduced[c] for c in comp])
         proj = Matrix([[proj_cols[s][k] for s in range(self.dim)] for k in range(q)])
-        table = []
-        for a in range(q):
-            row = []
-            ea = tuple(ONE if t == comp[a] else ZERO for t in range(self.dim))
-            for b in range(q):
-                eb = tuple(ONE if t == comp[b] else ZERO for t in range(self.dim))
-                row.append(proj.apply(self.bracket(ea, eb)))
-            table.append(row)
+        table = [[proj.apply(self.table[a][b]) for b in comp] for a in comp]
         names = [self.basis_names[c] for c in comp]
         out = LeibnizAlgebra(names, table)
         if not out.is_valid:
@@ -516,13 +510,21 @@ class LeibnizAlgebra:
     # -- Levi complement --
 
     def levi_subalgebra(self) -> Subspace:
-        """A Lie complement S to the kernel in a semisimple algebra.
+        """A Lie complement S to the kernel K in a semisimple algebra.
 
-        Starts from the non-pivot coordinate section of the quotient and
-        corrects it by a linear map into the kernel; the correction exists in
-        characteristic zero, so failure to solve is reported as an internal
-        error. The result is verified: S is a subalgebra with a Lie table,
-        intersects the kernel trivially, and together they span everything.
+        The section s_a = e_comp[a] of the quotient (comp: the non-pivot
+        coordinates of K) is corrected to s_a + w_a with w_a in K. K is
+        spanned by squares and [z, [y, y]] = 0 by the derivation rule, so
+        [L, K] = 0 and closure, [s_a + w_a, s_b + w_b] = sum_t c_ab^t
+        (s_t + w_t), is one Sylvester equation per quotient basis vector b:
+        C_b X - X A_b^T = Gamma_b. Row a of the q x r matrix X holds the
+        kernel coordinates of w_a, C_b[a][t] = c_ab^t, A_b is v -> [v, s_b]
+        on K, and row a of Gamma_b is [s_a, s_b] - sum_t c_ab^t s_t in kernel
+        coordinates: the entries of [s_a, s_b] at the pivots of K. The
+        correction exists in characteristic zero, so failure to solve is
+        reported as an internal error. The result is verified: S is a
+        subalgebra with a Lie table, intersects the kernel trivially, and
+        together they span everything.
         """
         self._require_valid()
         if not self.is_semisimple():
@@ -531,64 +533,31 @@ class LeibnizAlgebra:
         if kernel.is_zero():
             return self.full_space()
         quo, _ = self.quotient(kernel)
-        pivots = set(kernel.pivots)
+        pivots = kernel.pivots
         comp = [c for c in range(self.dim) if c not in pivots]
         q, r = len(comp), kernel.dim
-        section = [tuple(ONE if t == comp[a] else ZERO for t in range(self.dim))
-                   for a in range(q)]
-        kb = kernel.basis.data
-
-        def kcoords(v: Vector) -> Vector:
-            coords = kernel.coordinates_of(v)
-            if coords is None:
-                raise InternalCheckError("vector expected inside the kernel")
-            return coords
-
-        # kernel coordinates of [s_a, k_l] and of [k_l, s_b]
-        right = [[kcoords(self.bracket(section[a], kb[l])) for l in range(r)]
-                 for a in range(q)]
-        left = [[kcoords(self.bracket(kb[l], section[b])) for l in range(r)]
-                for b in range(q)]
-        # unknowns w[a][l]: coefficient of kernel basis l in the correction of
-        # section vector a; equation per ordered quotient pair and kernel coord
-        rows = []
-        rhs = []
-        for a in range(q):
-            for b in range(q):
-                bracket_q = quo.bracket(
-                    tuple(ONE if t == a else ZERO for t in range(q)),
-                    tuple(ONE if t == b else ZERO for t in range(q)))
-                gamma = self.bracket(section[a], section[b])
-                lift = [ZERO] * self.dim
-                for t, c in enumerate(bracket_q):
-                    if c != 0:
-                        for s in range(self.dim):
-                            lift[s] += c * section[t][s]
-                gamma = tuple(g - l for g, l in zip(gamma, lift))
-                gamma_k = kcoords(gamma)
-                base = [[ZERO] * (q * r) for _ in range(r)]
-                for t, c in enumerate(bracket_q):
-                    if c != 0:
-                        for l in range(r):
-                            base[l][t * r + l] += c
-                for l in range(r):
-                    for m in range(r):
-                        base[m][b * r + l] -= right[a][l][m]
-                        base[m][a * r + l] -= left[b][l][m]
-                rows.extend(base)
-                rhs.extend(gamma_k)
-        particular, _ = solve(Matrix(rows), tuple(rhs))
+        # X A_b^T - C_b X = -Gamma_b, one row per (b, a, m), with the
+        # right-hand side in column q r
+        equations = []
+        for b in range(q):
+            right = kernel.induced(self.right_mult_matrix_basis(comp[b]))
+            if right is None:
+                raise InternalCheckError("kernel is not acting into itself")
+            equations.append(((), 0, right.transpose(),
+                              Matrix([quo.table[a][b] for a in range(q)])))
+        rows = _axiom_rows(equations, q, r)
+        gammas = (self.table[comp[a]][comp[b]][p]
+                  for b in range(q) for a in range(q) for p in pivots)
+        for row, g in zip(rows, gammas):
+            if g:
+                row[q * r] = -g
+        particular, _ = _particular(rows, q * r)
         if particular is None:
             raise InternalCheckError("Levi correction system is unsolvable")
-        basis = []
-        for a in range(q):
-            v = list(section[a])
-            for l in range(r):
-                c = particular[a * r + l]
-                if c != 0:
-                    for s in range(self.dim):
-                        v[s] += c * kb[l][s]
-            basis.append(v)
+        basis = [list(row) for row in
+                 (Matrix.from_flat(particular, q, r) * kernel.basis).data]
+        for a, c in enumerate(comp):
+            basis[a][c] += ONE
         levi = Subspace.from_vectors(self.dim, basis)
         if levi.dim != q:
             raise InternalCheckError("Levi complement has wrong dimension")

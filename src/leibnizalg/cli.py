@@ -17,7 +17,7 @@ from .decompose import (
     complete_reducibility_necessary, decompose, example_5_3, example_5_5,
 )
 from .fileio import (
-    ParseError, frac_str, parse_algebra, parse_rep, serialize_algebra,
+    MAX_DIM, ParseError, frac_str, parse_algebra, parse_rep, serialize_algebra,
     serialize_rep, rep_to_object,
 )
 from .linalg import Subspace
@@ -56,6 +56,11 @@ def _load_rep(path: str) -> Representation:
 
 def _rows(space: Subspace) -> list:
     return [[frac_str(x) for x in row] for row in space.basis.data]
+
+
+def _check_dim(flag: str, dim: int) -> None:
+    if dim > MAX_DIM:
+        raise ParseError(f"{flag}: dimension {dim} is above {MAX_DIM}")
 
 
 # -- report handlers; each returns a JSON-ready dict --
@@ -160,8 +165,9 @@ def _cmd_rep_irreducible(args):
 
 
 def _cmd_rep_classify(args):
-    alg = _load_algebra(args.file)
     m = args.m
+    _check_dim("--m", m + 1)
+    alg = _load_algebra(args.file)
     if m < 0:
         raise ParseError("--m must be nonnegative")
     if alg.same_table(sl2_algebra()):
@@ -234,10 +240,12 @@ def _cmd_rep_restrict(args):
 
 
 def _cmd_gen_sl2_irrep(args):
+    _check_dim("--m", args.m + 1)
     return serialize_rep(sl2_leibniz_irrep(args.m, args.variant))
 
 
 def _cmd_gen_simple_ext(args):
+    _check_dim("--n", args.n)
     return serialize_algebra(simple_ext_algebra(args.n))
 
 

@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from .algebra import InternalCheckError, LeibnizAlgebra, algebra_from_brackets
 from .linalg import (
-    Matrix, Subspace, _axiom_rows, _solutions, matrix_commutant,
-    minimal_polynomial, nullspace, poly_eval, rational_roots,
+    Matrix, Subspace, _axiom_rows, _solutions, linear_combination,
+    matrix_commutant, minimal_polynomial, nullspace, poly_eval, rational_roots,
     subspace_intersect, subspace_sum,
 )
 from .reps import (
@@ -139,9 +139,7 @@ def _try_split(rep: Representation) -> list[Subspace] | None:
     if len(basis) == 1:
         return None
     d = rep.space_dim
-    generic = Matrix.zeros(d, d)
-    for i, p in enumerate(basis):
-        generic = generic + p.scale(Fraction(i + 1))
+    generic = linear_combination(range(1, len(basis) + 1), basis, d, d)
     for cand in [generic] + basis:
         pieces = _primary_components(cand)
         if len(pieces) >= 2:

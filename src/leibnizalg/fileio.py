@@ -2,7 +2,9 @@
 
 Rationals travel as strings "p/q" (a bare "p" is accepted on input) so
 round-trips stay exact; input must match -?[0-9]+(/[0-9]+)? exactly, with
-at most MAX_DIGITS digits in each of p and q. Algebra files list only the
+at most MAX_DIGITS digits in each of p and q. An algebra has at most MAX_DIM
+basis labels, checked before its n^3 table is allocated; the CLI bounds its
+size flags by the same constant. Algebra files list only the
 nonzero brackets; representation files carry one dense matrix per basis
 label and side, and may reference the algebra inline or by file path.
 """
@@ -20,6 +22,7 @@ from .reps import Representation
 
 ZERO = Fraction(0)
 MAX_DIGITS = 1000
+MAX_DIM = 128
 _RATIONAL = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
 
 
@@ -60,6 +63,8 @@ def _algebra_from_object(obj: dict, locus: str = "") -> LeibnizAlgebra:
     basis = obj.get("basis")
     if not isinstance(basis, list) or not basis:
         raise ParseError(f"{prefix}basis: expected a nonempty list of labels")
+    if len(basis) > MAX_DIM:
+        raise ParseError(f"{prefix}basis: more than {MAX_DIM} labels")
     if any(not isinstance(b, str) or not b for b in basis):
         raise ParseError(f"{prefix}basis: labels must be nonempty strings")
     if len(set(basis)) != len(basis):

@@ -11,15 +11,18 @@ cleared once, rows are combined by integer cross-multiplication, and every
 row is divided by the gcd of its entries after each step. One division per
 pivot at the end gives the unique reduced row echelon form as Fraction
 rows. `rref`, `nullspace`, `solve`, `Subspace.from_vectors`, `Matrix.rank`,
-`Matrix.inverse` and `minimal_polynomial` all run on it.
+`Matrix.inverse` and `minimal_polynomial` all run on it. An inhomogeneous
+system keeps its right-hand side as one more column; `_particular` reads
+the solution with every free variable zero off the reduced form, for
+`solve` and for `LeibnizAlgebra.levi_subalgebra`.
 
 Linear equations in unknown matrices have one builder, `_axiom_rows`: the
 sparse rows of (X_0, ..., X_{u-1}) -> sum_t c_t X_t + X_i a - b X_i, read
 from the nonzero entries of a and b, and `_solutions` takes their kernel.
-The commutant and intertwiner systems (no c_t), the dense
-`commutator_equation_rows`, the linearised pairing axioms in `sl2` (tail
-forcing and the left block over sl2) and `decompose.solve_lowering_left`
-all build their equations with it.
+The commutant and intertwiner systems (no c_t), the linearised pairing
+axioms in `sl2` (tail forcing and the left block over sl2),
+`decompose.solve_lowering_left` and the Sylvester equations of the Levi
+correction all build their equations with it.
 
 Span closure has one routine on the same kernel, `_span_closure`: the
 smallest subspace that contains some seed rows and is closed under a list
@@ -416,6 +419,20 @@ def nullspace(m: Matrix) -> "Subspace":
     return _solutions(_rows_of(m), m.cols)
 
 
+def _particular(rows: Iterable[dict], n: int) -> tuple[Vector | None, list]:
+    """The solution with every free variable zero of sparse rows over
+    QQ^(n+1) whose column n holds the right-hand side, None when they are
+    inconsistent; and their reduced form, without the inconsistent row."""
+    reduced = _eliminate(rows, n + 1).rref()
+    if reduced and reduced[-1][0] == n:
+        reduced.pop()
+        return None, reduced
+    x = [ZERO] * n
+    for p, row in reduced:
+        x[p] = row.get(n, ZERO)
+    return tuple(x), reduced
+
+
 def solve(a: Matrix, b: Vector) -> tuple[Vector | None, "Subspace"]:
     """Solve a x = b exactly.
 
@@ -428,20 +445,11 @@ def solve(a: Matrix, b: Vector) -> tuple[Vector | None, "Subspace"]:
     n = a.cols
     if not a.rows:
         return vzero(n), Subspace.full(n)
-    reduced = _eliminate([_sparse((*row, bv), n + 1) for row, bv in zip(a.data, b)],
-                         n + 1).rref()
-    consistent = not reduced or reduced[-1][0] != n
-    if not consistent:
-        reduced.pop()
+    x, reduced = _particular(
+        [_sparse((*row, bv), n + 1) for row, bv in zip(a.data, b)], n)
     # with the last column dropped, this is the reduced form of a
-    hom = _kernel([(p, {c: x for c, x in row.items() if c != n})
-                   for p, row in reduced], n)
-    if not consistent:
-        return None, hom
-    x = [ZERO] * n
-    for p, row in reduced:
-        x[p] = row.get(n, ZERO)
-    return tuple(x), hom
+    return x, _kernel([(p, {c: y for c, y in row.items() if c != n})
+                       for p, row in reduced], n)
 
 
 @dataclass(frozen=True)
@@ -798,13 +806,6 @@ def _sparse_combination(terms: Iterable[tuple]) -> dict:
                 acc[k] = acc.get(k, 0) + c * x
     out = {r: {k: z for k, z in acc.items() if z} for r, acc in out.items()}
     return {r: acc for r, acc in out.items() if acc}
-
-
-def commutator_equation_rows(a: Matrix, b: Matrix) -> list[list[Fraction]]:
-    """Dense rows of the linear map X -> X a - b X on flattened X."""
-    width = b.rows * a.cols
-    return [list(_dense(row, width))
-            for row in _axiom_rows([((), 0, a, b)], b.rows, a.cols)]
 
 
 def matrix_commutant(mats: Sequence[Matrix], dim: int) -> list[Matrix]:

@@ -176,8 +176,10 @@ def from_lie_rep(
     """Turn a classical Lie representation phi into a two-sided one.
 
     phi must satisfy phi_[x,y] = phi_x phi_y - phi_y phi_x over a Lie table.
-    variant "anti_symmetric" sets the left action to the negative of the
-    right one; "zero_lambda" sets it to zero.
+    The right action is -phi, for which that is pairing axiom (1), so the
+    first violation of axiom (1) in the built representation names the pair
+    where phi fails. variant "anti_symmetric" sets the left action to the
+    negative of the right one; "zero_lambda" sets it to zero.
     """
     algebra._require_valid()
     if not algebra.is_lie():
@@ -185,11 +187,6 @@ def from_lie_rep(
     if len(phi) != algebra.dim:
         raise ValueError("need one matrix per basis element")
     d = phi[0].rows if phi else 0
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            combo = linear_combination(algebra.table[i][j], phi, d, d)
-            if combo != phi[i] * phi[j] - phi[j] * phi[i]:
-                raise ValueError(f"phi is not a Lie homomorphism at pair ({i},{j})")
     right = tuple(-m for m in phi)
     if variant == "anti_symmetric":
         left = tuple(phi)
@@ -197,7 +194,11 @@ def from_lie_rep(
         left = tuple(Matrix.zeros(d, d) for _ in phi)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return Representation(algebra, right, left, name=f"lie[{variant}]")
+    rep = Representation(algebra, right, left, name=f"lie[{variant}]")
+    for axiom, i, j in rep.axiom_violations:
+        if axiom == 1:
+            raise ValueError(f"phi is not a Lie homomorphism at pair ({i},{j})")
+    return rep
 
 
 def adjoint_rep(algebra: LeibnizAlgebra) -> Representation:
@@ -382,9 +383,7 @@ def equivalence(a: Representation, b: Representation) -> EquivalenceVerdict:
     if len(basis) > 1:
         for coeffs in itertools.islice(
                 itertools.product(_COMBO_COEFFS, repeat=len(basis)), 64):
-            combo = Matrix.zeros(a.space_dim, a.space_dim)
-            for c, t in zip(coeffs, basis):
-                combo = combo + t.scale(c)
+            combo = linear_combination(coeffs, basis, a.space_dim, a.space_dim)
             if combo.is_invertible():
                 return EquivalenceVerdict("equivalent", combo)
     return EquivalenceVerdict(

@@ -3,8 +3,9 @@
 This module hosts the explicit catalogue: the 3-dimensional simple Lie
 algebra on (e, f, h), its (m+1)-dimensional ladder representations in the
 two left-action flavors, the twelve constraint identities the ladder
-matrices satisfy, and the n-dimensional simple Leibniz extensions whose
-tail representations are forced to zero. The forcing argument runs in two
+matrices satisfy (each read off the module's pairing-axiom check at fixed
+basis pairs), and the n-dimensional simple Leibniz extensions whose tail
+representations are forced to zero. The forcing argument runs in two
 stages: a linear stage pairing tail elements with e, f, h, and a quadratic
 stage for the tail-tail pairs that peels equations of the perfect-square
 form q*(linear)^2 = 0 into linear ones.
@@ -23,7 +24,6 @@ from .reps import Representation
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-TWO = Fraction(2)
 
 
 @lru_cache(maxsize=None)
@@ -95,22 +95,13 @@ class Sl2ConstraintReport:
     failing_identities: tuple[int, ...]  # 1-based indices
 
 
-def _identity_chains(re, rf, rh, le, lf, lh, zero):
-    """Each chain lists expressions that one identity requires to be equal."""
-    return (
-        (rh, rf * re - re * rf),
-        (re.scale(TWO), rh * re - re * rh),
-        (rf.scale(TWO), rf * rh - rh * rf),
-        (lh, rf * le - le * rf, lf * re - re * lf),
-        (lh, rf * le + le * lf, -(lf * le) - re * lf),
-        (zero, rh * lh - lh * rh, rh * lh + lh * lh),
-        (le.scale(TWO), rh * le - le * rh, lh * re - re * lh),
-        (le.scale(TWO), rh * le + le * lh, -(lh * le) - re * lh),
-        (zero, re * le - le * re, re * le + le * le),
-        (lf.scale(TWO), rf * lh - lh * rf, lf * rh - rh * lf),
-        (lf.scale(TWO), rf * lh + lh * lf, -(lf * lh) - rh * lf),
-        (zero, rf * lf - lf * rf, rf * lf + lf * lf),
-    )
+# the printed forms of each identity as (axiom, i, j), with e, f, h = 0, 1, 2
+_IDENTITY_AXIOMS = (
+    ((1, 0, 1),), ((1, 0, 2),), ((1, 2, 1),),
+    ((2, 0, 1), (2, 1, 0)), ((3, 0, 1), (3, 1, 0)), ((2, 2, 2), (3, 2, 2)),
+    ((2, 0, 2), (2, 2, 0)), ((3, 0, 2), (3, 2, 0)), ((2, 0, 0), (3, 0, 0)),
+    ((2, 2, 1), (2, 1, 2)), ((3, 2, 1), (3, 1, 2)), ((2, 1, 1), (3, 1, 1)),
+)
 
 
 def check_sl2_constraints(rep: Representation) -> Sl2ConstraintReport:
@@ -118,17 +109,15 @@ def check_sl2_constraints(rep: Representation) -> Sl2ConstraintReport:
 
     Identities 1-3 constrain the right action alone; 4-12 tie the left
     action to it, and each of those carries two printed forms which are
-    checked jointly. Invalid input representations are allowed: the report
-    simply shows which identities break.
+    checked jointly. Each printed form is one pairing axiom at one basis
+    pair, so an identity holds when none of its forms is among the
+    representation's axiom violations. Invalid input representations are
+    allowed: the report simply shows which identities break.
     """
     if not rep.algebra.same_table(sl2_algebra()):
         raise ValueError("constraint check runs over the (e, f, h) table only")
-    d = rep.space_dim
-    chains = _identity_chains(
-        rep.right[0], rep.right[1], rep.right[2],
-        rep.left[0], rep.left[1], rep.left[2],
-        Matrix.zeros(d, d))
-    ok = tuple(all(x == chain[0] for x in chain[1:]) for chain in chains)
+    bad = set(rep.axiom_violations)
+    ok = tuple(bad.isdisjoint(forms) for forms in _IDENTITY_AXIOMS)
     failing = tuple(i + 1 for i, flag in enumerate(ok) if not flag)
     return Sl2ConstraintReport(ok, failing)
 

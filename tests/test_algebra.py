@@ -20,7 +20,8 @@ from leibnizalg.algebra import (
     algebra_from_brackets,
     direct_sum_algebra,
 )
-from leibnizalg.linalg import Matrix, Subspace, subspace_intersect, subspace_sum
+from leibnizalg.linalg import (Matrix, Subspace, intertwiner_space, subspace_intersect,
+                              subspace_sum)
 
 F = Fraction
 
@@ -524,6 +525,22 @@ def test_levi_after_basis_change():
         assert alg.subalgebra_on(levi).is_lie()
         assert subspace_intersect(levi, kernel).is_zero()
         assert subspace_sum(levi, kernel).is_full()
+
+
+def test_levi_pinned_where_the_correction_is_not_unique():
+    from leibnizalg.sl2 import simple_ext_algebra
+    alg = change_basis(simple_ext_algebra(6), random_invertible(random.Random(6), 6))
+    kernel = alg.leibniz_kernel()
+    quo, _ = alg.quotient(kernel)
+    comp = [c for c in range(6) if c not in kernel.pivots]
+    # the homogeneous Levi system C_b X = X A_b^T has a line of solutions
+    pairs = [(kernel.induced(alg.right_mult_matrix_basis(comp[b])).transpose(),
+              Matrix([quo.table[a][b] for a in range(3)])) for b in range(3)]
+    assert len(intertwiner_space(pairs, 3, 3)) == 1
+    expected = [[1, 0, 0, F(-6, 7), F(19, 28), F(-4, 21)],
+                [0, 1, 0, F(3, 7), F(-89, 56), F(16, 21)],
+                [0, 0, 1, F(-4, 7), F(15, 28), F(2, 21)]]
+    assert alg.levi_subalgebra() == Subspace.from_vectors(6, expected)
 
 
 # -- basis-change invariance sweep --

@@ -192,6 +192,23 @@ def test_input_errors_exit_one():
         assert err.strip(), argv
 
 
+def test_oversized_inputs_exit_one():
+    # one past the bound on the basis, the algebra size and the module size
+    labels = json.dumps({"basis": [f"b{i}" for i in range(129)], "brackets": []})
+    _, sl2_text, _ = run(["gen", "sl2-irrep", "--m", "1"])
+    sl2_alg = json.dumps(json.loads(sl2_text)["algebra"])
+    cases = [
+        (["check", "-"], labels, "basis: more than 128 labels"),
+        (["gen", "simple-ext", "--n", "129"], None, "--n: dimension 129"),
+        (["gen", "sl2-irrep", "--m", "128"], None, "--m: dimension 129"),
+        (["rep", "classify", "-", "--m", "128"], sl2_alg, "--m: dimension 129"),
+    ]
+    for argv, text, message in cases:
+        code, out, err = run(argv, stdin_text=text)
+        assert code == 1 and not out, argv
+        assert message in err, (argv, err)
+
+
 def test_restrict_rejects_unknown_labels():
     _, e55, _ = run(["gen", "example-5-5"])
     code, _, err = run(["rep", "restrict", "-", "--span", "e,zz"],

@@ -9,6 +9,7 @@ from leibnizalg.algebra import abelian_algebra, direct_sum_algebra
 from leibnizalg.decompose import example_5_3, example_5_5
 from leibnizalg.fileio import (
     MAX_DIGITS,
+    MAX_DIM,
     ParseError,
     frac_str,
     parse_algebra,
@@ -156,6 +157,15 @@ def test_basis_validation():
         parse_algebra(json.dumps({"basis": ["a", "a"], "brackets": []}))
     with pytest.raises(ParseError, match="nonempty strings"):
         parse_algebra(json.dumps({"basis": ["a", 3], "brackets": []}))
+
+
+def test_basis_size_is_bounded():
+    labels = [f"b{i}" for i in range(MAX_DIM + 1)]
+    with pytest.raises(ParseError, match=f"basis: more than {MAX_DIM} labels"):
+        parse_algebra(json.dumps({"basis": labels, "brackets": []}))
+    inline = {"basis": labels, "brackets": []}
+    with pytest.raises(ParseError, match="algebra.basis: more than"):
+        parse_rep(json.dumps({"algebra": inline, "module_dim": 1, "rho": {}, "lambda": {}}))
 
 
 def test_dim_mismatch_is_rejected():

@@ -14,10 +14,10 @@ import sympy
 from leibnizalg.linalg import (
     Echelon,
     _axiom_rows,
+    _dense,
     Matrix,
     Subspace,
     char_poly,
-    commutator_equation_rows,
     envelope_dimension,
     intertwiner_space,
     matrix_commutant,
@@ -58,6 +58,13 @@ def ladder_sum(*sizes: int, variant: str = "zero_lambda"):
     for m in sizes[1:]:
         rep = direct_sum(rep, sl2_leibniz_irrep(m, variant))
     return rep
+
+
+def commutator_equation_rows(a: Matrix, b: Matrix) -> list[list[Fraction]]:
+    """Dense rows of the linear map X -> X a - b X on flattened X."""
+    width = b.rows * a.cols
+    return [list(_dense(row, width))
+            for row in _axiom_rows([((), 0, a, b)], b.rows, a.cols)]
 
 
 def oracle_matrices(rng: random.Random, count: int) -> list[Matrix]:

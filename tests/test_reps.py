@@ -153,6 +153,8 @@ def test_from_lie_rep_rejections():
         from_lie_rep(ext5(), [Matrix.zeros(2, 2)] * 5, "zero_lambda")
     with pytest.raises(ValueError):
         from_lie_rep(sl2(), list(rho), "anti_symmetric")  # rho itself is not Lie
+    with pytest.raises(ValueError, match=r"not a Lie homomorphism at pair \(0,1\)"):
+        from_lie_rep(sl2(), list(rho), "zero_lambda")
     with pytest.raises(ValueError):
         from_lie_rep(sl2(), [-x for x in rho], "sideways")
 

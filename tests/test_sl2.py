@@ -142,6 +142,21 @@ def test_identities_flag_scaled_raising_matrix():
     assert report.failing_identities == (1,)
 
 
+def test_identities_flag_left_e_and_h_injections_and_scaled_weights():
+    # together with the cases above, every identity fails somewhere
+    z2, z1 = sl2_leibniz_irrep(2, "zero_lambda"), sl2_leibniz_irrep(1, "zero_lambda")
+    a2 = sl2_leibniz_irrep(2, "anti_symmetric")
+    cases = [
+        (z2.right, (z2.right[0],) + z2.left[1:], (4, 5, 7, 8, 9)),
+        (z1.right, z1.left[:2] + (z1.right[2],), (4, 5, 6, 7, 8, 10, 11)),
+        (a2.right[:2] + (a2.right[2].scale(Q(3)),), a2.left, (1, 2, 3, 6, 7, 8, 10, 11)),
+        ((z1.right[0] + z1.right[2],) + z1.right[1:], z1.left, (1, 2)),
+    ]
+    for right, left, failing in cases:
+        report = check_sl2_constraints(Representation(sl2_algebra(), right, left))
+        assert report.failing_identities == failing
+
+
 def test_identities_require_the_sl2_table():
     from leibnizalg.reps import adjoint_rep
     with pytest.raises(ValueError):
