@@ -5,21 +5,26 @@ v -> [v, x] is a derivation, which is the content of the defining identity
 
     [[x, y], z] = [[x, z], y] + [x, [y, z]].
 
-A LeibnizAlgebra validates that identity eagerly on construction and stores
-the violating triples; operations beyond the checks themselves refuse to
-run on an invalid table.
+A LeibnizAlgebra keeps its structure constants in one sparse integer form,
+which every operation reads; the dense table is a view built on demand. It
+validates the identity eagerly on construction and stores the violating
+triples; operations beyond the checks themselves refuse to run on an
+invalid table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Sequence
 
 from .linalg import (
     Matrix,
     _axiom_rows,
+    _eliminate,
+    _integral,
     _particular,
     _sparse,
     _span_closure,
@@ -32,8 +37,6 @@ from .linalg import (
     subspace_intersect,
     subspace_sum,
     vec,
-    vzero,
-    is_zero_vec,
 )
 
 ZERO = Fraction(0)
@@ -81,7 +84,10 @@ class StructureReport:
 class LeibnizAlgebra:
     """Structure-constant model of a Leibniz algebra.
 
-    table[i][j] holds the coordinates of [b_i, b_j] in the given basis.
+    The constants are stored once, scaled to integers by their common
+    denominator _den: _int_table[i][j] lists the nonzero (t, c) of
+    [b_i, b_j] = sum_t (c / _den) b_t in increasing t. The form is canonical,
+    so equality and hash read it. table[i][j] is a view built on first access.
     """
 
     def __init__(
@@ -91,57 +97,85 @@ class LeibnizAlgebra:
         name: str = "",
     ):
         names = tuple(str(s) for s in basis_names)
-        if len(set(names)) != len(names):
-            raise ValueError("basis names must be distinct")
         n = len(names)
         if len(table) != n:
             raise ValueError(f"table has {len(table)} rows, expected {n}")
-        rows = []
+        cells = {}
         for i, row in enumerate(table):
             if len(row) != n:
                 raise ValueError(f"table row {i} has {len(row)} entries, expected {n}")
-            rows.append(tuple(vec(v) for v in row))
-            for v in rows[-1]:
+            for j, v in enumerate(row):
+                v = vec(v)
                 if len(v) != n:
                     raise ValueError("structure constant vector of wrong length")
+                cells[i, j] = {t: c for t, c in enumerate(v) if c}
+        self._setup(names, cells, name)
+
+    @staticmethod
+    def _of(basis_names: Sequence[str], cells: dict, name: str = "") -> "LeibnizAlgebra":
+        """Algebra over sparse rational brackets: cells[i, j] maps t to the
+        coefficient of b_t in [b_i, b_j]; absent pairs and entries are zero."""
+        alg = object.__new__(LeibnizAlgebra)
+        alg._setup(tuple(str(s) for s in basis_names), cells, name)
+        return alg
+
+    def _setup(self, names: tuple[str, ...], cells: dict, name: str) -> None:
+        if len(set(names)) != len(names):
+            raise ValueError("basis names must be distinct")
+        n = len(names)
+        den = lcm(*[c.denominator for cell in cells.values() for c in cell.values()])
         self.basis_names = names
-        self.table = tuple(rows)
         self.name = name
         self.dim = n
-        # the structure constants scaled to integers by their common
-        # denominator, as the nonzero (t, c) of each bracket; the identity
-        # checks of the table and of its modules, `derivations` and
-        # `ideal_closure` read this form
-        den = lcm(*[c.denominator for row in self.table for v in row for c in v])
         self._den = den
-        self._int_table = tuple(
-            tuple(tuple((t, c.numerator * (den // c.denominator)) for t, c in enumerate(v) if c)
-                  for v in row) for row in self.table)
+        self._int_table = tuple(tuple(
+            tuple(sorted((t, c.numerator * (den // c.denominator))
+                         for t, c in cells.get((i, j), {}).items() if c))
+            for j in range(n)) for i in range(n))
         self.leibniz_violations = self._find_violations()
+
+    @cached_property
+    def table(self) -> tuple[tuple[Vector, ...], ...]:
+        """table[i][j]: the coordinates of [b_i, b_j], built on first access."""
+        n = self.dim
+        return tuple(tuple(self._cell(i, j) for j in range(n)) for i in range(n))
+
+    def _cell(self, i: int, j: int) -> Vector:
+        """The coordinates of [b_i, b_j]."""
+        out = [ZERO] * self.dim
+        for t, c in self._int_table[i][j]:
+            out[t] = Fraction(c, self._den)
+        return tuple(out)
 
     # -- identity and validity --
 
     def _find_violations(self) -> tuple[tuple[int, int, int], ...]:
         """Triples (i, j, k), in (j, k, i) order, where
-        [[b_i,b_j],b_k] - [[b_i,b_k],b_j] - [b_i,[b_j,b_k]] is not zero."""
-        n = self.dim
-        # each term is a product of two structure constants, so the integer
-        # form keeps every zero a zero
-        nz = self._int_table
-        bad: list[tuple[int, int, int]] = []
-        for j in range(n):
-            for k in range(n):
-                for i in range(n):
-                    parts = [(c, nz[t][k]) for t, c in nz[i][j]]
-                    parts += [(-c, nz[t][j]) for t, c in nz[i][k]]
-                    parts += [(-c, nz[i][t]) for t, c in nz[j][k]]
-                    acc: dict[int, int] = {}
-                    for c, terms in parts:
-                        for s, x in terms:
-                            acc[s] = acc.get(s, 0) + c * x
-                    if any(acc.values()):
-                        bad.append((i, j, k))
-        return tuple(bad)
+        [[b_i,b_j],b_k] - [[b_i,b_k],b_j] - [b_i,[b_j,b_k]] is not zero. Each
+        term is a product of two integer constants, and only the triples
+        that such products reach are visited.
+        """
+        n, nz = self.dim, self._int_table
+        right = [[k for k in range(n) if nz[t][k]] for t in range(n)]  # [b_t, b_k] != 0
+        left = [[i for i in range(n) if nz[i][t]] for t in range(n)]  # [b_i, b_t] != 0
+        acc: dict[tuple[int, int, int], dict[int, int]] = {}
+        for p in range(n):
+            for q in range(n):
+                for t, c in nz[p][q]:
+                    # c_pq^t [b_t, b_k] is in [[b_p,b_q],b_k] and in [[b_p,b_k],b_q]
+                    for k in right[t]:
+                        plus = acc.setdefault((p, q, k), {})
+                        minus = acc.setdefault((p, k, q), {})
+                        for s, x in nz[t][k]:
+                            plus[s] = plus.get(s, 0) + c * x
+                            minus[s] = minus.get(s, 0) - c * x
+                    # c_pq^t [b_i, b_t] is in [b_i,[b_p,b_q]]
+                    for i in left[t]:
+                        minus = acc.setdefault((i, p, q), {})
+                        for s, x in nz[i][t]:
+                            minus[s] = minus.get(s, 0) - c * x
+        bad = [triple for triple, out in acc.items() if any(out.values())]
+        return tuple(sorted(bad, key=lambda t: (t[1], t[2], t[0])))
 
     @property
     def is_valid(self) -> bool:
@@ -159,10 +193,10 @@ class LeibnizAlgebra:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LeibnizAlgebra):
             return NotImplemented
-        return self.basis_names == other.basis_names and self.table == other.table
+        return self.basis_names == other.basis_names and self.same_table(other)
 
     def __hash__(self) -> int:
-        return hash((self.basis_names, self.table))
+        return hash((self.basis_names, self._den, self._int_table))
 
     def __repr__(self) -> str:
         label = self.name or "LeibnizAlgebra"
@@ -170,74 +204,67 @@ class LeibnizAlgebra:
 
     def same_table(self, other: "LeibnizAlgebra") -> bool:
         """Equality of structure constants, ignoring basis labels and name."""
-        return self.table == other.table
+        return self._den == other._den and self._int_table == other._int_table
 
     # -- bracket and multiplication operators --
+
+    def _product(self, x: dict, y: dict) -> dict:
+        """_den [x, y] for sparse vectors {index: value}, as a sparse vector."""
+        nz = self._int_table
+        acc: dict = {}
+        for i, a in x.items():
+            row = nz[i]
+            for j, b in y.items():
+                ab = a * b
+                for t, c in row[j]:
+                    acc[t] = acc.get(t, 0) + ab * c
+        return {t: v for t, v in acc.items() if v}
 
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
         x = vec(x)
         y = vec(y)
-        if len(x) != self.dim or len(y) != self.dim:
+        n = self.dim
+        if len(x) != n or len(y) != n:
             raise ValueError("coordinate vectors must match the algebra dimension")
-        out = [ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            row = self.table[i]
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                cij = row[j]
-                f = xi * yj
-                for t, c in enumerate(cij):
-                    if c != 0:
-                        out[t] += f * c
+        out = [ZERO] * n
+        for t, v in self._product(_sparse(x, n), _sparse(y, n)).items():
+            out[t] = v / self._den
         return tuple(out)
 
     def right_mult_matrix_basis(self, j: int) -> Matrix:
         """Matrix of v -> [v, b_j]."""
-        return Matrix([[self.table[i][j][t] for i in range(self.dim)]
-                       for t in range(self.dim)])
+        return Matrix([self._cell(i, j) for i in range(self.dim)]).transpose()
 
     def left_mult_matrix_basis(self, j: int) -> Matrix:
         """Matrix of v -> [b_j, v]."""
-        return Matrix([[self.table[j][i][t] for i in range(self.dim)]
-                       for t in range(self.dim)])
+        return Matrix([self._cell(j, i) for i in range(self.dim)]).transpose()
 
     # -- basic structure --
 
     def is_lie(self) -> bool:
         """Antisymmetry of the whole table; with the Leibniz identity that is Lie."""
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                s = vec(self.table[i][j])
-                t = vec(self.table[j][i])
-                if not is_zero_vec(tuple(a + b for a, b in zip(s, t))):
-                    return False
-        return True
+        nz = self._int_table
+        return all(nz[i][j] == tuple((t, -c) for t, c in nz[j][i])
+                   for i in range(self.dim) for j in range(i, self.dim))
 
     def leibniz_kernel(self) -> Subspace:
-        """Span of all symmetrized basis brackets [b_i,b_j] + [b_j,b_i].
+        """Span of the squares [x, x], or of those of b_i and b_i + b_j.
 
         Over QQ this is the smallest ideal with a Lie quotient; it is abelian
         and two-sided.
         """
         self._require_valid()
-        gens = []
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                gens.append(tuple(a + b for a, b in
-                                  zip(self.table[i][j], self.table[j][i])))
-        return Subspace.from_vectors(self.dim, gens)
+        n = self.dim
+        seeds = ({i: 1, j: 1} for i in range(n) for j in range(i, n))
+        return _eliminate((self._product(s, s) for s in seeds), n).subspace()
 
     def product_space(self, u: Subspace, w: Subspace) -> Subspace:
         """Span of [u', w'] over basis pairs of the two subspaces."""
         self._require_valid()
-        vecs = []
-        for a in u.basis.data:
-            for b in w.basis.data:
-                vecs.append(self.bracket(a, b))
-        return Subspace.from_vectors(self.dim, vecs)
+        n = self.dim
+        us = [_integral(_sparse(a, n)) for a in u.basis.data]
+        ws = [_integral(_sparse(b, n)) for b in w.basis.data]
+        return _eliminate((self._product(a, b) for a in us for b in ws), n).subspace()
 
     def full_space(self) -> Subspace:
         return Subspace.full(self.dim)
@@ -275,16 +302,18 @@ class LeibnizAlgebra:
             raise ValueError("subspace is not an ideal")
         pivots = set(ideal.pivots)
         comp = [c for c in range(self.dim) if c not in pivots]
-        q = len(comp)
-        proj_cols = []
-        for s in range(self.dim):
-            e_s = tuple(ONE if t == s else ZERO for t in range(self.dim))
-            reduced = ideal.reduce(e_s)
-            proj_cols.append([reduced[c] for c in comp])
-        proj = Matrix([[proj_cols[s][k] for s in range(self.dim)] for k in range(q)])
-        table = [[proj.apply(self.table[a][b]) for b in comp] for a in comp]
-        names = [self.basis_names[c] for c in comp]
-        out = LeibnizAlgebra(names, table)
+        reduced = [ideal.reduce(e) for e in Matrix.identity(self.dim).data]
+        proj = Matrix([[r[c] for r in reduced] for c in comp])
+        # [b_a, b_b] = sum_t c_ab^t b_t projects to sum_t c_ab^t (column t of proj)
+        images = [[(k, r[c]) for k, c in enumerate(comp) if r[c]] for r in reduced]
+        cells = {}
+        for a, ca in enumerate(comp):
+            for b, cb in enumerate(comp):
+                acc = cells[a, b] = {}
+                for t, c in self._int_table[ca][cb]:
+                    for k, x in images[t]:
+                        acc[k] = acc.get(k, 0) + Fraction(c, self._den) * x
+        out = LeibnizAlgebra._of([self.basis_names[c] for c in comp], cells)
         if not out.is_valid:
             raise InternalCheckError("quotient by an ideal produced an invalid table")
         return out, proj
@@ -294,19 +323,12 @@ class LeibnizAlgebra:
         self._require_valid()
         if not self.is_subalgebra(u):
             raise ValueError("subspace is not closed under the bracket")
-        k = u.dim
-        table = []
-        for a in range(k):
-            row = []
-            for b in range(k):
-                prod = self.bracket(u.basis.row(a), u.basis.row(b))
-                coords = u.coordinates_of(prod)
-                if coords is None:
-                    raise InternalCheckError("closed subspace failed coordinate extraction")
-                row.append(coords)
-            table.append(row)
+        rows = u.basis.data
+        table = [[u.coordinates_of(self.bracket(a, b)) for b in rows] for a in rows]
+        if any(coords is None for row in table for coords in row):
+            raise InternalCheckError("closed subspace failed coordinate extraction")
         names = []
-        for a in range(k):
+        for a in range(u.dim):
             row = u.basis.row(a)
             unit_at = [t for t, x in enumerate(row) if x != 0]
             if len(unit_at) == 1 and row[unit_at[0]] == 1:
@@ -431,15 +453,10 @@ class LeibnizAlgebra:
         return SimplicityVerdict("yes", None, "")
 
     def _ideal_seed_candidates(self) -> list[Vector]:
-        seeds = []
-        for i in range(self.dim):
-            seeds.append(tuple(ONE if t == i else ZERO for t in range(self.dim)))
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                seeds.append(tuple(
-                    (ONE if t == i else ZERO) + (ONE if t == j else ZERO)
-                    for t in range(self.dim)))
-        return seeds
+        """The unit vectors, then the sums of two of them."""
+        units = Matrix.identity(self.dim).data
+        return list(units) + [tuple(a + b for a, b in zip(units[i], units[j]))
+                              for i in range(self.dim) for j in range(i + 1, self.dim)]
 
     def _kernel_action_matrices(self, kernel: Subspace) -> list[Matrix]:
         """Left and right actions of every basis element on the kernel."""
@@ -527,9 +544,9 @@ class LeibnizAlgebra:
         together they span everything.
         """
         self._require_valid()
-        if not self.is_semisimple():
-            raise ValueError("Levi complement is computed on semisimple algebras only")
         kernel = self.leibniz_kernel()
+        if self.radical() != kernel:
+            raise ValueError("Levi complement is computed on semisimple algebras only")
         if kernel.is_zero():
             return self.full_space()
         quo, _ = self.quotient(kernel)
@@ -544,13 +561,14 @@ class LeibnizAlgebra:
             if right is None:
                 raise InternalCheckError("kernel is not acting into itself")
             equations.append(((), 0, right.transpose(),
-                              Matrix([quo.table[a][b] for a in range(q)])))
+                              Matrix([quo._cell(a, b) for a in range(q)])))
         rows = _axiom_rows(equations, q, r)
-        gammas = (self.table[comp[a]][comp[b]][p]
-                  for b in range(q) for a in range(q) for p in pivots)
+        nz = self._int_table
+        cells = [dict(nz[comp[a]][comp[b]]) for b in range(q) for a in range(q)]
+        gammas = (cell.get(p, 0) for cell in cells for p in pivots)
         for row, g in zip(rows, gammas):
             if g:
-                row[q * r] = -g
+                row[q * r] = Fraction(-g, self._den)
         particular, _ = _particular(rows, q * r)
         if particular is None:
             raise InternalCheckError("Levi correction system is unsolvable")
@@ -610,23 +628,21 @@ def algebra_from_brackets(
     name: str = "",
 ) -> LeibnizAlgebra:
     """Build an algebra from a sparse bracket dictionary; omitted pairs are zero."""
-    names = list(basis_names)
-    index = {s: i for i, s in enumerate(names)}
-    n = len(names)
-    table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    index = {s: i for i, s in enumerate(basis_names)}
+    cells = {}
     for (left, right), result in brackets.items():
         if left not in index or right not in index:
             raise ValueError(f"unknown basis label in bracket ({left}, {right})")
+        cell = cells.setdefault((index[left], index[right]), {})
         for label, coeff in result.items():
             if label not in index:
                 raise ValueError(f"unknown basis label {label!r} in a bracket result")
-            table[index[left]][index[right]][index[label]] = Fraction(coeff)
-    return LeibnizAlgebra(names, table, name=name)
+            cell[index[label]] = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+    return LeibnizAlgebra._of(basis_names, cells, name=name)
 
 
 def abelian_algebra(n: int, name: str = "") -> LeibnizAlgebra:
-    zero = [[vzero(n) for _ in range(n)] for _ in range(n)]
-    return LeibnizAlgebra([f"a{i}" for i in range(n)], zero, name=name or f"abelian{n}")
+    return LeibnizAlgebra._of([f"a{i}" for i in range(n)], {}, name=name or f"abelian{n}")
 
 
 def direct_sum_algebra(a: LeibnizAlgebra, b: LeibnizAlgebra, name: str = "") -> LeibnizAlgebra:
@@ -634,14 +650,9 @@ def direct_sum_algebra(a: LeibnizAlgebra, b: LeibnizAlgebra, name: str = "") -> 
     clash = set(a.basis_names) & set(b.basis_names)
     names_a = [f"{s}_1" if clash else s for s in a.basis_names]
     names_b = [f"{s}_2" if clash else s for s in b.basis_names]
-    n, m = a.dim, b.dim
-    table = [[[ZERO] * (n + m) for _ in range(n + m)] for _ in range(n + m)]
-    for i in range(n):
-        for j in range(n):
-            for t, c in enumerate(a.table[i][j]):
-                table[i][j][t] = c
-    for i in range(m):
-        for j in range(m):
-            for t, c in enumerate(b.table[i][j]):
-                table[n + i][n + j][n + t] = c
-    return LeibnizAlgebra(names_a + names_b, table, name=name)
+    cells = {}
+    for alg, shift in ((a, 0), (b, a.dim)):
+        for i, row in enumerate(alg._int_table):
+            for j, cell in enumerate(row):
+                cells[shift + i, shift + j] = {shift + t: Fraction(c, alg._den) for t, c in cell}
+    return LeibnizAlgebra._of(names_a + names_b, cells, name=name)

@@ -111,10 +111,11 @@ def _cmd_radical(args):
 
 def _cmd_semisimple(args):
     alg = _load_algebra(args.file)
+    rad, kernel = alg.radical(), alg.leibniz_kernel()
     return {
-        "semisimple": alg.is_semisimple(),
-        "radical_dim": alg.radical().dim,
-        "kernel_dim": alg.leibniz_kernel().dim,
+        "semisimple": rad == kernel,
+        "radical_dim": rad.dim,
+        "kernel_dim": kernel.dim,
     }
 
 

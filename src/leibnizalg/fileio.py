@@ -3,10 +3,11 @@
 Rationals travel as strings "p/q" (a bare "p" is accepted on input) so
 round-trips stay exact; input must match -?[0-9]+(/[0-9]+)? exactly, with
 at most MAX_DIGITS digits in each of p and q. An algebra has at most MAX_DIM
-basis labels, checked before its n^3 table is allocated; the CLI bounds its
-size flags by the same constant. Algebra files list only the
-nonzero brackets; representation files carry one dense matrix per basis
-label and side, and may reference the algebra inline or by file path.
+basis labels; the CLI bounds its size flags by the same constant. Algebra
+files list only the nonzero brackets, and the parser hands them to
+`algebra_from_brackets`, so no dense table is built. Representation files
+carry one dense matrix per basis label and side, and may reference the
+algebra inline or by file path.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ import os
 import re
 from fractions import Fraction
 
-from .algebra import LeibnizAlgebra
+from .algebra import LeibnizAlgebra, algebra_from_brackets
 from .linalg import Matrix
 from .reps import Representation
 
-ZERO = Fraction(0)
 MAX_DIGITS = 1000
 MAX_DIM = 128
 _RATIONAL = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
@@ -67,15 +67,14 @@ def _algebra_from_object(obj: dict, locus: str = "") -> LeibnizAlgebra:
         raise ParseError(f"{prefix}basis: more than {MAX_DIM} labels")
     if any(not isinstance(b, str) or not b for b in basis):
         raise ParseError(f"{prefix}basis: labels must be nonempty strings")
-    if len(set(basis)) != len(basis):
+    labels = set(basis)
+    if len(labels) != len(basis):
         raise ParseError(f"{prefix}basis: duplicate label")
     n = len(basis)
     dim = obj.get("dim")
     if dim is not None and (type(dim) is not int or dim != n):  # bool is no count
         raise ParseError(f"{prefix}dim: {dim!r} does not match {n} basis labels")
-    pos = {b: i for i, b in enumerate(basis)}
-    table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    seen = set()
+    parsed = {}
     brackets = obj.get("brackets", [])
     if not isinstance(brackets, list):
         raise ParseError(f"{prefix}brackets: expected a list")
@@ -85,26 +84,24 @@ def _algebra_from_object(obj: dict, locus: str = "") -> LeibnizAlgebra:
             raise ParseError(f"{here}: expected an object")
         left = entry.get("left")
         right = entry.get("right")
-        if left not in pos:
+        if left not in labels:
             raise ParseError(f"{here}.left: unknown label {left!r}")
-        if right not in pos:
+        if right not in labels:
             raise ParseError(f"{here}.right: unknown label {right!r}")
-        if (left, right) in seen:
+        if (left, right) in parsed:
             raise ParseError(f"{here}: duplicate bracket ({left}, {right})")
-        seen.add((left, right))
         result = entry.get("result")
         if not isinstance(result, dict):
             raise ParseError(f"{here}.result: expected an object")
+        cell = parsed[left, right] = {}
         for label, value in result.items():
-            if label not in pos:
+            if label not in labels:
                 raise ParseError(f"{here}.result: unknown label {label!r}")
-            table[pos[left]][pos[right]][pos[label]] = _parse_frac(
-                value, f"{here}.result.{label}")
+            cell[label] = _parse_frac(value, f"{here}.result.{label}")
     name = obj.get("name", "")
     if not isinstance(name, str):
         raise ParseError(f"{prefix}name: expected a string")
-    rows = [[tuple(cell) for cell in row] for row in table]
-    return LeibnizAlgebra(list(basis), rows, name=name)
+    return algebra_from_brackets(basis, parsed, name=name)
 
 
 def parse_algebra(text: str) -> LeibnizAlgebra:
@@ -114,11 +111,10 @@ def parse_algebra(text: str) -> LeibnizAlgebra:
 def algebra_to_object(alg: LeibnizAlgebra) -> dict:
     brackets = []
     names = alg.basis_names
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            cell = alg.table[i][j]
-            result = {names[k]: frac_str(c) for k, c in enumerate(cell) if c != 0}
-            if result:
+    for i, row in enumerate(alg._int_table):
+        for j, cell in enumerate(row):
+            if cell:
+                result = {names[t]: frac_str(Fraction(c, alg._den)) for t, c in cell}
                 brackets.append(
                     {"left": names[i], "right": names[j], "result": result})
     return {

@@ -536,9 +536,6 @@ class Subspace:
             cols.append(coords)
         return Matrix([[col[t] for col in cols] for t in range(self.dim)])
 
-    def vectors(self) -> tuple[Vector, ...]:
-        return self.basis.data
-
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:

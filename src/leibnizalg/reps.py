@@ -253,18 +253,13 @@ def is_invariant(rep: Representation, w: Subspace) -> bool:
 def module_restriction(rep: Representation, w: Subspace) -> Representation:
     """Same algebra, smaller module: actions induced on an invariant subspace."""
     rep._require_valid()
-    if not is_invariant(rep, w):
+    if w.ambient_dim != rep.space_dim:
+        raise ValueError("subspace lives in the wrong ambient space")
+    induced = [w.induced(m) for m in rep.action_matrices()]
+    if any(m is None for m in induced):
         raise ValueError("subspace is not invariant under both actions")
-
-    def cut(m: Matrix) -> Matrix:
-        induced = w.induced(m)
-        if induced is None:
-            raise InternalCheckError("invariant subspace lost a coordinate")
-        return induced
-
-    right = [cut(m) for m in rep.right]
-    left = [cut(m) for m in rep.left]
-    return Representation(rep.algebra, right, left, name=rep.name)
+    n = rep.algebra.dim
+    return Representation(rep.algebra, induced[:n], induced[n:], name=rep.name)
 
 
 # -- analysis --

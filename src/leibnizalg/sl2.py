@@ -26,21 +26,21 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+# the brackets of (e, f, h), which the simple extensions keep
+_SL2_BRACKETS = {
+    ("e", "h"): {"e": 2}, ("h", "e"): {"e": -2},
+    ("h", "f"): {"f": 2}, ("f", "h"): {"f": -2},
+    ("e", "f"): {"h": 1}, ("f", "e"): {"h": -1},
+}
+
+
 @lru_cache(maxsize=None)
 def sl2_algebra() -> LeibnizAlgebra:
     """The simple 3-dimensional Lie algebra on basis (e, f, h).
 
     Cached; treat the returned object as immutable.
     """
-    return algebra_from_brackets(
-        ["e", "f", "h"],
-        {
-            ("e", "h"): {"e": 2}, ("h", "e"): {"e": -2},
-            ("h", "f"): {"f": 2}, ("f", "h"): {"f": -2},
-            ("e", "f"): {"h": 1}, ("f", "e"): {"h": -1},
-        },
-        name="sl2",
-    )
+    return algebra_from_brackets(["e", "f", "h"], _SL2_BRACKETS, name="sl2")
 
 
 def sl2_irrep_rho(m: int) -> tuple[Matrix, Matrix, Matrix]:
@@ -136,11 +136,7 @@ def simple_ext_algebra(n: int) -> LeibnizAlgebra:
     if n < 5:
         raise ValueError("the extension family starts at dimension 5")
     names = ["e", "f", "h"] + [f"x{k}" for k in range(n - 3)]
-    brackets: dict = {
-        ("e", "h"): {"e": 2}, ("h", "e"): {"e": -2},
-        ("h", "f"): {"f": 2}, ("f", "h"): {"f": -2},
-        ("e", "f"): {"h": 1}, ("f", "e"): {"h": -1},
-    }
+    brackets: dict = dict(_SL2_BRACKETS)
     for k in range(n - 3):
         w = n - 4 - 2 * k
         if w:
@@ -190,7 +186,7 @@ def _tail_stage1_basis(n: int, m: int) -> list[list[Matrix]]:
     equations = []
     for k in range(nx):
         for y in range(3):
-            cvec = alg.table[3 + k][y]
+            cvec = alg._cell(3 + k, y)
             if any(cvec[:3]):
                 raise InternalCheckError("tail bracket left the kernel span")
             equations.append((cvec[3:], k, rho[y], rho[y]))
@@ -210,8 +206,8 @@ def _sl2_left_block_check(m: int) -> Subspace:
     """
     rho = sl2_irrep_rho(m)
     d = m + 1
-    table = sl2_algebra().table
-    equations = [(table[x][y], x, rho[y], rho[y]) for x in range(3) for y in range(3)]
+    sl2 = sl2_algebra()
+    equations = [(sl2._cell(x, y), x, rho[y], rho[y]) for x in range(3) for y in range(3)]
     space = _solutions(_axiom_rows(equations, d, d), 3 * d * d)
     expected_dim = 1 if m >= 1 else 0
     if space.dim != expected_dim:

@@ -6,6 +6,7 @@ relevant linear systems symbolically, independent of the package's own
 matrix code.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from leibnizalg.algebra import (
     algebra_from_brackets,
     direct_sum_algebra,
 )
+from leibnizalg.fileio import MAX_DIM, frac_str, serialize_algebra
 from leibnizalg.linalg import (Matrix, Subspace, intertwiner_space, subspace_intersect,
                               subspace_sum)
 
@@ -608,3 +610,140 @@ def test_structure_report_solv2():
     rep = solv2().structure_report()
     assert rep.is_lie and rep.solvable and not rep.semisimple
     assert rep.simple.value == "no"
+
+
+# -- the sparse structure constants against the dense formulas --
+# The references below are the dense-table formulas the package used before
+# it kept only the sparse integer form; each reads a dense table given to it.
+
+def dense_bracket(table, x, y):
+    n = len(table)
+    out = [F(0)] * n
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            for t, c in enumerate(table[i][j]):
+                out[t] += F(xi) * F(yj) * c
+    return tuple(out)
+
+
+def dense_right_mult(table, j):
+    n = len(table)
+    return Matrix([[table[i][j][t] for i in range(n)] for t in range(n)])
+
+
+def dense_left_mult(table, j):
+    n = len(table)
+    return Matrix([[table[j][i][t] for i in range(n)] for t in range(n)])
+
+
+def dense_is_lie(table):
+    n = len(table)
+    return all(a + b == 0 for i in range(n) for j in range(n)
+               for a, b in zip(table[i][j], table[j][i]))
+
+
+def dense_kernel(table):
+    n = len(table)
+    return Subspace.from_vectors(n, [tuple(a + b for a, b in zip(table[i][j], table[j][i]))
+                                     for i in range(n) for j in range(i, n)])
+
+
+def dense_product_space(table, u, w):
+    n = len(table)
+    return Subspace.from_vectors(n, [dense_bracket(table, a, b)
+                                     for a in u.basis.data for b in w.basis.data])
+
+
+def dense_quotient_table(table, proj, comp):
+    return tuple(tuple(proj.apply(table[a][b]) for b in comp) for a in comp)
+
+
+def dense_object(alg_name, names, table):
+    n = len(table)
+    brackets = []
+    for i in range(n):
+        for j in range(n):
+            result = {names[t]: frac_str(c) for t, c in enumerate(table[i][j]) if c}
+            if result:
+                brackets.append({"left": names[i], "right": names[j], "result": result})
+    return {"name": alg_name, "dim": n, "basis": list(names), "brackets": brackets}
+
+
+def dense_change_basis(table, p):
+    """The table in the basis of the columns of p, by the dense bracket."""
+    pinv = p.inverse()
+    cols = [p.col(i) for i in range(p.rows)]
+    return tuple(tuple(pinv.apply(dense_bracket(table, a, b)) for b in cols) for a in cols)
+
+
+def dense_cases():
+    """(algebra, dense table) pairs: the zoo and simple_ext(5..8) with the
+    table they were built from, and changes of basis with fractional
+    constants, built from dense tables computed here."""
+    from leibnizalg.sl2 import simple_ext_algebra
+    rng = random.Random(8128)
+    bases = zoo() + [simple_ext_algebra(n) for n in range(5, 9)]
+    cases = [(alg, alg.table) for alg in bases]
+    for base in (ext5(), heisenberg(), nilp2(), simple_ext_algebra(6),
+                 direct_sum_algebra(sl2(), nilp2())):
+        table = dense_change_basis(base.table, random_invertible(rng, base.dim))
+        cases.append((LeibnizAlgebra([f"v{i}" for i in range(base.dim)], table), table))
+    return cases
+
+
+def test_sparse_readers_match_the_dense_formulas():
+    rng = random.Random(3301)
+    cases = dense_cases()
+    assert sum(alg._den > 1 for alg, _ in cases) >= 3  # fractional constants are covered
+    for alg, table in cases:
+        n, label = alg.dim, alg.name or alg.basis_names
+        assert alg.is_valid, label
+        assert alg.table == table, label
+        assert LeibnizAlgebra(alg.basis_names, alg.table).table == table, label
+        for _ in range(6):
+            x, y = ([F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+                    for _ in range(2))
+            assert alg.bracket(x, y) == dense_bracket(table, x, y), label
+        for j in range(n):
+            assert alg.right_mult_matrix_basis(j) == dense_right_mult(table, j), label
+            assert alg.left_mult_matrix_basis(j) == dense_left_mult(table, j), label
+        assert alg.is_lie() == dense_is_lie(table), label
+        kernel = alg.leibniz_kernel()
+        assert kernel == dense_kernel(table), label
+        full = alg.full_space()
+        spaces = [full, kernel, Subspace.from_vectors(n, [
+            [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(rng.randint(1, 3))])]
+        for u in spaces:
+            for w in spaces:
+                assert alg.product_space(u, w) == dense_product_space(table, u, w), label
+        quo, proj = alg.quotient(kernel)
+        comp = [c for c in range(n) if c not in kernel.pivots]
+        assert quo.table == dense_quotient_table(table, proj, comp), label
+        assert serialize_algebra(alg) == json.dumps(
+            dense_object(alg.name, alg.basis_names, table), indent=2, sort_keys=True) + "\n"
+        twin = LeibnizAlgebra(alg.basis_names, table, name="twin")
+        assert twin == alg and hash(twin) == hash(alg) and twin.same_table(alg), label
+        renamed = LeibnizAlgebra([f"w{i}" for i in range(n)], table)
+        assert renamed != alg and renamed.same_table(alg), label
+        nudged = [[list(v) for v in row] for row in table]
+        nudged[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] += F(1, 3)
+        other = LeibnizAlgebra(alg.basis_names, nudged)
+        assert other != alg and not other.same_table(alg), label
+
+
+def test_identity_check_at_the_dimension_bound():
+    rng = random.Random(99)
+    for small in (ext5(), heisenberg(), sl2()):
+        k = small.dim
+        table = [[list(v) for v in row] for row in small.table]
+        table[rng.randrange(k)][rng.randrange(k)][rng.randrange(k)] += F(-2, 3)
+        corrupted = LeibnizAlgebra(small.basis_names, table)
+        assert corrupted.leibniz_violations
+        big = direct_sum_algebra(corrupted, abelian_algebra(MAX_DIM - k))
+        assert big.dim == MAX_DIM
+        assert big.leibniz_violations == corrupted.leibniz_violations
+    big = direct_sum_algebra(sl2(), abelian_algebra(MAX_DIM - 3))
+    assert big.is_valid and big.is_lie()
+    assert big.leibniz_kernel().is_zero()
+    assert big.product_space(big.full_space(), big.full_space()).dim == 3

@@ -186,8 +186,10 @@ def test_direct_sum_needs_common_algebra():
 def test_module_restriction_requires_invariance():
     s = direct_sum(ladder_rep(1, "anti_symmetric"), ladder_rep(2, "anti_symmetric"))
     diag = Subspace.from_vectors(5, [(1, 0, 1, 0, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not invariant under both actions"):
         module_restriction(s, diag)
+    with pytest.raises(ValueError, match="wrong ambient space"):
+        module_restriction(s, Subspace.full(4))
 
 
 def test_restrict_to_subalgebra():
