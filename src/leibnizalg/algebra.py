@@ -14,11 +14,10 @@ invalid table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import (
     Matrix,
@@ -51,8 +50,7 @@ class InternalCheckError(RuntimeError):
     """A result failed its own verification; this signals a bug, not bad input."""
 
 
-@dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(NamedTuple):
     kind: str  # "lower_central" or "derived"
     terms: tuple[Subspace, ...]
     stabilized: bool
@@ -62,15 +60,13 @@ class SeriesReport:
         return self.terms[-1]
 
 
-@dataclass(frozen=True)
-class SimplicityVerdict:
+class SimplicityVerdict(NamedTuple):
     value: str  # "yes", "no", "undetermined"
     witness: Subspace | None = None
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     is_lie: bool
     kernel: Subspace
     radical: Subspace
@@ -339,24 +335,25 @@ class LeibnizAlgebra:
 
     # -- series --
 
+    def _series(self, term: Subspace, against: Subspace | None = None) -> tuple[Subspace, ...]:
+        """term, [term, against], [[term, against], against], ... up to the
+        first repeat; without against each term is bracketed with itself."""
+        terms = [term]
+        while True:
+            nxt = self.product_space(term, term if against is None else against)
+            if nxt == term:
+                return tuple(terms)
+            terms.append(nxt)
+            term = nxt
+
     def lower_central_series(self) -> SeriesReport:
         self._require_valid()
         full = self.full_space()
-        terms = [full]
-        while True:
-            nxt = self.product_space(terms[-1], full)
-            if nxt == terms[-1]:
-                return SeriesReport("lower_central", tuple(terms), True)
-            terms.append(nxt)
+        return SeriesReport("lower_central", self._series(full, full), True)
 
     def derived_series(self) -> SeriesReport:
         self._require_valid()
-        terms = [self.full_space()]
-        while True:
-            nxt = self.product_space(terms[-1], terms[-1])
-            if nxt == terms[-1]:
-                return SeriesReport("derived", tuple(terms), True)
-            terms.append(nxt)
+        return SeriesReport("derived", self._series(self.full_space()), True)
 
     def is_solvable(self) -> bool:
         return self.derived_series().terminal.is_zero()
@@ -367,13 +364,15 @@ class LeibnizAlgebra:
     # -- Killing form, radical, semisimplicity --
 
     def killing_form(self) -> Matrix:
-        """Gram matrix of (x, y) -> trace(ad x . ad y). Lie algebras only."""
+        """Gram matrix of (x, y) -> trace(ad x . ad y), summed from the integer
+        constants as sum_{k,s} c_ik^s c_js^k. Lie algebras only."""
         self._require_valid()
         if not self.is_lie():
             raise ValueError("Killing form is only computed on Lie tables")
-        ads = [self.left_mult_matrix_basis(j) for j in range(self.dim)]
-        return Matrix([[(ads[i] * ads[j]).trace() for j in range(self.dim)]
-                       for i in range(self.dim)])
+        n, nz = self.dim, self._int_table
+        ads = [{(s, k): c for k in range(n) for s, c in nz[i][k]} for i in range(n)]  # ad b_i
+        return Matrix([[Fraction(sum(c * b.get((k, s), 0) for (s, k), c in a.items()),
+                                 self._den ** 2) for b in ads] for a in ads])
 
     def radical(self) -> Subspace:
         """Largest solvable ideal, through the Lie quotient by the kernel.
@@ -391,7 +390,7 @@ class LeibnizAlgebra:
         lifted = self._lift_through(proj, _lie_radical(quo), kernel)
         if not self.is_ideal(lifted):
             raise InternalCheckError("computed radical is not an ideal")
-        if lifted.dim and not self.subalgebra_on(lifted).is_solvable():
+        if not self._series(lifted)[-1].is_zero():
             raise InternalCheckError("computed radical is not solvable")
         return lifted
 

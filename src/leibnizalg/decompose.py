@@ -11,8 +11,8 @@ irreducible decomposition, and one that splits as 3 + 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import InternalCheckError, LeibnizAlgebra, algebra_from_brackets
 from .linalg import (
@@ -29,8 +29,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class KernelActionReport:
+class KernelActionReport(NamedTuple):
     """Whether every kernel basis vector acts by zero on both sides."""
     ok: bool
     witness_vector: tuple | None = None
@@ -64,8 +63,7 @@ def commutant(rep: Representation) -> list[Matrix]:
     return matrix_commutant(rep.action_matrices(), rep.space_dim)
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(NamedTuple):
     """Verdict on splitting a module into invariant direct summands.
 
     verdict "decomposed" comes with at least two components, each with a

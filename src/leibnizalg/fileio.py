@@ -84,10 +84,11 @@ def _algebra_from_object(obj: dict, locus: str = "") -> LeibnizAlgebra:
             raise ParseError(f"{here}: expected an object")
         left = entry.get("left")
         right = entry.get("right")
-        if left not in labels:
-            raise ParseError(f"{here}.left: unknown label {left!r}")
-        if right not in labels:
-            raise ParseError(f"{here}.right: unknown label {right!r}")
+        for side, label in (("left", left), ("right", right)):
+            if not isinstance(label, str):
+                raise ParseError(f"{here}.{side}: expected a label string")
+            if label not in labels:
+                raise ParseError(f"{here}.{side}: unknown label {label!r}")
         if (left, right) in parsed:
             raise ParseError(f"{here}: duplicate bracket ({left}, {right})")
         result = entry.get("result")

@@ -42,9 +42,7 @@ in `sl2` use them.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -452,7 +450,6 @@ def solve(a: Matrix, b: Vector) -> tuple[Vector | None, "Subspace"]:
                        for p, row in reduced], n)
 
 
-@dataclass(frozen=True)
 class Subspace:
     """Subspace of QQ^n, stored as an RREF basis with no zero rows.
 
@@ -460,8 +457,23 @@ class Subspace:
     when they describe the same subspace.
     """
 
-    ambient_dim: int
-    basis: Matrix
+    __slots__ = ("ambient_dim", "basis", "pivots")
+
+    def __init__(self, ambient_dim: int, basis: Matrix):
+        self.ambient_dim = ambient_dim
+        self.basis = basis
+        self.pivots = tuple(next(c for c, x in enumerate(row) if x) for row in basis.data)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Subspace:
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, self.basis))
+
+    def __repr__(self) -> str:
+        return f"Subspace(ambient_dim={self.ambient_dim!r}, basis={self.basis!r})"
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -485,18 +497,6 @@ class Subspace:
 
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
-
-    @cached_property
-    def pivots(self) -> tuple[int, ...]:
-        # kept in the instance dict, outside the fields: equality and hash
-        # stay those of (ambient_dim, basis)
-        out = []
-        for row in self.basis.data:
-            for c, x in enumerate(row):
-                if x != 0:
-                    out.append(c)
-                    break
-        return tuple(out)
 
     def reduce(self, v: Sequence) -> Vector:
         """Remainder of v after elimination against the basis."""

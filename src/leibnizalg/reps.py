@@ -24,10 +24,9 @@ formed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import InternalCheckError, LeibnizAlgebra
 from .linalg import (
@@ -154,15 +153,13 @@ class Representation:
         return f"<{label} dim={self.space_dim} over {self.algebra!r}>"
 
 
-@dataclass(frozen=True)
-class IrreducibilityVerdict:
+class IrreducibilityVerdict(NamedTuple):
     value: str  # "abs_irreducible", "reducible", "undetermined"
     witness: Subspace | None = None
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class EquivalenceVerdict:
+class EquivalenceVerdict(NamedTuple):
     value: str  # "equivalent", "not_equivalent", "undetermined"
     certificate: Matrix | None = None
     detail: str = ""

@@ -13,9 +13,9 @@ form q*(linear)^2 = 0 into linear ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .algebra import InternalCheckError, LeibnizAlgebra, algebra_from_brackets
 from .linalg import (Matrix, Subspace, _axiom_rows, _solutions, _sparse_matmul, nullspace,
@@ -89,8 +89,7 @@ def sl2_leibniz_irrep(m: int, variant: str) -> Representation:
 
 # -- the twelve constraint identities --
 
-@dataclass(frozen=True)
-class Sl2ConstraintReport:
+class Sl2ConstraintReport(NamedTuple):
     identity_ok: tuple[bool, ...]  # twelve flags, index 0 is identity 1
     failing_identities: tuple[int, ...]  # 1-based indices
 
@@ -151,8 +150,7 @@ def simple_ext_algebra(n: int) -> LeibnizAlgebra:
     return alg
 
 
-@dataclass(frozen=True)
-class ExtensionSolution:
+class ExtensionSolution(NamedTuple):
     """Outcome of forcing the tail actions of a simple extension.
 
     forced_rho_I / forced_lambda_I hold the unique tail action matrices

@@ -371,6 +371,14 @@ def test_killing_rejects_non_lie():
         ext5().killing_form()
 
 
+def test_radical_solvability_check_fires(monkeypatch):
+    # a Killing complement claimed to be all of sl2 lifts to a perfect ideal
+    import leibnizalg.algebra as algebra_module
+    monkeypatch.setattr(algebra_module, "_lie_radical", lambda lie: lie.full_space())
+    with pytest.raises(InternalCheckError, match="radical is not solvable"):
+        sl2().radical()
+
+
 def test_radical_frozen_cases():
     assert sl2().radical().is_zero()
     assert solv2().radical().is_full()
@@ -654,6 +662,12 @@ def dense_product_space(table, u, w):
                                      for a in u.basis.data for b in w.basis.data])
 
 
+def dense_killing(table):
+    n = len(table)
+    ads = [dense_left_mult(table, i) for i in range(n)]
+    return Matrix([[(ads[i] * ads[j]).trace() for j in range(n)] for i in range(n)])
+
+
 def dense_quotient_table(table, proj, comp):
     return tuple(tuple(proj.apply(table[a][b]) for b in comp) for a in comp)
 
@@ -719,7 +733,11 @@ def test_sparse_readers_match_the_dense_formulas():
                 assert alg.product_space(u, w) == dense_product_space(table, u, w), label
         quo, proj = alg.quotient(kernel)
         comp = [c for c in range(n) if c not in kernel.pivots]
-        assert quo.table == dense_quotient_table(table, proj, comp), label
+        quo_table = dense_quotient_table(table, proj, comp)
+        assert quo.table == quo_table, label
+        assert quo.killing_form() == dense_killing(quo_table), label
+        if alg.is_lie():
+            assert alg.killing_form() == dense_killing(table), label
         assert serialize_algebra(alg) == json.dumps(
             dense_object(alg.name, alg.basis_names, table), indent=2, sort_keys=True) + "\n"
         twin = LeibnizAlgebra(alg.basis_names, table, name="twin")
@@ -747,3 +765,5 @@ def test_identity_check_at_the_dimension_bound():
     assert big.is_valid and big.is_lie()
     assert big.leibniz_kernel().is_zero()
     assert big.product_space(big.full_space(), big.full_space()).dim == 3
+    assert big.radical() == Subspace.from_vectors(
+        MAX_DIM, [[F(i == j) for i in range(MAX_DIM)] for j in range(3, MAX_DIM)])

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from leibnizalg import cli
 from leibnizalg.algebra import abelian_algebra, direct_sum_algebra
 from leibnizalg.decompose import example_5_3, example_5_5
 from leibnizalg.fileio import (
@@ -148,6 +149,19 @@ def test_unknown_labels_are_located():
         {"left": "e", "right": "f", "result": {"zz": "1"}}])
     with pytest.raises(ParseError, match=r"result: unknown label 'zz'"):
         parse_algebra(json.dumps(bad_result))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("label", [["x"], {"k": 1}, 1, None], ids=["list", "object", "number", "null"])
+def test_non_string_bracket_labels_are_located(tmp_path, capsys, side, label):
+    entry = {"left": "a", "right": "a", "result": {}}
+    entry[side] = label
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"basis": ["a"], "brackets": [entry]}))
+    code = cli.run_command(["check", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == f"error: brackets[0].{side}: expected a label string\n"
 
 
 def test_basis_validation():
