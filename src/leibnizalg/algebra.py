@@ -433,11 +433,8 @@ class LeibnizAlgebra:
             if closure != kernel and not closure.is_zero() and closure != full:
                 return SimplicityVerdict(
                     "no", closure, "closure of a sampled vector is a proper ideal")
+        # rad == kernel: [Q,Q]^perp = 0 in Q, so the Killing form of Q is nondegenerate
         quo, _ = self.quotient(kernel)
-        kappa = quo.killing_form()
-        if kappa.rank() != quo.dim:
-            return SimplicityVerdict(
-                "no", rad, "Killing form of the quotient is degenerate")
         ads = [quo.right_mult_matrix_basis(j) for j in range(quo.dim)]
         if len(matrix_commutant(ads, quo.dim)) != 1:
             return SimplicityVerdict(
@@ -616,9 +613,8 @@ def _lie_radical(lie: LeibnizAlgebra) -> Subspace:
     derived = lie.product_space(lie.full_space(), lie.full_space())
     if derived.is_zero():
         return lie.full_space()
-    kappa = lie.killing_form()
-    rows = [kappa.apply(d) for d in derived.basis.data]
-    return nullspace(Matrix(rows))
+    # kappa is symmetric, so row k of derived.basis * kappa is kappa d_k
+    return nullspace(derived.basis * lie.killing_form())
 
 
 def algebra_from_brackets(

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .algebra import InternalCheckError, LeibnizAlgebra, algebra_from_brackets
 from .linalg import (
-    Matrix, Subspace, _axiom_rows, _solutions, linear_combination,
+    Matrix, Subspace, _axiom_rows, _poly_at, _solutions, linear_combination,
     matrix_commutant, minimal_polynomial, nullspace, poly_eval, rational_roots,
     subspace_intersect, subspace_sum,
 )
@@ -89,39 +89,25 @@ def _poly_divide_out_root(coeffs: list[Fraction], a: Fraction) -> list[Fraction]
     return out
 
 
-def _poly_of_matrix(coeffs: list[Fraction], m: Matrix) -> Matrix:
-    d = m.rows
-    acc = Matrix.zeros(d, d)
-    for c in reversed(coeffs):
-        acc = acc * m + Matrix.identity(d).scale(c)
-    return acc
-
-
 def _primary_components(c: Matrix) -> list[Subspace]:
     """Primary decomposition of the space under c, as far as rational roots go.
 
     The minimal polynomial is split into (t - a)^e factors for each rational
     root a plus a rootless leftover; the space is the direct sum of the
-    kernels of the corresponding factors evaluated at c.
+    kernels of the factors at c, none zero: each divides the minimal polynomial.
     """
-    d = c.rows
     poly = list(minimal_polynomial(c))
-    pieces = []
+    factors = []
     for a in rational_roots(poly):
-        e = 0
-        while len(poly) >= 2 and poly_eval(poly, a) == 0:
+        f = [ONE]
+        while poly_eval(poly, a) == 0:
             poly = _poly_divide_out_root(poly, a)
-            e += 1
-        power = c - Matrix.identity(d).scale(a)
-        acc = Matrix.identity(d)
-        for _ in range(e):
-            acc = acc * power
-        pieces.append(nullspace(acc))
+            f = [x - a * y for x, y in zip([ZERO] + f, f + [ZERO])]  # f (t - a)
+        factors.append(f)
     if len(poly) > 1:  # leftover factor without rational roots
-        pieces.append(nullspace(_poly_of_matrix(poly, c)))
-    pieces = [p for p in pieces if p.dim > 0]
-    total = sum(p.dim for p in pieces)
-    if total != d:
+        factors.append(poly)
+    pieces = [nullspace(_poly_at(f, c)) for f in factors]
+    if sum(p.dim for p in pieces) != c.rows:
         raise InternalCheckError("primary components do not fill the space")
     return pieces
 

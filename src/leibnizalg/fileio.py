@@ -1,13 +1,13 @@
 """JSON-shaped file formats for algebras and representations.
 
 Rationals travel as strings "p/q" (a bare "p" is accepted on input) so
-round-trips stay exact; input must match -?[0-9]+(/[0-9]+)? exactly, with
-at most MAX_DIGITS digits in each of p and q. An algebra has at most MAX_DIM
-basis labels; the CLI bounds its size flags by the same constant. Algebra
-files list only the nonzero brackets, and the parser hands them to
-`algebra_from_brackets`, so no dense table is built. Representation files
-carry one dense matrix per basis label and side, and may reference the
-algebra inline or by file path.
+round-trips stay exact; input must match -?[0-9]+(/[0-9]+)? exactly, with at
+most MAX_DIGITS digits in each of p and q. An algebra has at most MAX_DIM
+basis labels and a module at most MAX_DIM dimensions; the CLI bounds its
+size flags by the same constant. Algebra files list only the nonzero
+brackets, and the parser hands them to `algebra_from_brackets`, so no dense
+table is built. Representation files carry one dense matrix per basis label
+and side, and may reference the algebra inline or by file path.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ def _load_json(text: str) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError("top level: values are nested too deeply") from None
     if not isinstance(obj, dict):
         raise ParseError("top level: expected an object")
     return obj
@@ -163,6 +165,8 @@ def parse_rep(text: str, base_dir: str = ".") -> Representation:
     d = obj.get("module_dim")
     if type(d) is not int or d < 1:
         raise ParseError("module_dim: expected a positive count")
+    if d > MAX_DIM:
+        raise ParseError(f"module_dim: more than {MAX_DIM}")
     sides = {}
     for key in ("rho", "lambda"):
         block = obj.get(key)

@@ -207,11 +207,8 @@ class Matrix:
         return tuple(out)
 
     def transpose(self) -> "Matrix":
-        if self.rows == 0:
-            return Matrix([[] for _ in range(self.cols)], cols=0)
-        if self.cols == 0:
-            return Matrix([], cols=self.rows)
-        return Matrix(list(zip(*self.data)))
+        return Matrix._of(tuple(zip(*self.data)) if self.rows else ((),) * self.cols,
+                          self.rows)
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
@@ -527,14 +524,18 @@ class Subspace:
 
     def induced(self, m: Matrix) -> Matrix | None:
         """Matrix of m on this subspace, in coordinates of the RREF basis;
-        None when m maps a basis vector out of the subspace."""
-        cols = []
-        for v in self.basis.data:
-            coords = self.coordinates_of(m.apply(v))
-            if coords is None:
-                return None
-            cols.append(coords)
-        return Matrix([[col[t] for col in cols] for t in range(self.dim)])
+        None when m maps a basis vector out of the subspace. The package's
+        one invariance test: row k of basis * m^T is the image of basis row
+        k, whose coordinates can only be its entries at the pivots."""
+        n = self.ambient_dim
+        if m.rows != n or m.cols != n:
+            raise ValueError(f"{m.rows}x{m.cols} matrix does not act on QQ^{n}")
+        images = self.basis * m.transpose()
+        coords = Matrix._of(tuple(tuple(row[p] for p in self.pivots)
+                                  for row in images.data), self.dim)
+        if coords * self.basis != images:
+            return None
+        return coords.transpose()
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -602,6 +603,20 @@ def minimal_polynomial(m: Matrix) -> Poly:
     raise AssertionError("no dependency up to degree n; impossible over a field")
 
 
+def _shift(m: Matrix, c: Fraction) -> Matrix:
+    """m + c I for a square m."""
+    return Matrix._of(tuple(row[:i] + (row[i] + c,) + row[i + 1:]
+                            for i, row in enumerate(m.data)), m.cols)
+
+
+def _poly_at(coeffs: Sequence[Fraction], m: Matrix) -> Matrix:
+    """sum_k coeffs[k] m^k for a square m, by Horner's rule."""
+    acc = Matrix.zeros(m.rows, m.rows)
+    for c in reversed(coeffs):
+        acc = _shift(acc * m, c)
+    return acc
+
+
 def char_poly(m: Matrix) -> Poly:
     """Characteristic polynomial det(tI - m) by the Faddeev-LeVerrier scheme."""
     if not m.is_square():
@@ -609,12 +624,9 @@ def char_poly(m: Matrix) -> Poly:
     n = m.rows
     coeffs = [ZERO] * (n + 1)
     coeffs[n] = ONE
-    prod = Matrix.zeros(n, n)  # m * mk, with mk = 0 before the first step
+    prod = Matrix.zeros(n, n)  # m times the last shift, zero before the first step
     for k in range(1, n + 1):
-        c = coeffs[n - k + 1]
-        mk = Matrix._of(tuple(row[:i] + (row[i] + c,) + row[i + 1:]
-                              for i, row in enumerate(prod.data)), n)
-        prod = m * mk
+        prod = m * _shift(prod, coeffs[n - k + 1])
         coeffs[n - k] = -prod.trace() / k
     return tuple(coeffs)
 

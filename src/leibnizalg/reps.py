@@ -32,6 +32,7 @@ from .algebra import InternalCheckError, LeibnizAlgebra
 from .linalg import (
     Matrix,
     _int_matrix,
+    _shift,
     _sparse,
     _sparse_combination,
     _sparse_matmul,
@@ -238,13 +239,7 @@ def restrict(rep: Representation, span: Subspace) -> Representation:
 
 def is_invariant(rep: Representation, w: Subspace) -> bool:
     """Both actions map the subspace into itself."""
-    if w.ambient_dim != rep.space_dim:
-        raise ValueError("subspace lives in the wrong ambient space")
-    for m in rep.action_matrices():
-        for v in w.basis.data:
-            if not w.contains(m.apply(v)):
-                return False
-    return True
+    return all(w.induced(m) is not None for m in rep.action_matrices())
 
 
 def module_restriction(rep: Representation, w: Subspace) -> Representation:
@@ -306,7 +301,7 @@ def _witness_candidates(rep: Representation) -> Iterator[Vector]:
         yield tuple(ONE if t == i else ZERO for t in range(d))
     for m in rep.action_matrices():
         for root in rational_roots(char_poly(m)):
-            yield from nullspace(m - Matrix.identity(d).scale(root)).basis.data
+            yield from nullspace(_shift(m, -root)).basis.data
 
 
 def sym_span(rep: Representation) -> Subspace:
@@ -314,9 +309,7 @@ def sym_span(rep: Representation) -> Subspace:
     rep._require_valid()
     vecs = []
     for j in range(rep.algebra.dim):
-        s = rep.left[j] + rep.right[j]
-        for c in range(rep.space_dim):
-            vecs.append(s.col(c))
+        vecs.extend((rep.left[j] + rep.right[j]).transpose().data)
     return Subspace.from_vectors(rep.space_dim, vecs)
 
 

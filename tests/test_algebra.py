@@ -593,6 +593,24 @@ def test_simplicity_survives_basis_change():
     assert alg.is_simple().value == "yes"
 
 
+def test_semisimple_quotients_have_nondegenerate_killing_forms():
+    # is_simple relies on this instead of checking the rank itself
+    from leibnizalg.sl2 import simple_ext_algebra
+    rng = random.Random(5507)
+    catalog = zoo() + [simple_ext_algebra(n) for n in range(5, 9)]
+    catalog += [direct_sum_algebra(sl2(), nilp2()), direct_sum_algebra(sl2(), sl2())]
+    semisimple = 0
+    for base in catalog:
+        for alg in [base] + [change_basis(base, random_invertible(rng, base.dim))
+                             for _ in range(2)]:
+            kernel = alg.leibniz_kernel()
+            if alg.radical() == kernel:
+                quo, _ = alg.quotient(kernel)
+                assert quo.killing_form().rank() == quo.dim
+                semisimple += 1
+    assert semisimple >= 21
+
+
 # -- direct sums and reports --
 
 def test_direct_sum_name_clash_suffixes():

@@ -2,12 +2,15 @@
 benchmark five-dimensional modules."""
 
 from fractions import Fraction
+import random
 
 import pytest
 import sympy
 
 from leibnizalg.algebra import abelian_algebra
 from leibnizalg.decompose import (
+    _poly_divide_out_root,
+    _primary_components,
     commutant,
     complete_reducibility_necessary,
     decompose,
@@ -16,7 +19,9 @@ from leibnizalg.decompose import (
     h_gap_positions,
     solve_lowering_left,
 )
-from leibnizalg.linalg import Matrix, Subspace
+from leibnizalg.linalg import (
+    Matrix, Subspace, minimal_polynomial, nullspace, poly_eval, rational_roots,
+)
 from leibnizalg.reps import (
     Representation, adjoint_rep, direct_sum, equivalence, irreducibility,
     module_restriction,
@@ -196,6 +201,72 @@ def test_rootless_commutant_reports_undetermined():
     assert result.verdict == "undetermined"
     assert result.obstruction == "commutant splitting found no rational idempotent"
     assert len(result.components) == 1
+
+
+# -- primary components against the power loop --
+
+def primary_by_powers(c):
+    """Reference: (c - aI)^e as e products for each rational root a, the
+    rootless leftover by Horner over dense products; one kernel each."""
+    d = c.rows
+    poly = list(minimal_polynomial(c))
+    pieces = []
+    for a in rational_roots(poly):
+        e = 0
+        while poly_eval(poly, a) == 0:
+            poly = _poly_divide_out_root(poly, a)
+            e += 1
+        acc = Matrix.identity(d)
+        for _ in range(e):
+            acc = acc * (c - Matrix.identity(d).scale(a))
+        pieces.append(nullspace(acc))
+    if len(poly) > 1:
+        acc = Matrix.zeros(d, d)
+        for coeff in reversed(poly):
+            acc = acc * c + Matrix.identity(d).scale(coeff)
+        pieces.append(nullspace(acc))
+    return pieces
+
+
+def block_diagonal(*blocks):
+    d = sum(b.rows for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        rows += [[Q(0)] * at + list(row) + [Q(0)] * (d - at - b.rows) for row in b.data]
+        at += b.rows
+    return Matrix(rows)
+
+
+def jordan(a, k):
+    return Matrix([[Q(a) if i == j else Q(i + 1 == j) for j in range(k)] for i in range(k)])
+
+
+def test_primary_components_match_the_power_loop():
+    rotation = mat([[0, -1], [1, 0]])  # t^2 + 1, no rational root
+    cases = [
+        block_diagonal(jordan(3, 2), jordan(3, 1), jordan(Q(-1, 2), 3)),
+        block_diagonal(jordan(0, 3), rotation, jordan(2, 2)),
+        block_diagonal(rotation, mat([[0, 2], [1, 0]])),  # t^2 + 1 times t^2 - 2
+        block_diagonal(jordan(5, 1), jordan(5, 1), jordan(-5, 2), rotation),
+        jordan(7, 4),
+        mat([[1, 1], [0, 1]]),
+    ]
+    rng = random.Random(2718)
+    for base in list(cases):
+        d = base.rows
+        for _ in range(3):
+            while True:
+                p = Matrix([[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)])
+                if p.is_invertible():
+                    break
+            cases.append(p * base * p.inverse())
+    for c in cases:
+        pieces = _primary_components(c)
+        assert pieces == primary_by_powers(c)
+        assert sum(p.dim for p in pieces) == c.rows
+        assert all(p.dim > 0 and p.induced(c) is not None for p in pieces)
+    dims = [p.dim for p in _primary_components(cases[0])]
+    assert dims == [3, 3]  # roots -1/2 and 3, each with its full multiplicity
 
 
 # -- weight-gap bookkeeping --

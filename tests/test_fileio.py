@@ -1,9 +1,13 @@
 """File-format round trips and parse diagnostics."""
 
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leibnizalg import cli
 from leibnizalg.algebra import abelian_algebra, direct_sum_algebra
@@ -244,6 +248,124 @@ def test_rep_requires_positive_module_dim():
             del obj["module_dim"]
         with pytest.raises(ParseError, match="module_dim"):
             parse_rep(json.dumps(obj))
+
+
+def test_module_dim_is_bounded(tmp_path, capsys):
+    def zero_module(d):
+        zero = [["0"] * d for _ in range(d)]
+        return {"algebra": {"basis": ["a"]}, "module_dim": d,
+                "rho": {"a": zero}, "lambda": {"a": zero}}
+
+    assert parse_rep(json.dumps(zero_module(MAX_DIM))).space_dim == MAX_DIM
+    with pytest.raises(ParseError, match=f"module_dim: more than {MAX_DIM}"):
+        parse_rep(json.dumps(zero_module(MAX_DIM + 1)))
+    path = tmp_path / "big.rep.json"
+    path.write_text(json.dumps(zero_module(MAX_DIM + 1)))
+    code = cli.run_command(["rep", "check", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", f"error: module_dim: more than {MAX_DIM}\n")
+
+
+def deeply_nested(depth):
+    return "[" * depth + "]" * depth
+
+
+@pytest.mark.parametrize("command, text", [
+    (["check"], "[" * 200_000),
+    (["rep", "check"], "[" * 200_000),
+    (["check"], '{"basis": ["a"], "brackets": ' + deeply_nested(100_000) + "}"),
+    (["rep", "check"], '{"algebra": {"basis": ["a"]}, "module_dim": 1, "rho": {"a": [["0"]]}, '
+                       '"lambda": {"a": ' + deeply_nested(100_000) + "}}"),
+], ids=["bare-algebra", "bare-rep", "brackets", "lambda"])
+def test_deeply_nested_json_fails_cleanly(tmp_path, capsys, command, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code = cli.run_command([*command, str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", "error: top level: values are nested too deeply\n")
+
+
+# -- fuzz: any file gives exit code 0 or 1 and no exception --
+
+_KEYS = st.sampled_from(["basis", "brackets", "left", "right", "result", "dim", "name",
+                         "algebra", "module_dim", "rho", "lambda", "a", "b"])
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+            | st.sampled_from(["a", "b", "", "0", "1/2", "-3", "1/0", "x"]))
+_ANY = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=6),
+    max_leaves=12)
+
+
+def _mostly(good, bad=_ANY):
+    """Well-formed values seven times in eight, so the fuzz gets past the top level."""
+    return st.sampled_from([good] * 7 + [bad]).flatmap(lambda strategy: strategy)
+
+
+# values shaped like the two file formats
+_LABEL = st.sampled_from(["a", "b", "c"])
+_RATIONAL = _mostly(st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/4"]), _SCALARS)
+_ALGEBRA = st.fixed_dictionaries(
+    {"basis": _mostly(st.lists(_LABEL, min_size=1, max_size=3, unique=True)),
+     "brackets": _mostly(st.lists(st.fixed_dictionaries(
+         {"left": _mostly(_LABEL), "right": _mostly(_LABEL),
+          "result": _mostly(st.dictionaries(_LABEL, _RATIONAL, max_size=3))}), max_size=6))},
+    optional={"dim": _mostly(st.integers(1, 3)), "name": _mostly(st.text(max_size=3))})
+
+
+@st.composite
+def _rep(draw):
+    labels = draw(st.lists(_LABEL, min_size=1, max_size=2, unique=True))
+    d = draw(st.integers(1, 3))
+    matrix = st.lists(st.lists(_RATIONAL, min_size=d, max_size=d), min_size=d, max_size=d)
+    block = st.fixed_dictionaries({b: _mostly(matrix) for b in labels})
+    obj = {"algebra": draw(_mostly(st.just({"basis": labels}), _ALGEBRA | _ANY)),
+           "module_dim": draw(_mostly(st.just(d), st.integers(-2, 2 * MAX_DIM) | _ANY)),
+           "rho": draw(_mostly(block)), "lambda": draw(_mostly(block))}
+    if draw(st.booleans()):
+        obj["name"] = draw(_mostly(st.text(max_size=3)))
+    return obj
+
+
+def _run_on(data: bytes, commands) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/input.json"
+        with open(path, "wb") as fh:
+            fh.write(data)
+        for command in commands:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = cli.run_command([*command, path])
+            assert code in (0, 1)
+            if code == 1:
+                assert err.getvalue().startswith("error: ")
+
+
+_FUZZ = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+@_FUZZ
+@given(value=_ANY)
+def test_parser_fuzz_on_json_values(value):
+    _run_on(json.dumps(value).encode(), [["check"], ["rep", "check"]])
+
+
+@_FUZZ
+@given(value=_ALGEBRA)
+def test_parser_fuzz_on_algebra_shaped_values(value):
+    _run_on(json.dumps(value).encode(), [["check"]])
+
+
+@_FUZZ
+@given(value=_rep())
+def test_parser_fuzz_on_rep_shaped_values(value):
+    _run_on(json.dumps(value).encode(), [["rep", "check"]])
+
+
+@_FUZZ
+@given(data=st.binary(max_size=200))
+def test_parser_fuzz_on_bytes(data):
+    _run_on(data, [["check"], ["rep", "check"]])
 
 
 def test_rep_matrix_block_validation():

@@ -15,6 +15,8 @@ from leibnizalg.linalg import (
     Echelon,
     _axiom_rows,
     _dense,
+    _poly_at,
+    _shift,
     Matrix,
     Subspace,
     char_poly,
@@ -535,3 +537,85 @@ def test_subspace_pivots_are_kept_outside_the_fields():
     assert s.reduce((1, 1, 1, 1)) == (1, 0, QQ(1, 2), 0)
     assert s.coordinates_of((0, 2, 1, 5)) == (2, 5)
     assert Subspace.zero(3).pivots == () and Subspace.full(2).pivots == (0, 1)
+
+
+# ---- the one invariance test and the matrix polynomials ----
+
+
+def induced_by_coordinates(w: Subspace, m: Matrix):
+    """Reference for Subspace.induced: the coordinates of m v for each basis
+    vector v, one dense product at a time."""
+    cols = []
+    for v in w.basis.data:
+        coords = w.coordinates_of(m.apply(v))
+        if coords is None:
+            return None
+        cols.append(coords)
+    return Matrix([[col[t] for col in cols] for t in range(w.dim)], cols=w.dim)
+
+
+def random_rational_vectors(rng: random.Random, count: int, n: int) -> list:
+    return [random_matrix(rng, 1, n).row(0) for _ in range(count)]
+
+
+def spun(m: Matrix, seeds) -> Subspace:
+    """Span of the seeds and their images under every power of m."""
+    vecs, frontier = list(seeds), list(seeds)
+    for _ in range(m.rows):
+        frontier = [m.apply(v) for v in frontier]
+        vecs += frontier
+    return Subspace.from_vectors(m.rows, vecs)
+
+
+def test_induced_matches_the_coordinate_reference():
+    rng = random.Random(6151)
+    invariant = proper_invariant = outside = 0
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        k = rng.randint(1, n)
+        # p b p^-1 with b block upper triangular keeps the span of the
+        # first k columns of p invariant
+        b = random_matrix(rng, n, n)
+        b = Matrix([[0 if i >= k and j < k else x for j, x in enumerate(row)]
+                    for i, row in enumerate(b.data)])
+        p = random_matrix(rng, n, n)
+        if not p.is_invertible():
+            continue
+        m = p * b * p.inverse()
+        if rng.random() < 0.3:  # sparse matrices take the zero-skipping paths
+            m = Matrix([[x if rng.random() < 0.4 else 0 for x in row] for row in m.data])
+        seeds = random_rational_vectors(rng, rng.randint(1, n), n)
+        cases = [Subspace.zero(n), Subspace.full(n),
+                 Subspace.from_vectors(n, seeds),  # rarely invariant
+                 Subspace.from_vectors(n, [p.col(j) for j in range(k)]),
+                 spun(m, seeds[:1])]
+        for w in cases:
+            expected = induced_by_coordinates(w, m)
+            assert w.induced(m) == expected
+            if expected is None:
+                outside += 1
+            else:
+                invariant += 1
+                proper_invariant += 0 < w.dim < n
+                assert expected.rows == expected.cols == w.dim
+    assert invariant > 200 and proper_invariant > 30 and outside > 30
+
+
+def test_induced_rejects_a_matrix_of_the_wrong_shape():
+    m = Matrix([[1, 2], [3, 4]])
+    for w in (Subspace.zero(3), Subspace.from_vectors(3, [[1, 0, 0]]), Subspace.full(3)):
+        for bad in (m, Matrix.identity(4), Matrix.zeros(3, 2), Matrix.zeros(2, 3)):
+            with pytest.raises(ValueError, match="does not act on"):
+                w.induced(bad)
+
+
+def test_poly_at_matches_the_sum_of_powers():
+    rng = random.Random(4242)
+    for _ in range(40):
+        n = rng.randint(0, 5)
+        m = random_matrix(rng, n, n)
+        coeffs = [QQ(rng.randint(-5, 5), rng.randint(1, 4))
+                  for _ in range(rng.randint(0, 6))]
+        assert _poly_at(coeffs, m) == mat_poly(coeffs, m)
+        c = coeffs[0] if coeffs else QQ(-7, 3)
+        assert _shift(m, c) == m + Matrix.identity(n).scale(c)

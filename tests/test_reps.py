@@ -276,6 +276,35 @@ def test_spin_submodule_frozen():
             assert spin_submodule(rep, seeds) == spin_by_fixed_point(rep, seeds)
 
 
+def test_is_invariant_agrees_with_induced_on_catalog_submodules():
+    rng = random.Random(6007)
+    sums = [direct_sum(ladder_rep(1, v), ladder_rep(2, v))
+            for v in ("zero_lambda", "anti_symmetric")]
+    sums += [direct_sum(ladder_rep(2, "anti_symmetric"), ladder_rep(2, "anti_symmetric")),
+             adjoint_rep(ext5())]
+    seen = {True: 0, False: 0}
+    for rep in sums + [conjugate_rep(r, random_invertible(rng, r.space_dim)) for r in sums]:
+        d = rep.space_dim
+        mats = rep.action_matrices()
+        subs = [spin_submodule(rep, [tuple(F(t == i) for t in range(d))]) for i in range(d)]
+        subs += [spin_submodule(rep, [tuple(F(rng.randint(-2, 2)) for _ in range(d))])
+                 for _ in range(2)]
+        subs += [Subspace.from_vectors(d, [tuple(F(rng.randint(-2, 2), rng.randint(1, 3))
+                                                 for _ in range(d)) for _ in range(k)])
+                 for k in range(1, d)]
+        for w in subs:
+            verdict = is_invariant(rep, w)
+            assert verdict == all(w.induced(m) is not None for m in mats)
+            # the dense formulation: every image of every basis vector stays inside
+            assert verdict == all(w.contains(m.apply(v)) for m in mats for v in w.basis.data)
+            if verdict:
+                assert module_restriction(rep, w).space_dim == w.dim
+            seen[verdict] += 1
+        with pytest.raises(ValueError):
+            is_invariant(rep, Subspace.full(d + 1))
+    assert seen[True] > 30 and seen[False] > 30
+
+
 def test_sym_span_frozen():
     assert sym_span(ladder_rep(2, "anti_symmetric")).is_zero()
     assert sym_span(ladder_rep(2, "zero_lambda")).is_full()
