@@ -5,6 +5,14 @@ no tolerances, no floating point. Matrices are immutable and dense;
 subspaces are kept in reduced row echelon form, which makes equality of
 subspaces structural.
 
+Computation runs on one sparse form, the matrix `row -> {col: x}` with no
+zero entry and no empty row stored. `_rows_of` is the one reader of a dense
+Matrix into it and `_matrix_of` the one writer back. It has one product,
+`_sparse_matmul`, behind `Matrix * Matrix`, and one linear combination,
+`_sparse_combination`, behind `linear_combination`. `_int_matrix` scales
+it to integers for the module axiom check in `reps`; the tail quadratics
+in `sl2` multiply in it.
+
 All elimination runs on one sparse, fraction-free kernel, `Echelon`. Its
 rows are dicts from column to int: each input row has its denominators
 cleared once, rows are combined by integer cross-multiplication, and every
@@ -18,7 +26,7 @@ the solution with every free variable zero off the reduced form, for
 
 Linear equations in unknown matrices have one builder, `_axiom_rows`: the
 sparse rows of (X_0, ..., X_{u-1}) -> sum_t c_t X_t + X_i a - b X_i, read
-from the nonzero entries of a and b, and `_solutions` takes their kernel.
+from the sparse forms of a^T and b, and `_solutions` takes their kernel.
 The commutant and intertwiner systems (no c_t), the linearised pairing
 axioms in `sl2` (tail forcing and the left block over sl2),
 `decompose.solve_lowering_left` and the Sylvester equations of the Levi
@@ -26,17 +34,12 @@ correction all build their equations with it.
 
 Span closure has one routine on the same kernel, `_span_closure`: the
 smallest subspace that contains some seed rows and is closed under a list
-of linear maps given by their sparse columns, each scaled once to integers,
-grown breadth first from the images that enlarge it. `envelope_dimension` (X -> X g on flattened
-matrices), `reps.spin_submodule` (the action matrices) and
+of linear maps, each the sparse matrix `k -> {i: x}` of its columns and
+scaled once to integers, grown breadth first from the images that enlarge
+it. `envelope_dimension` (X -> X g on flattened matrices),
+`reps.spin_submodule` (the action matrices, read as `_rows_of(m^T)`) and
 `LeibnizAlgebra.ideal_closure` (right and left multiplications read from
-the structure constants) call it.
-
-Sparse matrices `row -> {col: x}`, with no zero entry and no empty row
-stored, have a product `_sparse_matmul` and a linear combination
-`_sparse_combination`; `_int_matrix` scales a Matrix to that form with
-integer entries. The module axiom check in `reps` and the tail quadratics
-in `sl2` use them.
+the integer structure constants) call it.
 """
 
 from __future__ import annotations
@@ -79,14 +82,8 @@ def is_zero_vec(a: Vector) -> bool:
 def linear_combination(coeffs: Sequence, mats: Sequence["Matrix"],
                        rows: int, cols: int) -> "Matrix":
     """Sum of c * m over paired coefficients and rows x cols matrices."""
-    acc = [[ZERO] * cols for _ in range(rows)]
-    for c, m in zip(coeffs, mats):
-        if c:
-            for arow, mrow in zip(acc, m.data):
-                for j, x in enumerate(mrow):
-                    if x:
-                        arow[j] += c * x
-    return Matrix(acc, cols=cols)
+    return _matrix_of(_sparse_combination(
+        (c, _rows_of(m)) for c, m in zip(coeffs, mats) if c), rows, cols)
 
 
 class Matrix:
@@ -163,7 +160,11 @@ class Matrix:
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
-            return self._matmul(other)
+            if self.cols != other.rows:
+                raise ValueError(
+                    f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+            return _matrix_of(_sparse_matmul(_rows_of(self), _rows_of(other)),
+                              self.rows, other.cols)
         return self.scale(_frac(other))
 
     def __rmul__(self, other):
@@ -176,22 +177,6 @@ class Matrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError(
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-
-    def _matmul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        width = other.cols
-        nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
-        out = []
-        for row in self.data:
-            acc = [ZERO] * width
-            for a, orow in zip(row, nonzero):
-                if a:
-                    for j, b in orow:
-                        acc[j] += a * b
-            out.append(tuple(acc))
-        return Matrix._of(tuple(out), width)
 
     def apply(self, v: Vector) -> Vector:
         """Matrix times column vector."""
@@ -235,7 +220,7 @@ class Matrix:
         return self.rows == self.cols
 
     def rank(self) -> int:
-        return _eliminate(_rows_of(self), self.cols).dim
+        return _eliminate(_rows_of(self).values(), self.cols).dim
 
     def is_invertible(self) -> bool:
         return self.is_square() and self.rank() == self.rows
@@ -244,9 +229,8 @@ class Matrix:
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        aug = _rows_of(self)
-        for i, row in enumerate(aug):
-            row[n + i] = ONE
+        rows = _rows_of(self)
+        aug = [{**rows.get(i, {}), n + i: ONE} for i in range(n)]
         reduced = _eliminate(aug, 2 * n).rref()
         if [p for p, _ in reduced] != list(range(n)):
             raise ValueError("matrix is singular")
@@ -302,8 +286,16 @@ def _sparse(values: Iterable, width: int) -> dict:
     return row
 
 
-def _rows_of(m: Matrix) -> list[dict]:
-    return [{j: x for j, x in enumerate(row) if x} for row in m.data]
+def _rows_of(m: Matrix) -> dict:
+    """m as a sparse matrix row -> {col: x}, with no zero entry and no empty
+    row stored: the one reader of a dense Matrix."""
+    rows = ((r, {c: x for c, x in enumerate(row) if x}) for r, row in enumerate(m.data))
+    return {r: row for r, row in rows if row}
+
+
+def _matrix_of(s: dict, rows: int, cols: int) -> Matrix:
+    """The rows x cols Matrix of a sparse matrix row -> {col: x}."""
+    return Matrix._of(tuple(_dense(s.get(r, {}), cols) for r in range(rows)), cols)
 
 
 def _dense(row: dict, width: int) -> Vector:
@@ -403,7 +395,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
     Zero rows sink to the bottom; the result has the same shape as m.
     """
-    reduced = _eliminate(_rows_of(m), m.cols).rref()
+    reduced = _eliminate(_rows_of(m).values(), m.cols).rref()
     rows = [_dense(row, m.cols) for _, row in reduced]
     rows.extend([vzero(m.cols)] * (m.rows - len(rows)))
     return Matrix(rows, cols=m.cols), tuple(p for p, _ in reduced)
@@ -411,7 +403,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 def nullspace(m: Matrix) -> "Subspace":
     """Kernel of m acting on column vectors, as a canonical Subspace."""
-    return _solutions(_rows_of(m), m.cols)
+    return _solutions(_rows_of(m).values(), m.cols)
 
 
 def _particular(rows: Iterable[dict], n: int) -> tuple[Vector | None, list]:
@@ -672,14 +664,13 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(sorted(roots))
 
 
-def _span_closure(seeds: Iterable[dict], maps: Sequence[Sequence[Sequence[tuple]]],
-                  width: int) -> Echelon:
+def _span_closure(seeds: Iterable[dict], maps: Sequence[dict], width: int) -> Echelon:
     """Echelon of the smallest subspace of QQ^width that contains the sparse
     seed rows and is closed under every map.
 
-    A map is given by its sparse columns: maps[t][k] lists the nonzero (i, x)
-    of the image of the k-th unit vector. A map in the span of the identity
-    and the maps before it cannot grow the closure and is dropped; the others
+    A map is the sparse matrix k -> {i: x} of its columns: maps[t][k] holds
+    the image of the k-th unit vector. A map in the span of the identity and
+    the maps before it cannot grow the closure and is dropped; the others
     are scaled once to primitive integer maps. The closure runs breadth
     first: every image that grows the span is queued, made primitive, and
     mapped in turn, until the queue is empty or the span is full. The queue
@@ -691,14 +682,13 @@ def _span_closure(seeds: Iterable[dict], maps: Sequence[Sequence[Sequence[tuple]
     spanned._add({k * width + k: 1 for k in range(width)})
     columns = []
     for cols in maps:
-        flat = {k * width + i: x for k, col in enumerate(cols) for i, x in col}
+        flat = {k * width + i: x for k, col in cols.items() for i, x in col.items()}
         if not spanned._add(flat):
             continue
-        flat = _integral(flat)
-        integral: list[list[tuple[int, int]]] = [[] for _ in range(width)]
-        for key, x in flat.items():
+        integral: dict[int, dict] = {}
+        for key, x in _integral(flat).items():
             k, i = divmod(key, width)
-            integral[k].append((i, x))
+            integral.setdefault(k, {})[i] = x
         columns.append(integral)
     ech = Echelon(width)
     queue = deque()
@@ -710,7 +700,7 @@ def _span_closure(seeds: Iterable[dict], maps: Sequence[Sequence[Sequence[tuple]
         for cols in columns:
             image: dict[int, int] = {}
             for k, a in v.items():
-                for i, x in cols[k]:
+                for i, x in cols.get(k, {}).items():
                     y = image.get(i, 0) + a * x
                     if y:
                         image[i] = y
@@ -732,11 +722,9 @@ def envelope_dimension(generators: Sequence[Matrix], dim: int) -> int:
     for g in generators:
         if g.rows != dim or g.cols != dim:
             raise ValueError("generator shape does not match the ambient dimension")
-    maps = []
-    for g in generators:
-        g_rows = [[(j, x) for j, x in enumerate(row) if x] for row in g.data]
-        maps.append([[(i * dim + j, x) for j, x in g_rows[k]]
-                     for i in range(dim) for k in range(dim)])
+    # column i*dim + k of X -> X g puts row k of g into row i
+    maps = [{i * dim + k: {i * dim + j: x for j, x in row.items()}
+             for i in range(dim) for k, row in _rows_of(g).items()} for g in generators]
     identity = {i * dim + i: ONE for i in range(dim)}
     return _span_closure([identity], maps, dim * dim).dim
 
@@ -758,15 +746,15 @@ def _axiom_rows(equations: Iterable[tuple], rows: int, cols: int) -> list[dict]:
         if a.rows != cols or a.cols != cols or b.rows != rows or b.cols != rows:
             raise ValueError("equation factors do not match the unknown shape")
         at = i * size
-        a_cols = [[(at + k, x) for k, x in enumerate(col) if x] for col in zip(*a.data)]
-        for r, b_row in enumerate(b.data):
+        a_cols, b_rows = _rows_of(a.transpose()), _rows_of(b)
+        for r in range(rows):
             # at entry (r, s), X_i a reads row r of X_i; the columns that
             # b X_i and the c_t X_t read are these offsets plus s
             base = r * cols
-            terms = [(at + k * cols, -x) for k, x in enumerate(b_row) if x]
+            terms = [(at + k * cols, -x) for k, x in b_rows.get(r, {}).items()]
             terms += [(t * size + base, c) for t, c in enumerate(coeffs) if c]
-            for s, a_col in enumerate(a_cols):
-                row = {base + k: x for k, x in a_col}
+            for s in range(cols):
+                row = {at + base + k: x for k, x in a_cols.get(s, {}).items()}
                 for c, x in terms:
                     c += s
                     y = row.get(c, 0) + x
@@ -781,12 +769,8 @@ def _axiom_rows(equations: Iterable[tuple], rows: int, cols: int) -> list[dict]:
 def _int_matrix(m: Matrix, den: int) -> dict:
     """den * m as a sparse integer matrix, row -> {col: int}, with no empty
     row stored; den must be a multiple of every denominator of m."""
-    out = {}
-    for r, row in enumerate(m.data):
-        srow = {c: x.numerator * (den // x.denominator) for c, x in enumerate(row) if x}
-        if srow:
-            out[r] = srow
-    return out
+    return {r: {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+            for r, row in _rows_of(m).items()}
 
 
 def _sparse_matmul(a: dict, b: dict) -> dict:

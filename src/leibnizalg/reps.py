@@ -32,6 +32,7 @@ from .algebra import InternalCheckError, LeibnizAlgebra
 from .linalg import (
     Matrix,
     _int_matrix,
+    _rows_of,
     _shift,
     _sparse,
     _sparse_combination,
@@ -259,8 +260,7 @@ def module_restriction(rep: Representation, w: Subspace) -> Representation:
 def spin_submodule(rep: Representation, seeds: Sequence[Sequence]) -> Subspace:
     """Smallest subspace containing the seeds and invariant under both actions."""
     d = rep.space_dim
-    maps = [[[(i, x) for i, x in enumerate(col) if x] for col in zip(*m.data)]
-            for m in rep.action_matrices()]
+    maps = [_rows_of(m.transpose()) for m in rep.action_matrices()]
     return _span_closure([_sparse(s, d) for s in seeds], maps, d).subspace()
 
 

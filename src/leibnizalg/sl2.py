@@ -18,8 +18,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import InternalCheckError, LeibnizAlgebra, algebra_from_brackets
-from .linalg import (Matrix, Subspace, _axiom_rows, _solutions, _sparse_matmul, nullspace,
-                     rational_roots)
+from .linalg import (Matrix, Subspace, _axiom_rows, _rows_of, _solutions, _sparse_matmul,
+                     nullspace, rational_roots)
 from .reps import Representation
 
 ZERO = Fraction(0)
@@ -229,8 +229,7 @@ def _tail_quadratic_matrices(basis_mats: list[list[Matrix]], nx: int) -> list[Ma
     p = len(basis_mats)
     dim = 2 * p
     half = Fraction(1, 2)
-    sparse = [[{r: {c: x for c, x in enumerate(row) if x} for r, row in enumerate(m.data)}
-               for m in mats] for mats in basis_mats]
+    sparse = [[_rows_of(m) for m in mats] for mats in basis_mats]
     grids: dict[tuple[int, int, int, int], tuple[dict, dict, dict]] = {}
 
     def add(grid: dict, u: int, v: int, x: Fraction) -> None:

@@ -22,8 +22,8 @@ from leibnizalg.algebra import (
     direct_sum_algebra,
 )
 from leibnizalg.fileio import MAX_DIM, frac_str, serialize_algebra
-from leibnizalg.linalg import (Matrix, Subspace, intertwiner_space, subspace_intersect,
-                              subspace_sum)
+from leibnizalg.linalg import (Matrix, Subspace, intertwiner_space, linear_combination,
+                              subspace_intersect, subspace_sum)
 
 F = Fraction
 
@@ -435,6 +435,33 @@ def test_simple_no_for_sl2_square():
     assert two.is_ideal(v.witness)
 
 
+def test_simple_yes_leaves_no_ideal_for_the_seeds():
+    # is_simple answers "yes" from its certificates without the seed search;
+    # here the search runs anyway and finds no proper ideal besides the
+    # kernel, and the left multiplications it leaves out vanish on the kernel
+    from leibnizalg.decompose import example_5_3
+    from leibnizalg.sl2 import simple_ext_algebra
+    rng = random.Random(9091)
+    catalog = zoo() + [simple_ext_algebra(n) for n in range(5, 8)] + [example_5_3()[0]]
+    catalog += [direct_sum_algebra(sl2(), sl2()), direct_sum_algebra(ext5(), ext5()),
+                direct_sum_algebra(ext5(), abelian_algebra(1))]
+    yes = 0
+    for base in catalog:
+        for alg in [base] + [change_basis(base, random_invertible(rng, base.dim))
+                             for _ in range(2)]:
+            if alg.is_simple().value != "yes":
+                continue
+            yes += 1
+            kernel, full = alg.leibniz_kernel(), alg.full_space()
+            for seed in alg._ideal_seed_candidates():
+                closure = alg.ideal_closure([seed])
+                assert closure in (kernel, full) or closure.is_zero(), base.name
+            for j in range(alg.dim):
+                left = kernel.induced(alg.left_mult_matrix_basis(j))
+                assert left is not None and left.is_zero(), base.name
+    assert yes == 18  # sl2, ext5, simple_ext(5..7) and example 5.3, three bases each
+
+
 # -- derivations --
 
 def test_derivations_frozen_dims():
@@ -500,9 +527,31 @@ def test_derivations_match_the_dense_rows():
         assert alg.derivations() == derivations_by_dense_rows(alg), alg.name
 
 
+def inn_ideal_by_commutators(alg) -> bool:
+    """Reference for check_inn_ideal: every [D, R_j] over a derivation basis is inner."""
+    der = alg.derivations()
+    inn = alg.inner_derivations()
+    if not der.contains_subspace(inn):
+        return False
+    n = alg.dim
+    for dflat in der.basis.data:
+        d = Matrix.from_flat(dflat, n, n)
+        for j in range(n):
+            r = alg.right_mult_matrix_basis(j)
+            if not inn.contains((d * r - r * d).flatten()):
+                return False
+    return True
+
+
 def test_inner_derivations_form_ideal():
-    for alg in [sl2(), nilp2(), solv2(), ext5(), abelian_algebra(2)]:
-        assert alg.check_inn_ideal(), alg.name
+    for alg in [sl2(), nilp2(), solv2(), ext5(), abelian_algebra(2), heisenberg()]:
+        assert alg.check_inn_ideal() is inn_ideal_by_commutators(alg) is True, alg.name
+        # the identity check_inn_ideal rests on: D R_j - R_j D = R_{D b_j}
+        rights = [alg.right_mult_matrix_basis(k) for k in range(alg.dim)]
+        for dflat in alg.derivations().basis.data:
+            d = Matrix.from_flat(dflat, alg.dim, alg.dim)
+            for j, r in enumerate(rights):
+                assert d * r - r * d == linear_combination(d.col(j), rights, alg.dim, alg.dim)
 
 
 # -- Levi complements --

@@ -15,6 +15,8 @@ from leibnizalg.linalg import (
     Echelon,
     _axiom_rows,
     _dense,
+    _matrix_of,
+    _rows_of,
     _poly_at,
     _shift,
     Matrix,
@@ -22,6 +24,7 @@ from leibnizalg.linalg import (
     char_poly,
     envelope_dimension,
     intertwiner_space,
+    linear_combination,
     matrix_commutant,
     minimal_polynomial,
     nullspace,
@@ -619,3 +622,74 @@ def test_poly_at_matches_the_sum_of_powers():
         assert _poly_at(coeffs, m) == mat_poly(coeffs, m)
         c = coeffs[0] if coeffs else QQ(-7, 3)
         assert _shift(m, c) == m + Matrix.identity(n).scale(c)
+
+
+# -- the one sparse form --
+
+def dense_product(a: Matrix, b: Matrix) -> Matrix:
+    """Reference for Matrix * Matrix: a dense accumulation loop."""
+    out = []
+    for row in a.data:
+        acc = [QQ(0)] * b.cols
+        for x, brow in zip(row, b.data):
+            for j, y in enumerate(brow):
+                acc[j] += x * y
+        out.append(acc)
+    return Matrix(out, cols=b.cols)
+
+
+def dense_combination(coeffs, mats, rows: int, cols: int) -> Matrix:
+    """Reference for linear_combination: a dense accumulation loop."""
+    acc = [[QQ(0)] * cols for _ in range(rows)]
+    for c, m in zip(coeffs, mats):
+        for arow, mrow in zip(acc, m.data):
+            for j, x in enumerate(mrow):
+                arow[j] += c * x
+    return Matrix(acc, cols=cols)
+
+
+def holey_matrix(rng: random.Random, rows: int, cols: int) -> Matrix:
+    """Random rational matrix with many zero entries and some zero rows and columns."""
+    zero_rows = {r for r in range(rows) if rng.random() < 0.3}
+    zero_cols = {c for c in range(cols) if rng.random() < 0.3}
+    return Matrix([[QQ(rng.randint(-3, 3), rng.randint(1, 3))
+                    if r not in zero_rows and c not in zero_cols and rng.random() < 0.6
+                    else QQ(0) for c in range(cols)] for r in range(rows)], cols=cols)
+
+
+def only_fractions(m: Matrix) -> bool:
+    return all(x.__class__ is Fraction for row in m.data for x in row)
+
+
+def test_product_and_combination_match_the_dense_loops():
+    rng = random.Random(6011)
+    shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (1, 1, 1), (1, 1, 1)]
+    shapes += [tuple(rng.randint(0, 5) for _ in range(3)) for _ in range(80)]
+    for r, k, c in shapes:
+        a, b = holey_matrix(rng, r, k), holey_matrix(rng, k, c)
+        prod = a * b
+        assert (prod.rows, prod.cols) == (r, c) and only_fractions(prod)
+        assert prod == dense_product(a, b)
+        mats = [holey_matrix(rng, r, c) for _ in range(rng.randint(0, 4))]
+        coeffs = [QQ(rng.randint(-2, 2), rng.randint(1, 2)) for _ in mats]
+        combo = linear_combination(coeffs, mats, r, c)
+        assert (combo.rows, combo.cols) == (r, c) and only_fractions(combo)
+        assert combo == dense_combination(coeffs, mats, r, c)
+        # entries that cancel come back as zeros
+        assert linear_combination([1, -1], [a, a], r, k) == Matrix.zeros(r, k)
+    with pytest.raises(ValueError, match="cannot multiply"):
+        Matrix.zeros(2, 3) * Matrix.zeros(2, 3)
+
+
+def test_rows_of_is_sparse_and_matrix_of_inverts_it():
+    rng = random.Random(6012)
+    shapes = [(0, 4), (4, 0), (1, 1), (3, 3)] + [(rng.randint(0, 6), rng.randint(0, 6))
+                                                 for _ in range(80)]
+    for r, c in shapes:
+        m = holey_matrix(rng, r, c)
+        s = _rows_of(m)
+        assert all(row and all(x != 0 for x in row.values()) for row in s.values())
+        assert sorted(s) == [i for i, row in enumerate(m.data) if any(row)]
+        assert all(m.entry(i, j) == x for i, row in s.items() for j, x in row.items())
+        assert _matrix_of(s, m.rows, m.cols) == m
+        assert _rows_of(Matrix.zeros(r, c)) == {}
