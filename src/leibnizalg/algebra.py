@@ -25,7 +25,10 @@ from .linalg import (
     _eliminate,
     _integral,
     _particular,
+    _rows_of,
     _sparse,
+    _sparse_combination,
+    _sparse_matmul,
     _span_closure,
     Subspace,
     Vector,
@@ -258,8 +261,8 @@ class LeibnizAlgebra:
         """Span of [u', w'] over basis pairs of the two subspaces."""
         self._require_valid()
         n = self.dim
-        us = [_integral(_sparse(a, n)) for a in u.basis.data]
-        ws = [_integral(_sparse(b, n)) for b in w.basis.data]
+        us = [_integral(a) for a in u.rows.values()]
+        ws = [_integral(b) for b in w.rows.values()]
         return _eliminate((self._product(a, b) for a in us for b in ws), n).subspace()
 
     def full_space(self) -> Subspace:
@@ -323,14 +326,9 @@ class LeibnizAlgebra:
         table = [[u.coordinates_of(self.bracket(a, b)) for b in rows] for a in rows]
         if any(coords is None for row in table for coords in row):
             raise InternalCheckError("closed subspace failed coordinate extraction")
-        names = []
-        for a in range(u.dim):
-            row = u.basis.row(a)
-            unit_at = [t for t, x in enumerate(row) if x != 0]
-            if len(unit_at) == 1 and row[unit_at[0]] == 1:
-                names.append(self.basis_names[unit_at[0]])
-            else:
-                names.append(f"u{a}")
+        # an RREF row with one entry is the unit vector at its pivot
+        names = [self.basis_names[p] if len(u.rows[a]) == 1 else f"u{a}"
+                 for a, p in enumerate(u.pivots)]
         return LeibnizAlgebra(names, table)
 
     # -- series --
@@ -561,11 +559,10 @@ class LeibnizAlgebra:
         particular, _ = _particular(rows, q * r)
         if particular is None:
             raise InternalCheckError("Levi correction system is unsolvable")
-        basis = [list(row) for row in
-                 (Matrix.from_flat(particular, q, r) * kernel.basis).data]
-        for a, c in enumerate(comp):
-            basis[a][c] += ONE
-        levi = Subspace.from_vectors(self.dim, basis)
+        section = {a: {c: ONE} for a, c in enumerate(comp)}
+        correction = _sparse_matmul(_rows_of(Matrix.from_flat(particular, q, r)), kernel.rows)
+        levi = _eliminate(_sparse_combination([(1, section), (1, correction)]).values(),
+                          self.dim).subspace()
         if levi.dim != q:
             raise InternalCheckError("Levi complement has wrong dimension")
         if not subspace_intersect(levi, kernel).is_zero():

@@ -131,11 +131,9 @@ def _cmd_simple(args):
 
 def _cmd_derivations(args):
     alg = _load_algebra(args.file)
-    return {
-        "derivation_dim": alg.derivations().dim,
-        "inner_dim": alg.inner_derivations().dim,
-        "inner_is_ideal": alg.check_inn_ideal(),
-    }
+    der, inner = alg.derivations(), alg.inner_derivations()
+    return {"derivation_dim": der.dim, "inner_dim": inner.dim,
+            "inner_is_ideal": der.contains_subspace(inner)}
 
 
 def _cmd_levi(args):

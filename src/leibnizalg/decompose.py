@@ -16,9 +16,9 @@ from typing import NamedTuple
 
 from .algebra import InternalCheckError, LeibnizAlgebra, algebra_from_brackets
 from .linalg import (
-    Matrix, Subspace, _axiom_rows, _poly_at, _solutions, linear_combination,
-    matrix_commutant, minimal_polynomial, nullspace, poly_eval, rational_roots,
-    subspace_intersect, subspace_sum,
+    Matrix, Subspace, _axiom_rows, _eliminate, _poly_at, _solutions, _sparse_matmul,
+    linear_combination, matrix_commutant, minimal_polynomial, nullspace, poly_eval,
+    rational_roots, subspace_intersect,
 )
 from .reps import (
     Representation, adjoint_rep, direct_sum, is_invariant, module_restriction,
@@ -133,7 +133,11 @@ def _try_split(rep: Representation) -> list[Subspace] | None:
 
 def _lift(sub: Subspace, piece: Subspace) -> Subspace:
     """Rewrite a subspace given in piece coordinates as an ambient subspace."""
-    return Subspace.from_vectors(piece.ambient_dim, (sub.basis * piece.basis).data)
+    # both are reduced, so the product of their rows is: row k has pivot
+    # piece.pivots[sub.pivots[k]] and is 0 at every other product pivot
+    rows = _sparse_matmul(sub.rows, piece.rows)
+    return Subspace._of(piece.ambient_dim,
+                        [(piece.pivots[p], rows[k]) for k, p in enumerate(sub.pivots)])
 
 
 def decompose(rep: Representation) -> DecompositionResult:
@@ -183,14 +187,10 @@ def decompose(rep: Representation) -> DecompositionResult:
 
 def _verify_partition(rep: Representation, leaves: list[Subspace]) -> None:
     d = rep.space_dim
-    total = Subspace.zero(d)
-    dims = 0
-    for piece in leaves:
-        if not is_invariant(rep, piece):
-            raise InternalCheckError("component is not invariant")
-        total = subspace_sum(total, piece)
-        dims += piece.dim
-    if dims != d or not total.is_full():
+    if not all(is_invariant(rep, piece) for piece in leaves):
+        raise InternalCheckError("component is not invariant")
+    total = _eliminate([row for piece in leaves for row in piece.rows.values()], d)
+    if sum(piece.dim for piece in leaves) != d or total.dim != d:
         raise InternalCheckError("components do not partition the module")
     for i in range(len(leaves)):
         for j in range(i + 1, len(leaves)):

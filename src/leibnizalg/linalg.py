@@ -1,9 +1,7 @@
 """Exact linear algebra over the rationals.
 
 Everything here works with fractions.Fraction entries, so results are exact:
-no tolerances, no floating point. Matrices are immutable and dense;
-subspaces are kept in reduced row echelon form, which makes equality of
-subspaces structural.
+no tolerances, no floating point. Matrices are immutable and dense.
 
 Computation runs on one sparse form, the matrix `row -> {col: x}` with no
 zero entry and no empty row stored. `_rows_of` is the one reader of a dense
@@ -11,18 +9,22 @@ Matrix into it and `_matrix_of` the one writer back. It has one product,
 `_sparse_matmul`, behind `Matrix * Matrix`, and one linear combination,
 `_sparse_combination`, behind `linear_combination`. `_int_matrix` scales
 it to integers for the module axiom check in `reps`; the tail quadratics
-in `sl2` multiply in it.
+in `sl2` multiply in it. A Subspace lives in it too: it keeps the rows of
+its reduced row echelon form and their pivots, which makes equality of
+subspaces structural; its dense `basis` is a view built on first access.
 
 All elimination runs on one sparse, fraction-free kernel, `Echelon`. Its
 rows are dicts from column to int: each input row has its denominators
 cleared once, rows are combined by integer cross-multiplication, and every
 row is divided by the gcd of its entries after each step. One division per
 pivot at the end gives the unique reduced row echelon form as Fraction
-rows. `rref`, `nullspace`, `solve`, `Subspace.from_vectors`, `Matrix.rank`,
-`Matrix.inverse` and `minimal_polynomial` all run on it. An inhomogeneous
-system keeps its right-hand side as one more column; `_particular` reads
-the solution with every free variable zero off the reduced form, for
-`solve` and for `LeibnizAlgebra.levi_subalgebra`.
+rows, which `Echelon.subspace` hands to a Subspace as they are. `rref`,
+`nullspace`, `solve`, `Subspace.from_vectors`, the sum and the (Zassenhaus)
+intersection of subspaces, `Matrix.rank`, `Matrix.inverse` and
+`minimal_polynomial` all run on it. An inhomogeneous system keeps its
+right-hand side as one more column; `_particular` reads the solution with
+every free variable zero off the reduced form, for `solve` and for
+`LeibnizAlgebra.levi_subalgebra`.
 
 Linear equations in unknown matrices have one builder, `_axiom_rows`: the
 sparse rows of (X_0, ..., X_{u-1}) -> sum_t c_t X_t + X_i a - b X_i, read
@@ -69,14 +71,6 @@ def _frac(x) -> Fraction:
 
 def vec(values: Iterable) -> Vector:
     return tuple(_frac(v) for v in values)
-
-
-def vzero(n: int) -> Vector:
-    return (ZERO,) * n
-
-
-def is_zero_vec(a: Vector) -> bool:
-    return all(x == 0 for x in a)
 
 
 def linear_combination(coeffs: Sequence, mats: Sequence["Matrix"],
@@ -359,9 +353,7 @@ class Echelon:
                 for p in sorted(done)]
 
     def subspace(self) -> "Subspace":
-        width = self.width
-        return Subspace(width, Matrix([_dense(row, width) for _, row in self.rref()],
-                                      cols=width))
+        return Subspace._of(self.width, self.rref())
 
 
 def _eliminate(rows: Iterable[dict], width: int) -> Echelon:
@@ -397,7 +389,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """
     reduced = _eliminate(_rows_of(m).values(), m.cols).rref()
     rows = [_dense(row, m.cols) for _, row in reduced]
-    rows.extend([vzero(m.cols)] * (m.rows - len(rows)))
+    rows.extend([(ZERO,) * m.cols] * (m.rows - len(rows)))
     return Matrix(rows, cols=m.cols), tuple(p for p, _ in reduced)
 
 
@@ -431,7 +423,7 @@ def solve(a: Matrix, b: Vector) -> tuple[Vector | None, "Subspace"]:
         raise ValueError("right hand side length does not match row count")
     n = a.cols
     if not a.rows:
-        return vzero(n), Subspace.full(n)
+        return (ZERO,) * n, Subspace.full(n)
     x, reduced = _particular(
         [_sparse((*row, bv), n + 1) for row, bv in zip(a.data, b)], n)
     # with the last column dropped, this is the reduced form of a
@@ -440,46 +432,63 @@ def solve(a: Matrix, b: Vector) -> tuple[Vector | None, "Subspace"]:
 
 
 class Subspace:
-    """Subspace of QQ^n, stored as an RREF basis with no zero rows.
-
+    """Subspace of QQ^n, stored as the sparse rows {col: x} of its reduced
+    row echelon form, with no zero row; row k is 1 at its pivot, pivots[k].
     The stored form is canonical, so two Subspace objects are equal exactly
-    when they describe the same subspace.
+    when they describe the same subspace. basis, the dense Matrix of the
+    rows, is a view built on first access.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "rows", "pivots", "_basis")
 
     def __init__(self, ambient_dim: int, basis: Matrix):
-        self.ambient_dim = ambient_dim
-        self.basis = basis
-        self.pivots = tuple(next(c for c, x in enumerate(row) if x) for row in basis.data)
+        """Subspace over basis, taken as it is: an RREF with no zero row."""
+        rows = _rows_of(basis)  # each row in column order: its first key is the pivot
+        self.ambient_dim, self.rows, self._basis = ambient_dim, rows, basis
+        self.pivots = tuple(next(iter(row)) for row in rows.values())
+
+    @staticmethod
+    def _of(ambient_dim: int, reduced: list[tuple[int, dict]]) -> "Subspace":
+        """Subspace over the (pivot, row) pairs of a reduced row echelon form."""
+        s = object.__new__(Subspace)
+        s.ambient_dim, s.pivots, s._basis = ambient_dim, tuple(p for p, _ in reduced), None
+        s.rows = {k: row for k, (_, row) in enumerate(reduced)}
+        return s
+
+    @property
+    def basis(self) -> Matrix:
+        if self._basis is None:
+            self._basis = _matrix_of(self.rows, self.dim, self.ambient_dim)
+        return self._basis
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Subspace:
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+        return self.ambient_dim == other.ambient_dim and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        # the column order inside an rref() row depends on the elimination
+        return hash((self.ambient_dim,
+                     tuple(tuple(sorted(row.items())) for row in self.rows.values())))
 
     def __repr__(self) -> str:
         return f"Subspace(ambient_dim={self.ambient_dim!r}, basis={self.basis!r})"
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        rows = [_sparse(v, ambient_dim) for v in vectors]
-        return _eliminate(rows, ambient_dim).subspace()
+        return _eliminate([_sparse(v, ambient_dim) for v in vectors], ambient_dim).subspace()
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace.from_vectors(ambient_dim, [])
+        return Subspace._of(ambient_dim, [])
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix.identity(ambient_dim))
+        return Subspace._of(ambient_dim, [(i, {i: ONE}) for i in range(ambient_dim)])
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.pivots)
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -487,69 +496,65 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
+    def _remainder(self, w: dict) -> dict:
+        """Remainder of a sparse vector after elimination against the rows:
+        w - sum_k w[pivots[k]] rows[k], since each row is 0 at the other pivots."""
+        terms = [(-w[p], {0: row}) for p, row in zip(self.pivots, self.rows.values()) if p in w]
+        return _sparse_combination([(1, {0: w}), *terms]).get(0, {})
+
     def reduce(self, v: Sequence) -> Vector:
         """Remainder of v after elimination against the basis."""
-        w = list(vec(v))
-        if len(w) != self.ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
-        for row, p in zip(self.basis.data, self.pivots):
-            f = w[p]
-            if f != 0:
-                for j, x in enumerate(row):
-                    if x != 0:
-                        w[j] -= f * x
-        return tuple(w)
+        return _dense(self._remainder(_sparse(v, self.ambient_dim)), self.ambient_dim)
 
     def contains(self, v: Sequence) -> bool:
-        return is_zero_vec(self.reduce(v))
+        return not self._remainder(_sparse(v, self.ambient_dim))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis.data)
+        if other.ambient_dim != self.ambient_dim:
+            raise ValueError("vector length does not match ambient dimension")
+        return not any(self._remainder(row) for row in other.rows.values())
 
     def coordinates_of(self, v: Sequence) -> Vector | None:
         """Coefficients of v in the RREF basis, None when v lies outside."""
-        w = vec(v)
-        if not self.contains(w):
+        w = _sparse(v, self.ambient_dim)
+        if self._remainder(w):
             return None
         # an RREF row is 1 at its own pivot and 0 at the others
-        return tuple(w[p] for p in self.pivots)
+        return tuple(w.get(p, ZERO) for p in self.pivots)
 
     def induced(self, m: Matrix) -> Matrix | None:
         """Matrix of m on this subspace, in coordinates of the RREF basis;
         None when m maps a basis vector out of the subspace. The package's
-        one invariance test: row k of basis * m^T is the image of basis row
+        one invariance test: row k of rows * m^T is the image of basis row
         k, whose coordinates can only be its entries at the pivots."""
         n = self.ambient_dim
         if m.rows != n or m.cols != n:
             raise ValueError(f"{m.rows}x{m.cols} matrix does not act on QQ^{n}")
-        images = self.basis * m.transpose()
-        coords = Matrix._of(tuple(tuple(row[p] for p in self.pivots)
-                                  for row in images.data), self.dim)
-        if coords * self.basis != images:
+        images = _sparse_matmul(self.rows, _rows_of(m.transpose()))
+        coords = {k: {t: row[p] for t, p in enumerate(self.pivots) if p in row}
+                  for k, row in images.items()}
+        if _sparse_matmul(coords, self.rows) != images:
             return None
-        return coords.transpose()
+        return _matrix_of(coords, self.dim, self.dim).transpose()
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return Subspace.from_vectors(
-        a.ambient_dim, list(a.basis.data) + list(b.basis.data))
+    return _eliminate([*a.rows.values(), *b.rows.values()], a.ambient_dim).subspace()
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the kernel of [A^T | -B^T]."""
+    """Intersection by Zassenhaus: the rows (u | u) over a and (v | 0) over b
+    span {(u + v | u)}, whose vectors with left half zero have u in both; the
+    reduced rows with pivot at least n span those, their right halves reduced."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     n = a.ambient_dim
-    ra, rb = a.dim, b.dim
-    if ra == 0 or rb == 0:
-        return Subspace.zero(n)
-    m = Matrix([[a.basis.entry(k, i) for k in range(ra)]
-                + [-b.basis.entry(k, i) for k in range(rb)]
-                for i in range(n)])
-    coeffs = Matrix([u[:ra] for u in nullspace(m).basis.data], cols=ra)
-    return Subspace.from_vectors(n, (coeffs * a.basis).data)
+    rows = [{**u, **{n + c: x for c, x in u.items()}} for u in a.rows.values()]
+    reduced = _eliminate(rows + list(b.rows.values()), 2 * n).rref()
+    return Subspace._of(n, [(p - n, {c - n: x for c, x in row.items()})
+                            for p, row in reduced if p >= n])
 
 
 # ---- polynomials ----

@@ -9,6 +9,7 @@ import sympy
 
 from leibnizalg.algebra import abelian_algebra
 from leibnizalg.decompose import (
+    _lift,
     _poly_divide_out_root,
     _primary_components,
     commutant,
@@ -322,3 +323,23 @@ def test_irreducibility_of_split_components():
     for comp in result.components:
         cut = module_restriction(rep, comp)
         assert irreducibility(cut).value == "abs_irreducible"
+
+
+def test_lift_matches_the_dense_product():
+    """_lift takes the product of two reduced forms as reduced; the reference
+    row-reduces the dense product of the bases."""
+    rng = random.Random(7013)
+
+    def span(n, k):
+        return Subspace.from_vectors(n, [[Q(rng.randint(-3, 3), rng.randint(1, 3))
+                                          for _ in range(n)] for _ in range(k)])
+
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        piece = span(n, rng.randint(0, n))
+        for sub in (span(piece.dim, rng.randint(0, piece.dim)), Subspace.zero(piece.dim),
+                    Subspace.full(piece.dim)):
+            lifted = _lift(sub, piece)
+            expected = Subspace.from_vectors(n, (sub.basis * piece.basis).data)
+            assert lifted == expected and lifted.pivots == expected.pivots
+            assert hash(lifted) == hash(expected) and lifted.basis == expected.basis

@@ -13,6 +13,7 @@ import sympy
 
 from leibnizalg.linalg import (
     Echelon,
+    _eliminate,
     _axiom_rows,
     _dense,
     _matrix_of,
@@ -693,3 +694,104 @@ def test_rows_of_is_sparse_and_matrix_of_inverts_it():
         assert all(m.entry(i, j) == x for i, row in s.items() for j, x in row.items())
         assert _matrix_of(s, m.rows, m.cols) == m
         assert _rows_of(Matrix.zeros(r, c)) == {}
+
+
+# -- the sparse Subspace --
+
+def dense_reduce(s: Subspace, v) -> tuple:
+    """Reference for Subspace.reduce: the dense elimination loop over the basis."""
+    w = list(vec(v))
+    for row, p in zip(s.basis.data, s.pivots):
+        f = w[p]
+        if f != 0:
+            for j, x in enumerate(row):
+                if x != 0:
+                    w[j] -= f * x
+    return tuple(w)
+
+
+def intersect_by_nullspace(a: Subspace, b: Subspace) -> Subspace:
+    """Reference for subspace_intersect: the kernel of [A^T | -B^T] gives the
+    coefficients of the common vectors in the basis of a."""
+    n, ra, rb = a.ambient_dim, a.dim, b.dim
+    if ra == 0 or rb == 0:
+        return Subspace.zero(n)
+    m = Matrix([[a.basis.entry(k, i) for k in range(ra)]
+                + [-b.basis.entry(k, i) for k in range(rb)] for i in range(n)])
+    coeffs = Matrix([u[:ra] for u in nullspace(m).basis.data], cols=ra)
+    return Subspace.from_vectors(n, (coeffs * a.basis).data)
+
+
+def subspace_pairs(rng: random.Random, n: int) -> list[tuple[Subspace, Subspace]]:
+    """Pairs over QQ^n: with the zero and the full subspace, random spans of
+    every dimension, sparse spans, and spans that share a random part."""
+    spans = [Subspace.zero(n), Subspace.full(n)]
+    spans += [Subspace.from_vectors(n, random_rational_vectors(rng, k, n)) for k in range(n + 1)]
+    spans += [Subspace.from_vectors(n, holey_matrix(rng, rng.randint(1, 3), n).data)
+              for _ in range(2)]
+    shared = random_rational_vectors(rng, rng.randint(1, max(1, n - 1)), n)
+    spans += [Subspace.from_vectors(n, shared + random_rational_vectors(rng, rng.randint(0, 2), n))
+              for _ in range(2)]
+    return [(a, b) for a in spans for b in spans]
+
+
+def test_reduce_and_intersect_match_the_dense_references():
+    rng = random.Random(7011)
+    proper = inside = outside = 0
+    for n in [0, 0, 1, 1] + [rng.randint(2, 6) for _ in range(14)]:
+        for a, b in subspace_pairs(rng, n):
+            meet = subspace_intersect(a, b)
+            expected = intersect_by_nullspace(a, b)
+            assert meet == expected and meet.pivots == expected.pivots
+            assert meet.basis == expected.basis
+            proper += 0 < meet.dim < min(a.dim, b.dim)
+            vectors = list(b.basis.data) + random_rational_vectors(rng, 2, n) + [(0,) * n]
+            for v in vectors:
+                remainder = a.reduce(v)
+                assert remainder == dense_reduce(a, v) and only_fractions(Matrix([remainder]))
+                assert a.contains(v) == (not any(remainder))
+                coords = a.coordinates_of(v)
+                if coords is None:
+                    outside += 1
+                else:
+                    inside += 1
+                    combo = [sum((c * row[j] for c, row in zip(coords, a.basis.data)), QQ(0))
+                             for j in range(n)]
+                    assert tuple(combo) == vec(v)
+            assert a.contains_subspace(b) == all(a.contains(v) for v in b.basis.data)
+            assert a.contains_subspace(meet) and b.contains_subspace(meet)
+    assert proper > 40 and inside > 400 and outside > 400
+    with pytest.raises(ValueError, match="ambient dimension"):
+        Subspace.full(3).contains_subspace(Subspace.full(2))
+    with pytest.raises(ValueError, match="ambient dimension"):
+        Subspace.full(3).reduce((1, 2))
+
+
+def test_subspace_form_ignores_the_spanning_vectors():
+    """Equality and hash do not depend on the order or the scaling of the
+    spanning vectors, nor on the constructor; basis is the view of rows."""
+    rng = random.Random(7012)
+    for n in [0, 1, 2] + [rng.randint(2, 6) for _ in range(40)]:
+        vectors = random_rational_vectors(rng, rng.randint(0, n + 1), n)
+        s = Subspace.from_vectors(n, vectors)
+        scales = [QQ(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)) for _ in vectors]
+        shuffled = [tuple(c * x for x in v)
+                    for c, v in zip(scales, rng.sample(vectors, len(vectors)))]
+        combos = [tuple(sum(x) for x in zip(*vectors[:k])) for k in range(2, len(vectors) + 1)]
+        ech = Echelon(n)
+        for v in reversed(shuffled + combos):
+            ech.insert(v)
+        forms = [s, Subspace.from_vectors(n, shuffled + combos), ech.subspace(),
+                 Subspace(n, s.basis), Subspace(n, Matrix(s.basis.data, cols=n))]
+        if s.is_full():
+            forms += [Subspace.full(n), Subspace(n, Matrix.identity(n))]
+        for f in forms:
+            assert f == s and hash(f) == hash(s) and f.pivots == s.pivots
+            assert f.basis == _matrix_of(f.rows, f.dim, n) == s.basis
+            assert (f.basis.rows, f.basis.cols) == (f.dim, n) and only_fractions(f.basis)
+            assert sorted(f.rows) == list(range(f.dim))
+            for p, row in zip(f.pivots, f.rows.values()):
+                assert row[p] == 1 and min(row) == p and all(x != 0 for x in row.values())
+                assert not set(row) & (set(f.pivots) - {p})
+        assert len(set(forms)) == 1
+        assert repr(forms[2]) == repr(s) == f"Subspace(ambient_dim={n}, basis={s.basis!r})"
