@@ -24,8 +24,8 @@ from .linalg import (
     _axiom_rows,
     _eliminate,
     _integral,
+    _matrix_of,
     _particular,
-    _rows_of,
     _sparse,
     _sparse_combination,
     _sparse_matmul,
@@ -232,11 +232,19 @@ class LeibnizAlgebra:
 
     def right_mult_matrix_basis(self, j: int) -> Matrix:
         """Matrix of v -> [v, b_j]."""
-        return Matrix([self._cell(i, j) for i in range(self.dim)]).transpose()
+        return self._mult_matrix(row[j] for row in self._int_table)
 
     def left_mult_matrix_basis(self, j: int) -> Matrix:
         """Matrix of v -> [b_j, v]."""
-        return Matrix([self._cell(j, i) for i in range(self.dim)]).transpose()
+        return self._mult_matrix(self._int_table[j])
+
+    def _mult_matrix(self, cells: Iterable[tuple]) -> Matrix:
+        """The matrix whose column i is the bracket with integer constants cells[i]."""
+        out: dict = {}
+        for i, cell in enumerate(cells):
+            for t, c in cell:
+                out.setdefault(t, {})[i] = Fraction(c, self._den)
+        return _matrix_of(out, self.dim, self.dim)
 
     # -- basic structure --
 
@@ -479,29 +487,34 @@ class LeibnizAlgebra:
                     right[q][r].append((s, c))
                 for r, c in nz[q][s]:
                     left[q][r].append((s, c))
+        # only a triple where nz[p][q], right[q][r] or left[p][r] is nonempty can
+        # give a nonzero row; sorted, the rows keep their (p, q, r) order
+        every = range(n)
+        triples = {(p, q, r) for p in every for q in every if nz[p][q] for r in every}
+        triples.update((p, q, r) for q in every for r in every if right[q][r] for p in every)
+        triples.update((p, q, r) for p in every for r in every if left[p][r] for q in every)
         rows = []
-        for p in range(n):
-            for q in range(n):
-                for r in range(n):
-                    row = {r * n + s: c for s, c in nz[p][q]}
-                    terms = [(s * n + p, c) for s, c in right[q][r]]
-                    terms += [(s * n + q, c) for s, c in left[p][r]]
-                    for col, c in terms:
-                        y = row.get(col, 0) - c
-                        if y:
-                            row[col] = y
-                        else:
-                            del row[col]
-                    if row:
-                        rows.append(row)
+        for p, q, r in sorted(triples):
+            row = {r * n + s: c for s, c in nz[p][q]}
+            terms = [(s * n + p, c) for s, c in right[q][r]]
+            terms += [(s * n + q, c) for s, c in left[p][r]]
+            for col, c in terms:
+                y = row.get(col, 0) - c
+                if y:
+                    row[col] = y
+                else:
+                    del row[col]
+            if row:
+                rows.append(row)
         return _solutions(rows, n * n)
 
     def inner_derivations(self) -> Subspace:
         """Span of the right multiplications, flattened row-major."""
         self._require_valid()
-        return Subspace.from_vectors(
-            self.dim ** 2,
-            [self.right_mult_matrix_basis(j).flatten() for j in range(self.dim)])
+        n = self.dim
+        mults = (self.right_mult_matrix_basis(j).nz for j in range(n))
+        return _eliminate(({r * n + c: x for r, row in m.items() for c, x in row.items()}
+                           for m in mults), n * n).subspace()
 
     def check_inn_ideal(self) -> bool:
         """Inner derivations form an ideal of the derivation Lie algebra.
@@ -560,7 +573,7 @@ class LeibnizAlgebra:
         if particular is None:
             raise InternalCheckError("Levi correction system is unsolvable")
         section = {a: {c: ONE} for a, c in enumerate(comp)}
-        correction = _sparse_matmul(_rows_of(Matrix.from_flat(particular, q, r)), kernel.rows)
+        correction = _sparse_matmul(Matrix.from_flat(particular, q, r).nz, kernel.rows)
         levi = _eliminate(_sparse_combination([(1, section), (1, correction)]).values(),
                           self.dim).subspace()
         if levi.dim != q:

@@ -1,17 +1,19 @@
 """Exact linear algebra over the rationals.
 
 Everything here works with fractions.Fraction entries, so results are exact:
-no tolerances, no floating point. Matrices are immutable and dense.
+no tolerances, no floating point. Matrices are immutable.
 
-Computation runs on one sparse form, the matrix `row -> {col: x}` with no
-zero entry and no empty row stored. `_rows_of` is the one reader of a dense
-Matrix into it and `_matrix_of` the one writer back. It has one product,
-`_sparse_matmul`, behind `Matrix * Matrix`, and one linear combination,
-`_sparse_combination`, behind `linear_combination`. `_int_matrix` scales
-it to integers for the module axiom check in `reps`; the tail quadratics
-in `sl2` multiply in it. A Subspace lives in it too: it keeps the rows of
-its reduced row echelon form and their pivots, which makes equality of
-subspaces structural; its dense `basis` is a view built on first access.
+There is one stored matrix form, the sparse matrix `row -> {col: x}` with
+no zero entry and no empty row. A Matrix keeps only its shape and these
+rows, `nz`; its dense rows, `data`, are a view built on each access, and
+`_matrix_of` wraps a sparse matrix as a Matrix as it is. The form has one
+product, `_sparse_matmul`, behind `Matrix * Matrix`, and one linear
+combination, `_sparse_combination`, behind `linear_combination`, the sum,
+difference and scaling of matrices and `_shift`. `_int_matrix` scales it to
+integers for the module axiom check in `reps`; the tail quadratics in `sl2`
+multiply in it. A Subspace lives in it too: it keeps the rows of its
+reduced row echelon form and their pivots, which makes equality of
+subspaces structural; its `basis` is the Matrix over those rows.
 
 All elimination runs on one sparse, fraction-free kernel, `Echelon`. Its
 rows are dicts from column to int: each input row has its denominators
@@ -39,7 +41,7 @@ smallest subspace that contains some seed rows and is closed under a list
 of linear maps, each the sparse matrix `k -> {i: x}` of its columns and
 scaled once to integers, grown breadth first from the images that enlarge
 it. `envelope_dimension` (X -> X g on flattened matrices),
-`reps.spin_submodule` (the action matrices, read as `_rows_of(m^T)`) and
+`reps.spin_submodule` (the action matrices, read as the rows of m^T) and
 `LeibnizAlgebra.ideal_closure` (right and left multiplications read from
 the integer structure constants) call it.
 """
@@ -76,20 +78,22 @@ def vec(values: Iterable) -> Vector:
 def linear_combination(coeffs: Sequence, mats: Sequence["Matrix"],
                        rows: int, cols: int) -> "Matrix":
     """Sum of c * m over paired coefficients and rows x cols matrices."""
-    return _matrix_of(_sparse_combination(
-        (c, _rows_of(m)) for c, m in zip(coeffs, mats) if c), rows, cols)
+    return _matrix_of(_sparse_combination((c, m.nz) for c, m in zip(coeffs, mats) if c),
+                      rows, cols)
 
 
 class Matrix:
-    """Immutable dense matrix over QQ."""
+    """Immutable matrix over QQ, stored in the sparse form: nz maps a row to
+    {col: x}, with no zero entry, no empty row and every x a Fraction. The
+    dense rows, data, are a view built on each access."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "nz")
 
-    def __init__(self, data: Sequence[Sequence], cols: int | None = None):
-        rows = tuple(tuple(_frac(x) for x in row) for row in data)
-        if rows:
-            width = len(rows[0])
-            for row in rows:
+    def __new__(cls, data: Sequence[Sequence], cols: int | None = None):
+        data = [tuple(row) for row in data]
+        if data:
+            width = len(data[0])
+            for row in data:
                 if len(row) != width:
                     raise ValueError("ragged rows in matrix")
             if cols is not None and cols != width:
@@ -97,29 +101,23 @@ class Matrix:
         else:
             # cols keeps the width of an empty matrix meaningful
             width = 0 if cols is None else cols
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "data", rows)
+        rows = ((r, _sparse(row, width)) for r, row in enumerate(data))
+        return _matrix_of({r: row for r, row in rows if row}, len(data), width)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
-    @staticmethod
-    def _of(data: tuple[Vector, ...], cols: int) -> "Matrix":
-        """Matrix over rows that are already tuples of Fraction, not re-coerced."""
-        m = object.__new__(Matrix)
-        object.__setattr__(m, "rows", len(data))
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "data", data)
-        return m
+    @property
+    def data(self) -> tuple[Vector, ...]:
+        return tuple(_dense(self.nz.get(r, {}), self.cols) for r in range(self.rows))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix([[ZERO] * cols for _ in range(rows)], cols=cols)
+        return _matrix_of({}, rows, cols)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return _matrix_of({i: {i: ONE} for i in range(n)}, n, n)
 
     @staticmethod
     def from_flat(flat: Sequence, rows: int, cols: int) -> "Matrix":
@@ -128,12 +126,16 @@ class Matrix:
         return Matrix([flat[i * cols:(i + 1) * cols] for i in range(rows)])
 
     def __eq__(self, other) -> bool:
+        # equal data: a matrix with no rows has no width to compare
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.data == other.data
+        return (self.rows == other.rows and self.nz == other.nz
+                and (self.cols == other.cols or not self.rows))
 
     def __hash__(self) -> int:
-        return hash(self.data)
+        # the column order inside a computed row depends on the computation
+        return hash((self.rows, self.cols if self.rows else 0,
+                     tuple(sorted((r, tuple(sorted(row.items()))) for r, row in self.nz.items()))))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
@@ -141,31 +143,28 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix([[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.data, other.data)])
+        return linear_combination((1, 1), (self, other), self.rows, self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix([[a - b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.data, other.data)])
+        return linear_combination((1, -1), (self, other), self.rows, self.cols)
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in row] for row in self.data])
+        return self.scale(-ONE)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-            return _matrix_of(_sparse_matmul(_rows_of(self), _rows_of(other)),
-                              self.rows, other.cols)
+            return _matrix_of(_sparse_matmul(self.nz, other.nz), self.rows, other.cols)
         return self.scale(_frac(other))
 
     def __rmul__(self, other):
         return self.scale(_frac(other))
 
     def scale(self, c: Fraction) -> "Matrix":
-        return Matrix([[c * a for a in row] for row in self.data])
+        return linear_combination((c,), (self,), self.rows, self.cols)
 
     def _same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -176,45 +175,43 @@ class Matrix:
         """Matrix times column vector."""
         if len(v) != self.cols:
             raise ValueError(f"vector length {len(v)} does not match {self.cols} columns")
-        out = []
-        for row in self.data:
-            s = ZERO
-            for a, x in zip(row, v):
-                if a != 0 and x != 0:
-                    s += a * x
-            out.append(s)
-        return tuple(out)
+        return tuple(sum((x * v[c] for c, x in self.nz.get(r, {}).items()), ZERO)
+                     for r in range(self.rows))
 
     def transpose(self) -> "Matrix":
-        return Matrix._of(tuple(zip(*self.data)) if self.rows else ((),) * self.cols,
-                          self.rows)
+        out: dict = {}
+        for r, row in self.nz.items():
+            for c, x in row.items():
+                out.setdefault(c, {})[r] = x
+        return _matrix_of(out, self.cols, self.rows)
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), ZERO)
+        return sum((row.get(r, ZERO) for r, row in self.nz.items()), ZERO)
 
+    # range(n)[i] checks an index and resolves a negative one, as data[i] would
     def row(self, i: int) -> Vector:
-        return self.data[i]
+        return _dense(self.nz.get(range(self.rows)[i], {}), self.cols)
 
     def col(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.data)
+        return tuple(self.entry(i, j) for i in range(self.rows))
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.data[i][j]
+        return self.nz.get(range(self.rows)[i], {}).get(range(self.cols)[j], ZERO)
 
     def flatten(self) -> Vector:
         """Row-major flattening, the convention used everywhere in this package."""
         return tuple(x for row in self.data for x in row)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not self.nz
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def rank(self) -> int:
-        return _eliminate(_rows_of(self).values(), self.cols).dim
+        return _eliminate(self.nz.values(), self.cols).dim
 
     def is_invertible(self) -> bool:
         return self.is_square() and self.rank() == self.rows
@@ -223,13 +220,22 @@ class Matrix:
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        rows = _rows_of(self)
-        aug = [{**rows.get(i, {}), n + i: ONE} for i in range(n)]
+        aug = [{**self.nz.get(i, {}), n + i: ONE} for i in range(n)]
         reduced = _eliminate(aug, 2 * n).rref()
         if [p for p, _ in reduced] != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix([[row.get(n + j, ZERO) for j in range(n)]
-                       for _, row in reduced])
+        return _matrix_of({i: {c - n: x for c, x in row.items() if c >= n}
+                           for i, (_, row) in enumerate(reduced)}, n, n)
+
+
+def _matrix_of(s: dict, rows: int, cols: int) -> Matrix:
+    """The rows x cols Matrix over a sparse matrix row -> {col: x} in the
+    stored form (no zero entry, no empty row, Fraction entries), taken as it is."""
+    m = object.__new__(Matrix)
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "nz", s)
+    return m
 
 
 # ---- the elimination kernel ----
@@ -280,16 +286,13 @@ def _sparse(values: Iterable, width: int) -> dict:
     return row
 
 
-def _rows_of(m: Matrix) -> dict:
-    """m as a sparse matrix row -> {col: x}, with no zero entry and no empty
-    row stored: the one reader of a dense Matrix."""
-    rows = ((r, {c: x for c, x in enumerate(row) if x}) for r, row in enumerate(m.data))
-    return {r: row for r, row in rows if row}
-
-
-def _matrix_of(s: dict, rows: int, cols: int) -> Matrix:
-    """The rows x cols Matrix of a sparse matrix row -> {col: x}."""
-    return Matrix._of(tuple(_dense(s.get(r, {}), cols) for r in range(rows)), cols)
+def _unflatten(row: dict, cols: int) -> dict:
+    """The sparse matrix whose row-major flattening is the sparse vector row."""
+    out: dict = {}
+    for k, x in row.items():
+        r, c = divmod(k, cols)
+        out.setdefault(r, {})[c] = x
+    return out
 
 
 def _dense(row: dict, width: int) -> Vector:
@@ -387,15 +390,14 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
     Zero rows sink to the bottom; the result has the same shape as m.
     """
-    reduced = _eliminate(_rows_of(m).values(), m.cols).rref()
-    rows = [_dense(row, m.cols) for _, row in reduced]
-    rows.extend([(ZERO,) * m.cols] * (m.rows - len(rows)))
-    return Matrix(rows, cols=m.cols), tuple(p for p, _ in reduced)
+    reduced = _eliminate(m.nz.values(), m.cols).rref()
+    return (_matrix_of(dict(enumerate(row for _, row in reduced)), m.rows, m.cols),
+            tuple(p for p, _ in reduced))
 
 
 def nullspace(m: Matrix) -> "Subspace":
     """Kernel of m acting on column vectors, as a canonical Subspace."""
-    return _solutions(_rows_of(m).values(), m.cols)
+    return _solutions(m.nz.values(), m.cols)
 
 
 def _particular(rows: Iterable[dict], n: int) -> tuple[Vector | None, list]:
@@ -424,8 +426,8 @@ def solve(a: Matrix, b: Vector) -> tuple[Vector | None, "Subspace"]:
     n = a.cols
     if not a.rows:
         return (ZERO,) * n, Subspace.full(n)
-    x, reduced = _particular(
-        [_sparse((*row, bv), n + 1) for row, bv in zip(a.data, b)], n)
+    x, reduced = _particular([{**a.nz.get(r, {}), n: bv} if bv else a.nz.get(r, {})
+                              for r, bv in enumerate(vec(b))], n)
     # with the last column dropped, this is the reduced form of a
     return x, _kernel([(p, {c: y for c, y in row.items() if c != n})
                        for p, row in reduced], n)
@@ -435,31 +437,29 @@ class Subspace:
     """Subspace of QQ^n, stored as the sparse rows {col: x} of its reduced
     row echelon form, with no zero row; row k is 1 at its pivot, pivots[k].
     The stored form is canonical, so two Subspace objects are equal exactly
-    when they describe the same subspace. basis, the dense Matrix of the
-    rows, is a view built on first access.
+    when they describe the same subspace. basis is the Matrix over the
+    rows, which shares them.
     """
 
-    __slots__ = ("ambient_dim", "rows", "pivots", "_basis")
+    __slots__ = ("ambient_dim", "rows", "pivots")
 
     def __init__(self, ambient_dim: int, basis: Matrix):
         """Subspace over basis, taken as it is: an RREF with no zero row."""
-        rows = _rows_of(basis)  # each row in column order: its first key is the pivot
-        self.ambient_dim, self.rows, self._basis = ambient_dim, rows, basis
-        self.pivots = tuple(next(iter(row)) for row in rows.values())
+        self.ambient_dim, self.rows = ambient_dim, dict(sorted(basis.nz.items()))
+        # a computed row need not be in column order: its pivot is its least column
+        self.pivots = tuple(min(row) for row in self.rows.values())
 
     @staticmethod
     def _of(ambient_dim: int, reduced: list[tuple[int, dict]]) -> "Subspace":
         """Subspace over the (pivot, row) pairs of a reduced row echelon form."""
         s = object.__new__(Subspace)
-        s.ambient_dim, s.pivots, s._basis = ambient_dim, tuple(p for p, _ in reduced), None
+        s.ambient_dim, s.pivots = ambient_dim, tuple(p for p, _ in reduced)
         s.rows = {k: row for k, (_, row) in enumerate(reduced)}
         return s
 
     @property
     def basis(self) -> Matrix:
-        if self._basis is None:
-            self._basis = _matrix_of(self.rows, self.dim, self.ambient_dim)
-        return self._basis
+        return _matrix_of(self.rows, self.dim, self.ambient_dim)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Subspace:
@@ -530,7 +530,7 @@ class Subspace:
         n = self.ambient_dim
         if m.rows != n or m.cols != n:
             raise ValueError(f"{m.rows}x{m.cols} matrix does not act on QQ^{n}")
-        images = _sparse_matmul(self.rows, _rows_of(m.transpose()))
+        images = _sparse_matmul(self.rows, m.transpose().nz)
         coords = {k: {t: row[p] for t, p in enumerate(self.pivots) if p in row}
                   for k, row in images.items()}
         if _sparse_matmul(coords, self.rows) != images:
@@ -589,7 +589,7 @@ def minimal_polynomial(m: Matrix) -> Poly:
     for k in range(n + 1):
         if k:
             power = power * m
-        row = {c: x for c, x in enumerate(power.flatten()) if x}
+        row = {r * n + c: x for r, prow in power.nz.items() for c, x in prow.items()}
         row[tags + k] = ONE
         ech._add(row)
         last = max(ech.rows)
@@ -602,8 +602,7 @@ def minimal_polynomial(m: Matrix) -> Poly:
 
 def _shift(m: Matrix, c: Fraction) -> Matrix:
     """m + c I for a square m."""
-    return Matrix._of(tuple(row[:i] + (row[i] + c,) + row[i + 1:]
-                            for i, row in enumerate(m.data)), m.cols)
+    return linear_combination((1, c), (m, Matrix.identity(m.rows)), m.rows, m.cols)
 
 
 def _poly_at(coeffs: Sequence[Fraction], m: Matrix) -> Matrix:
@@ -690,11 +689,7 @@ def _span_closure(seeds: Iterable[dict], maps: Sequence[dict], width: int) -> Ec
         flat = {k * width + i: x for k, col in cols.items() for i, x in col.items()}
         if not spanned._add(flat):
             continue
-        integral: dict[int, dict] = {}
-        for key, x in _integral(flat).items():
-            k, i = divmod(key, width)
-            integral.setdefault(k, {})[i] = x
-        columns.append(integral)
+        columns.append(_unflatten(_integral(flat), width))
     ech = Echelon(width)
     queue = deque()
     for row in seeds:
@@ -729,7 +724,7 @@ def envelope_dimension(generators: Sequence[Matrix], dim: int) -> int:
             raise ValueError("generator shape does not match the ambient dimension")
     # column i*dim + k of X -> X g puts row k of g into row i
     maps = [{i * dim + k: {i * dim + j: x for j, x in row.items()}
-             for i in range(dim) for k, row in _rows_of(g).items()} for g in generators]
+             for i in range(dim) for k, row in g.nz.items()} for g in generators]
     identity = {i * dim + i: ONE for i in range(dim)}
     return _span_closure([identity], maps, dim * dim).dim
 
@@ -751,7 +746,7 @@ def _axiom_rows(equations: Iterable[tuple], rows: int, cols: int) -> list[dict]:
         if a.rows != cols or a.cols != cols or b.rows != rows or b.cols != rows:
             raise ValueError("equation factors do not match the unknown shape")
         at = i * size
-        a_cols, b_rows = _rows_of(a.transpose()), _rows_of(b)
+        a_cols, b_rows = a.transpose().nz, b.nz
         for r in range(rows):
             # at entry (r, s), X_i a reads row r of X_i; the columns that
             # b X_i and the c_t X_t read are these offsets plus s
@@ -775,7 +770,7 @@ def _int_matrix(m: Matrix, den: int) -> dict:
     """den * m as a sparse integer matrix, row -> {col: int}, with no empty
     row stored; den must be a multiple of every denominator of m."""
     return {r: {c: x.numerator * (den // x.denominator) for c, x in row.items()}
-            for r, row in _rows_of(m).items()}
+            for r, row in m.nz.items()}
 
 
 def _sparse_matmul(a: dict, b: dict) -> dict:
@@ -819,4 +814,5 @@ def intertwiner_space(
     """Basis of {X : X a = b X for every (a, b) pair}; X is rows_dim x cols_dim."""
     rows = _axiom_rows([((), 0, a, b) for a, b in pairs], rows_dim, cols_dim)
     ker = _solutions(rows, rows_dim * cols_dim)
-    return [Matrix.from_flat(v, rows_dim, cols_dim) for v in ker.basis.data]
+    return [_matrix_of(_unflatten(row, cols_dim), rows_dim, cols_dim)
+            for row in ker.rows.values()]

@@ -31,8 +31,9 @@ from typing import Iterator, NamedTuple, Sequence
 from .algebra import InternalCheckError, LeibnizAlgebra
 from .linalg import (
     Matrix,
+    _eliminate,
     _int_matrix,
-    _rows_of,
+    _matrix_of,
     _shift,
     _sparse,
     _sparse_combination,
@@ -100,7 +101,7 @@ class Representation:
         alg = self.algebra
         n, e = alg.dim, alg._den
         den = lcm(*[x.denominator for m in self.right + self.left
-                    for row in m.data for x in row])
+                    for row in m.nz.values() for x in row.values()])
         right = [_int_matrix(m, den) for m in self.right]
         left = [_int_matrix(m, den) for m in self.left]
         prod = {(a, b): _sparse_matmul(right[a], right[b])
@@ -216,13 +217,9 @@ def direct_sum(a: Representation, b: Representation, name: str = "") -> Represen
     b._require_valid()
 
     def block(x: Matrix, y: Matrix) -> Matrix:
-        n, m = x.rows, y.rows
-        rows = []
-        for i in range(n):
-            rows.append(list(x.row(i)) + [ZERO] * m)
-        for i in range(m):
-            rows.append([ZERO] * n + list(y.row(i)))
-        return Matrix(rows)
+        n, d = x.rows, x.rows + y.rows
+        low = {n + r: {n + c: v for c, v in row.items()} for r, row in y.nz.items()}
+        return _matrix_of({**x.nz, **low}, d, d)
 
     right = [block(a.right[j], b.right[j]) for j in range(a.algebra.dim)]
     left = [block(a.left[j], b.left[j]) for j in range(a.algebra.dim)]
@@ -233,8 +230,9 @@ def restrict(rep: Representation, span: Subspace) -> Representation:
     """Same module, smaller algebra: restrict the actions to a subalgebra."""
     rep._require_valid()
     sub = rep.algebra.subalgebra_on(span)
-    right = [rep.rho_of(span.basis.row(a)) for a in range(span.dim)]
-    left = [rep.lambda_of(span.basis.row(a)) for a in range(span.dim)]
+    basis = span.basis.data
+    right = [rep.rho_of(v) for v in basis]
+    left = [rep.lambda_of(v) for v in basis]
     return Representation(sub, right, left, name=rep.name)
 
 
@@ -260,7 +258,7 @@ def module_restriction(rep: Representation, w: Subspace) -> Representation:
 def spin_submodule(rep: Representation, seeds: Sequence[Sequence]) -> Subspace:
     """Smallest subspace containing the seeds and invariant under both actions."""
     d = rep.space_dim
-    maps = [_rows_of(m.transpose()) for m in rep.action_matrices()]
+    maps = [m.transpose().nz for m in rep.action_matrices()]
     return _span_closure([_sparse(s, d) for s in seeds], maps, d).subspace()
 
 
@@ -307,10 +305,9 @@ def _witness_candidates(rep: Representation) -> Iterator[Vector]:
 def sym_span(rep: Representation) -> Subspace:
     """Span of the images of all symmetrized actions (left plus right)."""
     rep._require_valid()
-    vecs = []
-    for j in range(rep.algebra.dim):
-        vecs.extend((rep.left[j] + rep.right[j]).transpose().data)
-    return Subspace.from_vectors(rep.space_dim, vecs)
+    columns = ((rep.left[j] + rep.right[j]).transpose().nz.values()
+               for j in range(rep.algebra.dim))
+    return _eliminate((v for cols in columns for v in cols), rep.space_dim).subspace()
 
 
 def dichotomy_classify(rep: Representation) -> str:

@@ -18,8 +18,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import InternalCheckError, LeibnizAlgebra, algebra_from_brackets
-from .linalg import (Matrix, Subspace, _axiom_rows, _rows_of, _solutions, _sparse_matmul,
-                     nullspace, rational_roots)
+from .linalg import (Matrix, Subspace, _axiom_rows, _matrix_of, _solutions, _sparse_matmul,
+                     rational_roots)
 from .reps import Representation
 
 ZERO = Fraction(0)
@@ -54,16 +54,10 @@ def sl2_irrep_rho(m: int) -> tuple[Matrix, Matrix, Matrix]:
     if m < 0:
         raise ValueError("ladder size parameter must be nonnegative")
     d = m + 1
-    e_rows = [[ZERO] * d for _ in range(d)]
-    f_rows = [[ZERO] * d for _ in range(d)]
-    h_rows = [[ZERO] * d for _ in range(d)]
-    for i in range(1, d + 1):
-        if i + 1 <= d:
-            e_rows[i - 1][i] = Fraction(i * (m + 1 - i))
-        if i - 1 >= 1:
-            f_rows[i - 1][i - 2] = Fraction(-1)
-        h_rows[i - 1][i - 1] = Fraction(m + 2 - 2 * i)
-    return Matrix(e_rows), Matrix(f_rows), Matrix(h_rows)
+    e = {i - 1: {i: Fraction(i * (m + 1 - i))} for i in range(1, d)}
+    f = {i - 1: {i - 2: Fraction(-1)} for i in range(2, d + 1)}
+    h = {i - 1: {i - 1: Fraction(m + 2 - 2 * i)} for i in range(1, d + 1) if m + 2 != 2 * i}
+    return _matrix_of(e, d, d), _matrix_of(f, d, d), _matrix_of(h, d, d)
 
 
 def sl2_leibniz_irrep(m: int, variant: str) -> Representation:
@@ -229,7 +223,7 @@ def _tail_quadratic_matrices(basis_mats: list[list[Matrix]], nx: int) -> list[Ma
     p = len(basis_mats)
     dim = 2 * p
     half = Fraction(1, 2)
-    sparse = [[_rows_of(m) for m in mats] for mats in basis_mats]
+    sparse = [[m.nz for m in mats] for mats in basis_mats]
     grids: dict[tuple[int, int, int, int], tuple[dict, dict, dict]] = {}
 
     def add(grid: dict, u: int, v: int, x: Fraction) -> None:
@@ -259,11 +253,12 @@ def _tail_quadratic_matrices(basis_mats: list[list[Matrix]], nx: int) -> list[Ma
     out = []
     for key in sorted(grids):
         for grid in grids[key]:
-            if any(grid.values()):
-                rows = [[ZERO] * dim for _ in range(dim)]
-                for (u, v), x in grid.items():
-                    rows[u][v] = x * half
-                out.append(Matrix(rows))
+            rows: dict = {}
+            for (u, v), x in grid.items():
+                if x:
+                    rows.setdefault(u, {})[v] = x * half
+            if rows:
+                out.append(_matrix_of(rows, dim, dim))
     return out
 
 
@@ -280,15 +275,12 @@ def _reduce_quadratics(mats: list[Matrix], dim: int) -> tuple[int, str | None]:
     current = [m for m in mats if not m.is_zero()]
     free = dim
     while current:
-        constraints = []
-        for s in current:
-            if s.rank() == 1:
-                w = next(row for row in s.data if any(x != 0 for x in row))
-                constraints.append(list(w))
+        # the first nonzero row of a rank-one matrix spans its row space
+        constraints = [s.nz[min(s.nz)] for s in current if s.rank() == 1]
         if not constraints:
             return free, ("a quadratic constraint of rank above one resisted "
                           "the square-pattern reduction")
-        space = nullspace(Matrix(constraints))
+        space = _solutions(constraints, free)
         if space.dim == 0:
             return 0, None
         nb = space.basis

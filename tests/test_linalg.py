@@ -17,7 +17,6 @@ from leibnizalg.linalg import (
     _axiom_rows,
     _dense,
     _matrix_of,
-    _rows_of,
     _poly_at,
     _shift,
     Matrix,
@@ -537,7 +536,7 @@ def test_subspace_pivots_are_kept_outside_the_fields():
     fresh = Subspace.from_vectors(4, [(0, 1, QQ(1, 2), 0), (0, 0, 0, 1)])
     assert s.pivots == (1, 3)
     assert s.pivots is s.pivots  # computed once
-    assert s == fresh and hash(s) == hash(fresh)  # one side cached, one not
+    assert s == fresh and hash(s) == hash(fresh)
     assert s.reduce((1, 1, 1, 1)) == (1, 0, QQ(1, 2), 0)
     assert s.coordinates_of((0, 2, 1, 5)) == (2, 5)
     assert Subspace.zero(3).pivots == () and Subspace.full(2).pivots == (0, 1)
@@ -649,6 +648,42 @@ def dense_combination(coeffs, mats, rows: int, cols: int) -> Matrix:
     return Matrix(acc, cols=cols)
 
 
+def dense_sum(a: Matrix, b: Matrix, sign: int) -> Matrix:
+    """Reference for a + b (sign 1) and a - b (sign -1): the dense loop."""
+    return Matrix([[x + sign * y for x, y in zip(r1, r2)] for r1, r2 in zip(a.data, b.data)])
+
+
+def dense_scale(m: Matrix, c) -> Matrix:
+    return Matrix([[c * x for x in row] for row in m.data])
+
+
+def dense_apply(m: Matrix, v) -> tuple:
+    out = []
+    for row in m.data:
+        s = QQ(0)
+        for a, x in zip(row, v):
+            if a != 0 and x != 0:
+                s += a * x
+        out.append(s)
+    return tuple(out)
+
+
+def dense_transpose(m: Matrix) -> Matrix:
+    return Matrix(list(zip(*m.data)) if m.rows else [()] * m.cols, cols=m.rows)
+
+
+def dense_trace(m: Matrix):
+    return sum((m.data[i][i] for i in range(m.rows)), QQ(0))
+
+
+def scrambled(m: Matrix, rng: random.Random) -> Matrix:
+    """The same matrix through _matrix_of, its rows and their columns
+    stored in a random order."""
+    rows = rng.sample(sorted(m.nz.items()), len(m.nz))
+    return _matrix_of({r: dict(rng.sample(sorted(row.items()), len(row))) for r, row in rows},
+                      m.rows, m.cols)
+
+
 def holey_matrix(rng: random.Random, rows: int, cols: int) -> Matrix:
     """Random rational matrix with many zero entries and some zero rows and columns."""
     zero_rows = {r for r in range(rows) if rng.random() < 0.3}
@@ -678,22 +713,64 @@ def test_product_and_combination_match_the_dense_loops():
         assert combo == dense_combination(coeffs, mats, r, c)
         # entries that cancel come back as zeros
         assert linear_combination([1, -1], [a, a], r, k) == Matrix.zeros(r, k)
+        # the sparse arithmetic against the dense loops it replaced
+        other, c2 = holey_matrix(rng, r, k), QQ(rng.randint(-3, 3), rng.randint(1, 3))
+        v = random_rational_vectors(rng, 1, k)[0]
+        results = [(a + other, dense_sum(a, other, 1), (r, k)),
+                   (a - other, dense_sum(a, other, -1), (r, k)),
+                   (-a, dense_scale(a, -1), (r, k)), (a.scale(c2), dense_scale(a, c2), (r, k)),
+                   (c2 * a, dense_scale(a, c2), (r, k)), (a * 2, dense_scale(a, 2), (r, k)),
+                   (a.transpose(), dense_transpose(a), (k, r))]
+        for got, expected, shape in results:
+            assert got == expected and (got.rows, got.cols) == shape and only_fractions(got)
+        assert a.apply(v) == dense_apply(a, v)
+        assert all(x.__class__ is Fraction for x in a.apply(v))
+        assert a.is_zero() == all(x == 0 for row in a.data for x in row)
+        square = holey_matrix(rng, r, r)
+        assert square.trace() == dense_trace(square) and square.trace().__class__ is Fraction
     with pytest.raises(ValueError, match="cannot multiply"):
         Matrix.zeros(2, 3) * Matrix.zeros(2, 3)
 
 
-def test_rows_of_is_sparse_and_matrix_of_inverts_it():
+def test_nz_is_sparse_and_matrix_of_inverts_it():
+    """nz is the stored form, and a == b exactly when a.data == b.data,
+    equal matrices hashing equal, whichever way the rows were built or ordered."""
     rng = random.Random(6012)
     shapes = [(0, 4), (4, 0), (1, 1), (3, 3)] + [(rng.randint(0, 6), rng.randint(0, 6))
                                                  for _ in range(80)]
+    previous = []
     for r, c in shapes:
         m = holey_matrix(rng, r, c)
-        s = _rows_of(m)
-        assert all(row and all(x != 0 for x in row.values()) for row in s.values())
+        s = m.nz
+        assert all(row and all(x != 0 and x.__class__ is Fraction for x in row.values())
+                   for row in s.values())
         assert sorted(s) == [i for i, row in enumerate(m.data) if any(row)]
         assert all(m.entry(i, j) == x for i, row in s.items() for j, x in row.items())
+        assert all(m.row(i) == row and m.col(j) == tuple(row[j] for row in m.data)
+                   for i, row in enumerate(m.data) for j in range(c))
         assert _matrix_of(s, m.rows, m.cols) == m
-        assert _rows_of(Matrix.zeros(r, c)) == {}
+        assert Matrix.zeros(r, c).nz == {}
+        forms = [m, Matrix([[str(x) for x in row] for row in m.data], cols=c), scrambled(m, rng),
+                 scrambled(m, rng), m.transpose().transpose(), Matrix.from_flat(m.flatten(), r, c),
+                 m + Matrix.zeros(r, c), m.scale(QQ(1))]
+        for f in forms:
+            assert f == m and hash(f) == hash(m) and f.data == m.data and only_fractions(f)
+        assert len(set(forms)) == 1
+        for other in previous[-6:] + [holey_matrix(rng, r, c)]:
+            assert (other == m) == (other.data == m.data)
+            assert other != m or hash(other) == hash(m)
+        previous.append(m)
+    # a matrix with no rows has no width to compare
+    assert Matrix.zeros(0, 4) == Matrix.zeros(0, 0) == Matrix([]) == Matrix([], cols=4)
+    assert hash(Matrix.zeros(0, 4)) == hash(Matrix([]))
+    assert Matrix.zeros(2, 0) != Matrix.zeros(3, 0) and Matrix.zeros(2, 3) != Matrix.zeros(2, 4)
+    assert Matrix([[1, 0]]) != Matrix([[1, 0, 0]]) and Matrix([[1], [0]]) != Matrix([[1]])
+    with pytest.raises(AttributeError, match="immutable"):
+        Matrix.identity(2).nz = {}
+    with pytest.raises(ValueError, match="ragged"):
+        Matrix([[1, 2], [3]])
+    with pytest.raises(ValueError, match="cols hint"):
+        Matrix([[1, 2]], cols=3)
 
 
 # -- the sparse Subspace --
@@ -782,7 +859,8 @@ def test_subspace_form_ignores_the_spanning_vectors():
         for v in reversed(shuffled + combos):
             ech.insert(v)
         forms = [s, Subspace.from_vectors(n, shuffled + combos), ech.subspace(),
-                 Subspace(n, s.basis), Subspace(n, Matrix(s.basis.data, cols=n))]
+                 Subspace(n, s.basis), Subspace(n, Matrix(s.basis.data, cols=n)),
+                 Subspace(n, scrambled(s.basis, rng))]
         if s.is_full():
             forms += [Subspace.full(n), Subspace(n, Matrix.identity(n))]
         for f in forms:
