@@ -10,6 +10,13 @@ which every operation reads; the dense table is a view built on demand. It
 validates the identity eagerly on construction and stores the violating
 triples; operations beyond the checks themselves refuse to run on an
 invalid table.
+
+The Levi chain, the kernel K, the Lie quotient Q = L/K and the radical, is
+computed and verified once per algebra (`_levi_data`); `radical`,
+`is_semisimple`, `is_simple`, `levi_subalgebra` and `structure_report` read
+it. The radical is K plus the lift of the radical of Q by the section
+e_k -> b_comp[k]. `quotient` reads its projection off the RREF rows of the
+ideal, and `subalgebra_on` its table off the pivot entries of the products.
 """
 
 from __future__ import annotations
@@ -184,10 +191,13 @@ class LeibnizAlgebra:
         """Triples (i, j, k) where [[b_i,b_j],b_k] != [[b_i,b_k],b_j] + [b_i,[b_j,b_k]]."""
         return self.leibniz_violations
 
-    def _require_valid(self) -> None:
+    def _require_valid(self, *spaces: Subspace) -> None:
+        """Refuse an invalid table, and subspaces of another ambient dimension."""
         if not self.is_valid:
             raise InvalidAlgebraError(
                 f"table violates the Leibniz identity at triples {self.leibniz_violations[:3]}...")
+        if any(u.ambient_dim != self.dim for u in spaces):
+            raise ValueError(f"subspace is not in the {self.dim}-dimensional algebra")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LeibnizAlgebra):
@@ -267,7 +277,7 @@ class LeibnizAlgebra:
 
     def product_space(self, u: Subspace, w: Subspace) -> Subspace:
         """Span of [u', w'] over basis pairs of the two subspaces."""
-        self._require_valid()
+        self._require_valid(u, w)
         n = self.dim
         us = [_integral(a) for a in u.rows.values()]
         ws = [_integral(b) for b in w.rows.values()]
@@ -301,43 +311,48 @@ class LeibnizAlgebra:
         """Quotient algebra and the projection matrix onto it.
 
         The quotient basis consists of the cosets of the unit vectors at the
-        non-pivot coordinates of the ideal, so the construction is
-        deterministic.
+        non-pivot coordinates comp of the ideal, so the construction is
+        deterministic. b_comp[k] projects to e_k, a pivot to minus the rest
+        of its RREF row.
         """
         self._require_valid()
         if not self.is_ideal(ideal):
             raise ValueError("subspace is not an ideal")
         pivots = set(ideal.pivots)
-        comp = [c for c in range(self.dim) if c not in pivots]
-        reduced = [ideal.reduce(e) for e in Matrix.identity(self.dim).data]
-        proj = Matrix([[r[c] for r in reduced] for c in comp])
-        # [b_a, b_b] = sum_t c_ab^t b_t projects to sum_t c_ab^t (column t of proj)
-        images = [[(k, r[c]) for k, c in enumerate(comp) if r[c]] for r in reduced]
+        index = {c: k for k, c in enumerate(c for c in range(self.dim) if c not in pivots)}
+        images = {c: {k: ONE} for c, k in index.items()}  # images[t]: column t of proj
+        for p, row in zip(ideal.pivots, ideal.rows.values()):
+            images[p] = {index[c]: -x for c, x in row.items() if c != p}
+        # [b_a, b_b] = sum_t c_ab^t b_t projects to sum_t c_ab^t images[t]
         cells = {}
-        for a, ca in enumerate(comp):
-            for b, cb in enumerate(comp):
+        for ca, a in index.items():
+            for cb, b in index.items():
                 acc = cells[a, b] = {}
                 for t, c in self._int_table[ca][cb]:
-                    for k, x in images[t]:
+                    for k, x in images[t].items():
                         acc[k] = acc.get(k, 0) + Fraction(c, self._den) * x
-        out = LeibnizAlgebra._of([self.basis_names[c] for c in comp], cells)
+        out = LeibnizAlgebra._of([self.basis_names[c] for c in index], cells)
         if not out.is_valid:
             raise InternalCheckError("quotient by an ideal produced an invalid table")
-        return out, proj
+        proj = _matrix_of({t: col for t, col in images.items() if col}, self.dim, len(index))
+        return out, proj.transpose()
 
     def subalgebra_on(self, u: Subspace) -> "LeibnizAlgebra":
-        """The induced table on a subspace closed under the bracket."""
-        self._require_valid()
-        if not self.is_subalgebra(u):
-            raise ValueError("subspace is not closed under the bracket")
-        rows = u.basis.data
-        table = [[u.coordinates_of(self.bracket(a, b)) for b in rows] for a in rows]
-        if any(coords is None for row in table for coords in row):
-            raise InternalCheckError("closed subspace failed coordinate extraction")
+        """The induced table on a subspace closed under the bracket: a product
+        with no remainder has its RREF coordinates at the pivots."""
+        self._require_valid(u)
+        rows = list(u.rows.values())
+        cells = {}
+        for a, x in enumerate(rows):
+            for b, y in enumerate(rows):
+                w = self._product(x, y)
+                if u._remainder(w):
+                    raise ValueError("subspace is not closed under the bracket")
+                cells[a, b] = {k: w[p] / self._den for k, p in enumerate(u.pivots) if p in w}
         # an RREF row with one entry is the unit vector at its pivot
         names = [self.basis_names[p] if len(u.rows[a]) == 1 else f"u{a}"
                  for a, p in enumerate(u.pivots)]
-        return LeibnizAlgebra(names, table)
+        return LeibnizAlgebra._of(names, cells)
 
     # -- series --
 
@@ -380,39 +395,33 @@ class LeibnizAlgebra:
         return Matrix([[Fraction(sum(c * b.get((k, s), 0) for (s, k), c in a.items()),
                                  self._den ** 2) for b in ads] for a in ads])
 
-    def radical(self) -> Subspace:
-        """Largest solvable ideal, through the Lie quotient by the kernel.
-
-        In characteristic zero the radical of the Lie quotient is the
-        orthogonal complement of its derived algebra under the Killing form;
-        the preimage under the projection is the Leibniz radical. The result
-        is verified to be a solvable ideal before it is returned.
-        """
-        self._require_valid()
+    @cached_property
+    def _levi_data(self) -> tuple[Subspace, tuple[int, ...], "LeibnizAlgebra", Subspace]:
+        """The kernel K, its non-pivot columns comp, the Lie quotient Q = L/K,
+        whose basis vector k is the coset of b_comp[k], and the radical: the
+        preimage of the radical of Q, so K plus the rows of the radical of Q
+        read at comp. The chain is computed and verified once."""
         kernel = self.leibniz_kernel()
-        quo, proj = self.quotient(kernel)
+        quo, _ = self.quotient(kernel)
         if not quo.is_lie():
             raise InternalCheckError("quotient by the kernel is not Lie")
-        lifted = self._lift_through(proj, _lie_radical(quo), kernel)
-        if not self.is_ideal(lifted):
+        comp = tuple(c for c in range(self.dim) if c not in kernel.pivots)
+        lifts = ({comp[k]: x for k, x in row.items()} for row in _lie_radical(quo).rows.values())
+        rad = _eliminate([*kernel.rows.values(), *lifts], self.dim).subspace()
+        if not self.is_ideal(rad):
             raise InternalCheckError("computed radical is not an ideal")
-        if not self._series(lifted)[-1].is_zero():
+        if not self._series(rad)[-1].is_zero():
             raise InternalCheckError("computed radical is not solvable")
-        return lifted
+        return kernel, comp, quo, rad
 
-    def _lift_through(self, proj: Matrix, target: Subspace, kernel: Subspace) -> Subspace:
-        """Preimage of a quotient subspace under the projection."""
-        if target.is_full():
-            return self.full_space()
-        if target.is_zero():
-            return kernel
-        ann = nullspace(target.basis)  # rows orthogonal to the target
-        constraint = ann.basis * proj
-        return nullspace(constraint)
+    def radical(self) -> Subspace:
+        """Largest solvable ideal, read off the verified Levi chain."""
+        self._require_valid()
+        return self._levi_data[3]
 
     def is_semisimple(self) -> bool:
         """Radical equal to the kernel."""
-        return self.radical() == self.leibniz_kernel()
+        return self.radical() == self._levi_data[0]
 
     # -- simplicity --
 
@@ -426,15 +435,14 @@ class LeibnizAlgebra:
         with the blocking check named.
         """
         self._require_valid()
-        kernel = self.leibniz_kernel()
-        derived = self.product_space(self.full_space(), self.full_space())
+        kernel, _, quo, rad = self._levi_data
+        full = self.full_space()
+        derived = self.product_space(full, full)
         if derived == kernel:
             return SimplicityVerdict("no", derived, "[L,L] equals the kernel")
-        rad = self.radical()
         if rad != kernel:
             return SimplicityVerdict("no", rad, "radical exceeds the kernel")
         # rad == kernel: [Q,Q]^perp = 0 in Q, so the Killing form of Q is nondegenerate
-        quo, _ = self.quotient(kernel)
         ads = [quo.right_mult_matrix_basis(j) for j in range(quo.dim)]
         reason = ""
         if len(matrix_commutant(ads, quo.dim)) != 1:
@@ -449,7 +457,6 @@ class LeibnizAlgebra:
             # and K = 0: no seed can find one. The seed search runs only past
             # a failed certificate, whose reason it keeps if it finds none.
             return SimplicityVerdict("yes", None, "")
-        full = self.full_space()
         for seed in self._ideal_seed_candidates():
             closure = self.ideal_closure([seed])
             if closure != kernel and not closure.is_zero() and closure != full:
@@ -529,8 +536,8 @@ class LeibnizAlgebra:
     def levi_subalgebra(self) -> Subspace:
         """A Lie complement S to the kernel K in a semisimple algebra.
 
-        The section s_a = e_comp[a] of the quotient (comp: the non-pivot
-        coordinates of K) is corrected to s_a + w_a with w_a in K. K is
+        The section s_a = e_comp[a] of the quotient (see _levi_data) is
+        corrected to s_a + w_a with w_a in K. K is
         spanned by squares and [z, [y, y]] = 0 by the derivation rule, so
         [L, K] = 0 and closure, [s_a + w_a, s_b + w_b] = sum_t c_ab^t
         (s_t + w_t), is one Sylvester equation per quotient basis vector b:
@@ -544,28 +551,21 @@ class LeibnizAlgebra:
         together they span everything.
         """
         self._require_valid()
-        kernel = self.leibniz_kernel()
-        if self.radical() != kernel:
+        kernel, comp, quo, rad = self._levi_data
+        if rad != kernel:
             raise ValueError("Levi complement is computed on semisimple algebras only")
         if kernel.is_zero():
             return self.full_space()
-        quo, _ = self.quotient(kernel)
-        pivots = kernel.pivots
-        comp = [c for c in range(self.dim) if c not in pivots]
         q, r = len(comp), kernel.dim
         # X A_b^T - C_b X = -Gamma_b, one row per (b, a, m), with the
         # right-hand side in column q r
-        equations = []
-        for b in range(q):
-            right = kernel.induced(self.right_mult_matrix_basis(comp[b]))
-            if right is None:
-                raise InternalCheckError("kernel is not acting into itself")
-            equations.append(((), 0, right.transpose(),
-                              Matrix([quo._cell(a, b) for a in range(q)])))
-        rows = _axiom_rows(equations, q, r)
+        rights = self._kernel_action_matrices(kernel)
+        rows = _axiom_rows([((), 0, rights[c].transpose(),
+                             Matrix([quo._cell(a, b) for a in range(q)]))
+                            for b, c in enumerate(comp)], q, r)
         nz = self._int_table
         cells = [dict(nz[comp[a]][comp[b]]) for b in range(q) for a in range(q)]
-        gammas = (cell.get(p, 0) for cell in cells for p in pivots)
+        gammas = (cell.get(p, 0) for cell in cells for p in kernel.pivots)
         for row, g in zip(rows, gammas):
             if g:
                 row[q * r] = Fraction(-g, self._den)
@@ -582,9 +582,11 @@ class LeibnizAlgebra:
             raise InternalCheckError("Levi complement intersects the kernel")
         if subspace_sum(levi, kernel).dim != self.dim:
             raise InternalCheckError("Levi complement and kernel do not span")
-        if not self.is_subalgebra(levi):
-            raise InternalCheckError("Levi complement is not a subalgebra")
-        if not self.subalgebra_on(levi).is_lie():
+        try:
+            table = self.subalgebra_on(levi)
+        except ValueError:
+            raise InternalCheckError("Levi complement is not a subalgebra") from None
+        if not table.is_lie():
             raise InternalCheckError("Levi complement table is not Lie")
         return levi
 
@@ -592,11 +594,9 @@ class LeibnizAlgebra:
 
     def structure_report(self) -> StructureReport:
         self._require_valid()
-        kernel = self.leibniz_kernel()
-        rad = self.radical()
+        kernel, _, _, rad = self._levi_data
         simple = self.is_simple()
-        witnesses: list[tuple[str, Subspace]] = [
-            ("kernel", kernel), ("radical", rad)]
+        witnesses: list[tuple[str, Subspace]] = [("kernel", kernel), ("radical", rad)]
         if simple.witness is not None:
             witnesses.append(("simplicity", simple.witness))
         return StructureReport(

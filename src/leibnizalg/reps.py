@@ -41,10 +41,10 @@ from .linalg import (
     _span_closure,
     Subspace,
     Vector,
-    char_poly,
     envelope_dimension,
     intertwiner_space,
     linear_combination,
+    minimal_polynomial,
     rational_roots,
     nullspace,
     vec,
@@ -298,7 +298,7 @@ def _witness_candidates(rep: Representation) -> Iterator[Vector]:
     for i in range(d):
         yield tuple(ONE if t == i else ZERO for t in range(d))
     for m in rep.action_matrices():
-        for root in rational_roots(char_poly(m)):
+        for root in rational_roots(minimal_polynomial(m)):
             yield from nullspace(_shift(m, -root)).basis.data
 
 

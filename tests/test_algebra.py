@@ -8,6 +8,7 @@ matrix code.
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,13 +18,15 @@ from leibnizalg.algebra import (
     InternalCheckError,
     InvalidAlgebraError,
     LeibnizAlgebra,
+    _lie_radical,
     abelian_algebra,
     algebra_from_brackets,
     direct_sum_algebra,
 )
 from leibnizalg.fileio import MAX_DIM, frac_str, serialize_algebra
 from leibnizalg.linalg import (Matrix, Subspace, intertwiner_space, linear_combination,
-                              subspace_intersect, subspace_sum)
+                              nullspace, subspace_intersect, subspace_sum)
+from leibnizalg.reps import adjoint_rep, restrict
 
 F = Fraction
 
@@ -834,3 +837,100 @@ def test_identity_check_at_the_dimension_bound():
     assert big.product_space(big.full_space(), big.full_space()).dim == 3
     assert big.radical() == Subspace.from_vectors(
         MAX_DIM, [[F(i == j) for i in range(MAX_DIM)] for j in range(3, MAX_DIM)])
+
+
+# -- the Levi chain against the dense routines it replaced --
+# The references below are the routines the package used before the chain
+# moved to the sparse form: the projection of a quotient by reducing every
+# unit vector, the preimage of a quotient subspace by two nullspaces, and
+# the induced table of a subalgebra by dense brackets and coordinates.
+
+def quotient_reference(alg, ideal):
+    comp = [c for c in range(alg.dim) if c not in ideal.pivots]
+    reduced = [ideal.reduce(e) for e in Matrix.identity(alg.dim).data]
+    proj = Matrix([[r[c] for r in reduced] for c in comp])
+    table = dense_quotient_table(alg.table, proj, comp)
+    return LeibnizAlgebra([alg.basis_names[c] for c in comp], table), proj
+
+
+def lift_through_reference(alg, proj, target, kernel):
+    if target.is_full():
+        return alg.full_space()
+    if target.is_zero():
+        return kernel
+    ann = nullspace(target.basis)  # rows orthogonal to the target
+    return nullspace(ann.basis * proj)
+
+
+def radical_reference(alg):
+    kernel = alg.leibniz_kernel()
+    quo, proj = quotient_reference(alg, kernel)
+    return lift_through_reference(alg, proj, _lie_radical(quo), kernel)
+
+
+def subalgebra_on_reference(alg, u):
+    rows = u.basis.data
+    table = [[u.coordinates_of(alg.bracket(a, b)) for b in rows] for a in rows]
+    if any(coords is None for row in table for coords in row):
+        raise ValueError("subspace is not closed under the bracket")
+    names = [alg.basis_names[p] if len(u.rows[a]) == 1 else f"u{a}"
+             for a, p in enumerate(u.pivots)]
+    return LeibnizAlgebra(names, table)
+
+
+def test_levi_chain_matches_the_dense_routines():
+    rng = random.Random(1729)
+    refused = 0
+    for alg, _ in dense_cases():
+        n, label = alg.dim, alg.name or alg.basis_names
+        kernel, rad = alg.leibniz_kernel(), alg.radical()
+        assert rad == radical_reference(alg), label
+        full = alg.full_space()
+        closed = [kernel, rad, alg.product_space(full, full), full, Subspace.zero(n)]
+        for ideal in closed:
+            quo, proj = alg.quotient(ideal)
+            quo_ref, proj_ref = quotient_reference(alg, ideal)
+            assert quo == quo_ref and proj == proj_ref, label
+            assert alg.subalgebra_on(ideal) == subalgebra_on_reference(alg, ideal), label
+        if alg.is_semisimple():
+            levi = alg.levi_subalgebra()
+            assert alg.subalgebra_on(levi) == subalgebra_on_reference(alg, levi), label
+        for _ in range(4):
+            u = Subspace.from_vectors(n, [[F(rng.randint(-2, 2), rng.randint(1, 3))
+                                           for _ in range(n)] for _ in range(rng.randint(1, 2))])
+            try:
+                expected = subalgebra_on_reference(alg, u)
+            except ValueError:
+                refused += 1
+                with pytest.raises(ValueError, match="not closed"):
+                    alg.subalgebra_on(u)
+            else:
+                assert alg.subalgebra_on(u) == expected, label
+    assert refused >= 10  # subspaces that are not closed are covered
+
+
+def test_levi_chain_is_computed_once(monkeypatch):
+    from leibnizalg.sl2 import simple_ext_algebra
+    alg = change_basis(simple_ext_algebra(7), random_invertible(random.Random(7), 7))
+    calls = Counter()
+    for name in ("leibniz_kernel", "quotient", "bracket"):
+        def counted(self, *args, _name=name, _original=getattr(LeibnizAlgebra, name)):
+            calls[_name] += 1
+            return _original(self, *args)
+        monkeypatch.setattr(LeibnizAlgebra, name, counted)
+    report = alg.structure_report()
+    levi = alg.levi_subalgebra()
+    assert alg.is_semisimple() and report.semisimple and levi.dim == 3
+    assert calls == {"leibniz_kernel": 1, "quotient": 1}
+
+
+def test_subspaces_of_another_ambient_dimension_are_refused():
+    alg = sl2()
+    full = alg.full_space()
+    for u in (Subspace.full(2), Subspace.zero(2), Subspace.full(5), Subspace.zero(4)):
+        for call in (lambda: alg.product_space(u, full), lambda: alg.product_space(full, u),
+                     lambda: alg.product_space(u, u), lambda: alg.is_ideal(u),
+                     lambda: alg.is_subalgebra(u), lambda: alg.quotient(u),
+                     lambda: alg.subalgebra_on(u), lambda: restrict(adjoint_rep(alg), u)):
+            with pytest.raises(ValueError, match="3-dimensional algebra"):
+                call()
