@@ -32,6 +32,7 @@ from .linalg import (
     _eliminate,
     _integral,
     _matrix_of,
+    _norton,
     _particular,
     _sparse,
     _sparse_combination,
@@ -447,9 +448,10 @@ class LeibnizAlgebra:
         reason = ""
         if len(matrix_commutant(ads, quo.dim)) != 1:
             reason = "adjoint commutant of the Lie quotient has dimension above one"
-        elif kernel.dim and envelope_dimension(
-                self._kernel_action_matrices(kernel), kernel.dim) != kernel.dim ** 2:
-            reason = "kernel module envelope is short of the full matrix algebra"
+        elif kernel.dim:
+            mats, k = self._kernel_action_matrices(kernel), kernel.dim
+            if not _norton(mats, k) and envelope_dimension(mats, k) != k * k:
+                reason = "kernel module envelope is short of the full matrix algebra"
         if not reason:
             # Q = L/K is simple and K an irreducible module, so a proper ideal
             # I other than K would have I + K = L and I meet K in 0. Then

@@ -43,7 +43,8 @@ scaled once to integers, grown breadth first from the images that enlarge
 it. `envelope_dimension` (X -> X g on flattened matrices),
 `reps.spin_submodule` (the action matrices, read as the rows of m^T) and
 `LeibnizAlgebra.ideal_closure` (right and left multiplications read from
-the integer structure constants) call it.
+the integer structure constants) call it; Norton's certificate `_norton`
+spins twice, over width d, before `reps` and `is_simple` try the envelope.
 """
 
 from __future__ import annotations
@@ -727,6 +728,23 @@ def envelope_dimension(generators: Sequence[Matrix], dim: int) -> int:
              for i in range(dim) for k, row in g.nz.items()} for g in generators]
     identity = {i * dim + i: ONE for i in range(dim)}
     return _span_closure([identity], maps, dim * dim).dim
+
+
+def _norton(mats: Sequence[Matrix], d: int) -> bool:
+    """Norton's irreducibility certificate, its eigenvalue-0 case: the first
+    theta in mats of nullity 1 decides. True when its kernel vector spins to
+    QQ^d under v -> m v and that of theta^T under v -> m^T v: then End = QQ,
+    as an endomorphism keeps the kernel line, and by Burnside's theorem the
+    envelope is M_d(QQ). False on a proper spin, which proves the module
+    reducible, and when no theta has nullity 1."""
+    for theta in mats:
+        ech = _eliminate(theta.nz.values(), d)
+        if ech.dim == d - 1:
+            spins = ((_kernel(ech.rref(), d), [m.transpose().nz for m in mats]),
+                     (nullspace(theta.transpose()), [m.nz for m in mats]))
+            return all(_span_closure(ker.rows.values(), maps, d).dim == d
+                       for ker, maps in spins)
+    return False
 
 
 def _axiom_rows(equations: Iterable[tuple], rows: int, cols: int) -> list[dict]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .algebra import InternalCheckError, LeibnizAlgebra
 from .linalg import (
@@ -34,6 +34,7 @@ from .linalg import (
     _eliminate,
     _int_matrix,
     _matrix_of,
+    _norton,
     _shift,
     _sparse,
     _sparse_combination,
@@ -49,9 +50,6 @@ from .linalg import (
     nullspace,
     vec,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class AxiomViolationError(ValueError):
@@ -265,39 +263,44 @@ def spin_submodule(rep: Representation, seeds: Sequence[Sequence]) -> Subspace:
 def irreducibility(rep: Representation) -> IrreducibilityVerdict:
     """Three-valued irreducibility test.
 
-    The yes side is a full-matrix-algebra envelope check, which certifies
-    absolute irreducibility. The no side searches for a proper invariant
-    subspace by spinning coordinate vectors and rational eigenvectors of the
-    action matrices. Neither firing leaves the question open.
+    The yes side is Norton's certificate (`linalg._norton`), with the
+    full-matrix-algebra envelope check as its fallback; both certify
+    absolute irreducibility and report the full envelope. The no side spins
+    the coordinate vectors before the envelope and the rational
+    eigenvectors of the action matrices after it, for a proper invariant
+    subspace. Neither firing leaves the question open.
     """
     rep._require_valid()
     d = rep.space_dim
     if d == 0:
         return IrreducibilityVerdict("reducible", Subspace.zero(0),
                                      "zero module")
-    env = envelope_dimension(rep.action_matrices(), d)
-    if env == d * d:
-        return IrreducibilityVerdict("abs_irreducible", None,
-                                     f"envelope dimension {env}")
-    for v in _witness_candidates(rep):
-        sub = spin_submodule(rep, [v])
-        if 0 < sub.dim < d:
-            return IrreducibilityVerdict("reducible", sub,
-                                         "proper invariant subspace found")
-    return IrreducibilityVerdict(
-        "undetermined", None,
-        f"envelope dimension {env} below {d * d} but no witness found")
+    mats = rep.action_matrices()
+    full = IrreducibilityVerdict("abs_irreducible", None, f"envelope dimension {d * d}")
+    if _norton(mats, d):
+        return full
+    sub = _proper_spin(rep, Matrix.identity(d).data)
+    if sub is None:
+        env = envelope_dimension(mats, d)
+        if env == d * d:
+            return full
+        sub = _proper_spin(rep, _eigenvectors(mats))
+        if sub is None:
+            return IrreducibilityVerdict(
+                "undetermined", None,
+                f"envelope dimension {env} below {d * d} but no witness found")
+    return IrreducibilityVerdict("reducible", sub, "proper invariant subspace found")
 
 
-def _witness_candidates(rep: Representation) -> Iterator[Vector]:
-    """Coordinate vectors, then the rational eigenvectors of each action matrix.
+def _proper_spin(rep: Representation, vectors: Iterable[Vector]) -> Subspace | None:
+    """The first spin of one of the vectors that is a proper nonzero subspace."""
+    spins = (spin_submodule(rep, [v]) for v in vectors)
+    return next((sub for sub in spins if 0 < sub.dim < rep.space_dim), None)
 
-    Generated lazily: the coordinate vectors often find a witness already.
-    """
-    d = rep.space_dim
-    for i in range(d):
-        yield tuple(ONE if t == i else ZERO for t in range(d))
-    for m in rep.action_matrices():
+
+def _eigenvectors(mats: Sequence[Matrix]) -> Iterator[Vector]:
+    """The rational eigenvectors of each matrix, generated lazily."""
+    for m in mats:
         for root in rational_roots(minimal_polynomial(m)):
             yield from nullspace(_shift(m, -root)).basis.data
 

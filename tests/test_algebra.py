@@ -465,6 +465,30 @@ def test_simple_yes_leaves_no_ideal_for_the_seeds():
     assert yes == 18  # sl2, ext5, simple_ext(5..7) and example 5.3, three bases each
 
 
+def test_simple_verdicts_match_the_envelope_only_certificate(monkeypatch):
+    # Norton's certificate decides the kernel module where it can (odd
+    # kernel dimension); switched off, the envelope closure gives the same
+    # verdicts, on canonical and dense bases
+    from leibnizalg.sl2 import simple_ext_algebra
+    rng = random.Random(1616)
+    algs = zoo() + [simple_ext_algebra(n) for n in range(5, 10)]
+    algs += [change_basis(simple_ext_algebra(n), random_invertible(rng, n)) for n in range(5, 10)]
+    algs += [direct_sum_algebra(ext5(), ext5()), direct_sum_algebra(ext5(), abelian_algebra(1))]
+    verdicts = [alg.is_simple() for alg in algs]
+    assert Counter(v.value for v in verdicts) == Counter(yes=12, no=7)
+    monkeypatch.setattr("leibnizalg.algebra._norton", lambda mats, d: False)
+    assert [alg.is_simple() for alg in algs] == verdicts
+
+
+def test_simple_ext_kernel_module_skips_the_envelope(monkeypatch):
+    from leibnizalg.sl2 import simple_ext_algebra
+    rng = random.Random(1717)
+    algs = [simple_ext_algebra(n) for n in (5, 10, 16)]
+    algs += [change_basis(simple_ext_algebra(n), random_invertible(rng, n)) for n in (8, 10)]
+    monkeypatch.setattr("leibnizalg.algebra.envelope_dimension", None)
+    assert [alg.is_simple().value for alg in algs] == ["yes"] * 5
+
+
 # -- derivations --
 
 def test_derivations_frozen_dims():

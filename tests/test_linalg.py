@@ -10,6 +10,7 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from leibnizalg.linalg import (
     Echelon,
@@ -17,6 +18,7 @@ from leibnizalg.linalg import (
     _axiom_rows,
     _dense,
     _matrix_of,
+    _norton,
     _poly_at,
     _shift,
     Matrix,
@@ -247,6 +249,54 @@ def test_envelope_dimension_hand_cases():
                 assert envelope_by_products(dense, d) == expected
             else:
                 assert envelope_by_products(mats, d) == expected
+
+
+def test_norton_hand_cases():
+    e11, e12 = Matrix([[1, 0], [0, 0]]), Matrix([[0, 1], [0, 0]])
+    e21 = Matrix([[0, 0], [1, 0]])
+    # E12 has nullity 1; its kernel vector and that of E12^T both spin to QQ^2
+    assert _norton([e12, e21], 2) and envelope_dimension([e12, e21], 2) == 4
+    # E11 and E21 keep the kernel line of E11: the first spin is proper
+    assert not _norton([e11, e21], 2)
+    # E11 and E12 keep the line of e_1, but the kernel vector e_2 of E11
+    # spins to QQ^2: only the spin of the kernel vector of E11^T sees it
+    assert not _norton([e11, e12], 2)
+    assert _norton([e11, e12 + e21], 2)
+    # no theta of nullity 1: the zero matrix on QQ^2 and the identity
+    assert not _norton([Matrix.zeros(2, 2), Matrix.identity(2)], 2)
+    # on QQ^1 the zero matrix has nullity 1 and everything is irreducible
+    assert _norton([Matrix.zeros(1, 1)], 1)
+    # ladders pass, before and after a dense change of basis; sums never do
+    p = Matrix([[(i * j + i + 2 * j) % 5 - 2 + (i == j) * 3 for j in range(5)]
+                for i in range(5)])
+    for variant in ("zero_lambda", "anti_symmetric"):
+        mats = ladder_sum(4, variant=variant).action_matrices()
+        assert _norton(mats, 5) and _norton(conjugate(mats, p), 5)
+        assert not _norton(ladder_sum(1, 2, variant=variant).action_matrices(), 5)
+        assert not _norton(conjugate(ladder_sum(2, 1, variant=variant).action_matrices(), p), 5)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 4), count=st.integers(1, 3), split=st.integers(0, 3),
+       data=st.data())
+def test_norton_true_means_full_envelope(d, count, split, data):
+    """Soundness: the certificate never says yes short of M_d(QQ). With
+    0 < split < d the lower-left block is zero, so the first split unit
+    vectors span an invariant subspace and the answer must be no; a dense
+    change of basis hides the block."""
+    entries = st.lists(st.integers(-1, 1), min_size=d * d, max_size=d * d)
+    mats = []
+    for _ in range(count):
+        flat = data.draw(entries)
+        mats.append(Matrix([[0 if i >= split > j else flat[i * d + j] for j in range(d)]
+                            for i in range(d)]))
+    p = Matrix([data.draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+                for _ in range(d)])
+    if p.is_invertible():
+        mats = conjugate(mats, p)
+    if _norton(mats, d):
+        assert not 0 < split < d
+        assert envelope_dimension(mats, d) == d * d == envelope_by_products(mats, d)
 
 
 def test_matrix_commutant_hand_cases():

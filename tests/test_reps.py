@@ -13,10 +13,21 @@ import pytest
 import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
+from leibnizalg import reps
 from leibnizalg.algebra import LeibnizAlgebra, algebra_from_brackets
-from leibnizalg.linalg import Matrix, Subspace, envelope_dimension
+from leibnizalg.decompose import example_5_5
+from leibnizalg.linalg import (
+    Matrix,
+    Subspace,
+    _norton,
+    envelope_dimension,
+    minimal_polynomial,
+    nullspace,
+    rational_roots,
+)
 from leibnizalg.reps import (
     AxiomViolationError,
+    IrreducibilityVerdict,
     Representation,
     adjoint_rep,
     dichotomy_classify,
@@ -242,6 +253,22 @@ def test_irreducibility_reducible_cases():
     v5 = irreducibility(adjoint_rep(ext5()))
     assert v5.value == "reducible"
     assert v5.witness is not None and v5.witness.dim == 2
+
+
+def test_reducible_although_the_kernel_vector_spins_to_everything():
+    # [x, y] = y acting by phi(x) = E11, phi(y) = E12 keeps the line of e_1.
+    # The kernel vector e_2 of rho(x) = -E11 spins to QQ^2; only the spin of
+    # the kernel vector of rho(x)^T sees the invariant line.
+    alg = algebra_from_brackets(["x", "y"], {("x", "y"): {"y": 1},
+                                             ("y", "x"): {"y": -1}})
+    e11, e12 = Matrix([[1, 0], [0, 0]]), Matrix([[0, 1], [0, 0]])
+    for variant in ("zero_lambda", "anti_symmetric"):
+        rep = from_lie_rep(alg, [e11, e12], variant)
+        assert spin_submodule(rep, [(0, 1)]).is_full()
+        assert not _norton(rep.action_matrices(), 2)
+        v = irreducibility(rep)
+        assert v.value == "reducible"
+        assert v.witness == Subspace.from_vectors(2, [(1, 0)])
 
 
 def spin_by_fixed_point(rep, seeds):
@@ -577,3 +604,82 @@ def test_axiom_check_matches_dense_products_property(m, variant, extra, scales, 
                   st.integers(0, d - 1), st.sampled_from(CORRUPTIONS)), max_size=3))
     bad = corrupt(rep, changes)
     assert bad.axiom_violations == axiom_violations_by_dense_products(bad)
+
+
+# -- Norton's certificate against the envelope-first verdict --
+
+def irreducibility_by_envelope(rep):
+    """Reference verdict: the envelope closure first, then the spins of the
+    coordinate vectors and of the rational eigenvectors."""
+    d = rep.space_dim
+    if d == 0:
+        return IrreducibilityVerdict("reducible", Subspace.zero(0), "zero module")
+    env = envelope_dimension(rep.action_matrices(), d)
+    if env == d * d:
+        return IrreducibilityVerdict("abs_irreducible", None, f"envelope dimension {env}")
+    candidates = list(Matrix.identity(d).data)
+    for m in rep.action_matrices():
+        for root in rational_roots(minimal_polynomial(m)):
+            candidates += nullspace(m - Matrix.identity(d).scale(root)).basis.data
+    for v in candidates:
+        sub = spin_submodule(rep, [v])
+        if 0 < sub.dim < d:
+            return IrreducibilityVerdict("reducible", sub, "proper invariant subspace found")
+    return IrreducibilityVerdict(
+        "undetermined", None, f"envelope dimension {env} below {d * d} but no witness found")
+
+
+def change_algebra_basis(rep, q):
+    """The same module over the algebra basis given by the columns of q."""
+    alg, qi = rep.algebra, q.inverse()
+    cols = [q.col(i) for i in range(alg.dim)]
+    table = [[qi.apply(alg.bracket(a, b)) for b in cols] for a in cols]
+    return Representation(LeibnizAlgebra(alg.basis_names, table),
+                          [rep.rho_of(c) for c in cols], [rep.lambda_of(c) for c in cols])
+
+
+def test_irreducibility_matches_the_envelope_first_reference():
+    rng = random.Random(1414)
+    variants = ("zero_lambda", "anti_symmetric")
+    modules = [ladder_rep(m, v) for m in range(17) for v in variants]
+    modules += [direct_sum(ladder_rep(a, v), ladder_rep(b, v))
+                for a, b in ((0, 0), (1, 1), (1, 2), (3, 5), (5, 5), (2, 0)) for v in variants]
+    modules += [direct_sum(direct_sum(ladder_rep(1, v), ladder_rep(2, v)), ladder_rep(2, v))
+                for v in variants]
+    modules += [example_5_5(top, bottom) for top in variants for bottom in variants]
+    modules += [adjoint_rep(sl2()), adjoint_rep(ext5())] + one_dimensional_modules()
+    # dense module and algebra bases, odd and even dimension: on odd d a
+    # generic element has a kernel line and the certificate decides, on even
+    # d only a nilpotent one has, and mostly the envelope decides
+    for m in (1, 2, 3, 4, 5, 6):
+        for v in variants:
+            rep = conjugate_rep(ladder_rep(m, v), random_invertible(rng, m + 1))
+            modules += [rep, change_algebra_basis(rep, random_invertible(rng, 3))]
+    for a, b in ((1, 2), (1, 1), (2, 2)):
+        rep = direct_sum(ladder_rep(a, "zero_lambda"), ladder_rep(b, "zero_lambda"))
+        modules.append(change_algebra_basis(
+            conjugate_rep(rep, random_invertible(rng, a + b + 2)), random_invertible(rng, 3)))
+    decided = {True: 0, False: 0}
+    for rep in modules:
+        verdict = irreducibility(rep)
+        assert verdict == irreducibility_by_envelope(rep), rep
+        if verdict.value == "abs_irreducible":
+            decided[_norton(rep.action_matrices(), rep.space_dim)] += 1
+    assert decided[True] > 20 and decided[False] > 4
+
+
+def test_ladder_in_a_dense_module_basis_skips_the_envelope(monkeypatch):
+    # the envelope closure would eliminate over 13^2 = 169 columns
+    rep = conjugate_rep(ladder_rep(12, "zero_lambda"), random_invertible(random.Random(12), 13))
+    monkeypatch.setattr(reps, "envelope_dimension", None)
+    assert irreducibility(rep) == IrreducibilityVerdict(
+        "abs_irreducible", None, "envelope dimension 169")
+
+
+def test_ladders_and_their_sums_never_call_the_envelope(monkeypatch):
+    monkeypatch.setattr(reps, "envelope_dimension", None)
+    for m in (5, 10, 16):
+        for v in ("zero_lambda", "anti_symmetric"):
+            assert irreducibility(ladder_rep(m, v)).value == "abs_irreducible"
+    for (a, b), v in (((5, 5), "anti_symmetric"), ((5, 10), "zero_lambda")):
+        assert irreducibility(direct_sum(ladder_rep(a, v), ladder_rep(b, v))).value == "reducible"
