@@ -4,6 +4,10 @@ Structural reports go to standard output, deterministically (sorted keys,
 no timestamps); diagnostics go to standard error. Exit codes: 0 when a
 verdict was computed (including "no" and "undetermined"), 1 on input
 errors, 2 when an internal consistency check failed.
+
+Each subcommand is a row of `_COMMANDS`, and `_build_parser(argv)` adds only
+the path that argv names; where argv names none, it adds all of them below,
+so help and usage errors read as from the whole tree.
 """
 
 from __future__ import annotations
@@ -260,87 +264,79 @@ def _cmd_gen_example_5_5(args):
 
 
 _VARIANTS = ("zero_lambda", "anti_symmetric")
+_DESCRIPTION = "\n\n".join(__doc__.split("\n\n")[:2])  # the top-level help
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="leibnizalg", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _arg(*flags, **kwargs):
+    return flags, kwargs
 
-    def report_cmd(name, handler, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("file", help="algebra file, or - for standard input")
-        p.add_argument("--json", action="store_true", help="structured output")
-        p.set_defaults(handler=handler, kind="report")
-        return p
 
-    report_cmd("check", _cmd_check, "bracket identity, Lie flag, kernel size")
-    report_cmd("kernel", _cmd_kernel, "kernel dimension and basis")
-    report_cmd("series", _cmd_series, "lower central and derived series")
-    report_cmd("radical", _cmd_radical, "maximal solvable ideal")
-    report_cmd("semisimple", _cmd_semisimple, "radical equals kernel?")
-    report_cmd("simple", _cmd_simple, "simplicity verdict")
-    report_cmd("derivations", _cmd_derivations, "derivation algebra dimensions")
-    report_cmd("levi", _cmd_levi, "Levi complement of a semisimple algebra")
+_JSON = _arg("--json", action="store_true")
+_FILE_JSON = (_arg("file"), _JSON)
+_ALG = (_arg("file", help="algebra file, or - for standard input"),
+        _arg("--json", action="store_true", help="structured output"))
 
-    rep = sub.add_parser("rep", help="representation commands")
-    rep_sub = rep.add_subparsers(dest="rep_command", required=True)
+# path -> (handler, kind, help, arguments); a group has no handler, and its
+# subcommands are the paths one word longer, in table order
+_COMMANDS = {
+    "check": (_cmd_check, "report", "bracket identity, Lie flag, kernel size", _ALG),
+    "kernel": (_cmd_kernel, "report", "kernel dimension and basis", _ALG),
+    "series": (_cmd_series, "report", "lower central and derived series", _ALG),
+    "radical": (_cmd_radical, "report", "maximal solvable ideal", _ALG),
+    "semisimple": (_cmd_semisimple, "report", "radical equals kernel?", _ALG),
+    "simple": (_cmd_simple, "report", "simplicity verdict", _ALG),
+    "derivations": (_cmd_derivations, "report", "derivation algebra dimensions", _ALG),
+    "levi": (_cmd_levi, "report", "Levi complement of a semisimple algebra", _ALG),
+    "rep": (None, None, "representation commands", ()),
+    "rep check": (_cmd_rep_check, "report", "axiom report",
+                  (_arg("file", help="representation file, or -"), _JSON)),
+    "rep irreducible": (_cmd_rep_irreducible, "report", "irreducibility verdict", _FILE_JSON),
+    "rep classify": (_cmd_rep_classify, "report", "irreducible reps of a catalog algebra",
+                     (_arg("file", help="algebra file, or -"), _arg(
+                         "--m", type=int, required=True, help="ladder size parameter"), _JSON)),
+    "rep equivalent": (_cmd_rep_equivalent, "report", "equivalence of two representations",
+                       (_arg("file_a"), _arg("file_b"), _JSON)),
+    "rep decompose": (_cmd_rep_decompose, "report", "invariant direct-sum splitting", _FILE_JSON),
+    "rep restrict": (_cmd_rep_restrict, "data", "restrict to a spanned subalgebra", (_arg(
+        "file"), _arg("--span", required=True, help="comma-separated basis labels, e.g. e,f,h"))),
+    "gen": (None, None, "emit catalog objects as files", ()),
+    "gen sl2-irrep": (_cmd_gen_sl2_irrep, "data", "ladder representation file", (
+        _arg("--m", type=int, required=True),
+        _arg("--variant", choices=_VARIANTS, default="zero_lambda"))),
+    "gen simple-ext": (_cmd_gen_simple_ext, "data", "simple extension algebra file",
+                       (_arg("--n", type=int, required=True),)),
+    "gen example-5-3": (_cmd_gen_example_5_3, "data", "benchmark simple algebra", (_arg(
+        "--adjoint", action="store_true", help="emit its adjoint representation instead"),)),
+    "gen example-5-5": (_cmd_gen_example_5_5, "data", "benchmark split module", (
+        _arg("--top", choices=_VARIANTS, default="zero_lambda"),
+        _arg("--bottom", choices=_VARIANTS, default="zero_lambda"))),
+}
 
-    p = rep_sub.add_parser("check", help="axiom report")
-    p.add_argument("file", help="representation file, or -")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_rep_check, kind="report")
 
-    p = rep_sub.add_parser("irreducible", help="irreducibility verdict")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_rep_irreducible, kind="report")
-
-    p = rep_sub.add_parser("classify", help="irreducible reps of a catalog algebra")
-    p.add_argument("file", help="algebra file, or -")
-    p.add_argument("--m", type=int, required=True, help="ladder size parameter")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_rep_classify, kind="report")
-
-    p = rep_sub.add_parser("equivalent", help="equivalence of two representations")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_rep_equivalent, kind="report")
-
-    p = rep_sub.add_parser("decompose", help="invariant direct-sum splitting")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_rep_decompose, kind="report")
-
-    p = rep_sub.add_parser("restrict", help="restrict to a spanned subalgebra")
-    p.add_argument("file")
-    p.add_argument("--span", required=True,
-                   help="comma-separated basis labels, e.g. e,f,h")
-    p.set_defaults(handler=_cmd_rep_restrict, kind="data")
-
-    gen = sub.add_parser("gen", help="emit catalog objects as files")
-    gen_sub = gen.add_subparsers(dest="gen_command", required=True)
-
-    p = gen_sub.add_parser("sl2-irrep", help="ladder representation file")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--variant", choices=_VARIANTS, default="zero_lambda")
-    p.set_defaults(handler=_cmd_gen_sl2_irrep, kind="data")
-
-    p = gen_sub.add_parser("simple-ext", help="simple extension algebra file")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_gen_simple_ext, kind="data")
-
-    p = gen_sub.add_parser("example-5-3", help="benchmark simple algebra")
-    p.add_argument("--adjoint", action="store_true",
-                   help="emit its adjoint representation instead")
-    p.set_defaults(handler=_cmd_gen_example_5_3, kind="data")
-
-    p = gen_sub.add_parser("example-5-5", help="benchmark split module")
-    p.add_argument("--top", choices=_VARIANTS, default="zero_lambda")
-    p.add_argument("--bottom", choices=_VARIANTS, default="zero_lambda")
-    p.set_defaults(handler=_cmd_gen_example_5_5, kind="data")
-
+def _build_parser(argv=None) -> _Parser:
+    """The parser for argv, built only along the path it names (all of it
+    for argv None)."""
+    parser = _Parser(prog="leibnizalg", description=_DESCRIPTION)
+    _add_subcommands(parser, "", argv)
     return parser
+
+
+def _add_subcommands(parser: _Parser, path: str, argv) -> None:
+    # only a first word picks the subcommand: after a leading option argparse
+    # may still dispatch, so every subcommand then comes with its arguments
+    prefix = path + " " if path else ""
+    sub = parser.add_subparsers(dest=prefix.replace(" ", "_") + "command", required=True)
+    names = [key[len(prefix):] for key in _COMMANDS if key.rpartition(" ")[0] == path]
+    names, argv = (argv[:1], argv[1:]) if argv and argv[0] in names else (names, None)
+    for name in names:
+        handler, kind, help_text, arguments = _COMMANDS[prefix + name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        if handler is None:
+            _add_subcommands(p, prefix + name, argv)
+        else:
+            p.set_defaults(handler=handler, kind=kind)
 
 
 def _human_lines(obj, indent=0) -> list[str]:
@@ -367,7 +363,7 @@ def _human_lines(obj, indent=0) -> list[str]:
 
 def run_command(argv) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -8,6 +8,11 @@ size flags by the same constant. Algebra files list only the nonzero
 brackets, and the parser hands them to `algebra_from_brackets`, so no dense
 table is built. Representation files carry one dense matrix per basis label
 and side, and may reference the algebra inline or by file path.
+
+`parse_rep` keeps one memo from entry string to value per file, inline
+algebra included, so each distinct string is checked and converted once
+(the m = 16 ladder has 1734 entries and 33 strings); any other value raises
+with its own locus.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import re
 from fractions import Fraction
 
 from .algebra import LeibnizAlgebra, algebra_from_brackets
-from .linalg import Matrix
+from .linalg import Matrix, _matrix_of
 from .reps import Representation
 
 MAX_DIGITS = 1000
@@ -60,7 +65,7 @@ def _load_json(text: str) -> dict:
     return obj
 
 
-def _algebra_from_object(obj: dict, locus: str = "") -> LeibnizAlgebra:
+def _algebra_from_object(obj: dict, memo: dict, locus: str = "") -> LeibnizAlgebra:
     prefix = locus + "." if locus else ""
     basis = obj.get("basis")
     if not isinstance(basis, list) or not basis:
@@ -100,7 +105,9 @@ def _algebra_from_object(obj: dict, locus: str = "") -> LeibnizAlgebra:
         for label, value in result.items():
             if label not in labels:
                 raise ParseError(f"{here}.result: unknown label {label!r}")
-            cell[label] = _parse_frac(value, f"{here}.result.{label}")
+            if type(value) is not str or value not in memo:
+                memo[value] = _parse_frac(value, f"{here}.result.{label}")
+            cell[label] = memo[value]
     name = obj.get("name", "")
     if not isinstance(name, str):
         raise ParseError(f"{prefix}name: expected a string")
@@ -108,7 +115,7 @@ def _algebra_from_object(obj: dict, locus: str = "") -> LeibnizAlgebra:
 
 
 def parse_algebra(text: str) -> LeibnizAlgebra:
-    return _algebra_from_object(_load_json(text))
+    return _algebra_from_object(_load_json(text), {})
 
 
 def algebra_to_object(alg: LeibnizAlgebra) -> dict:
@@ -132,16 +139,24 @@ def serialize_algebra(alg: LeibnizAlgebra) -> str:
     return json.dumps(algebra_to_object(alg), indent=2, sort_keys=True) + "\n"
 
 
-def _matrix_from_rows(rows, d: int, locus: str) -> Matrix:
+def _matrix_from_rows(rows, d: int, locus: str, memo: dict) -> Matrix:
+    """The d x d matrix of JSON rows of entry strings, built sparse; memo
+    maps each entry string read so far to its value."""
     if not isinstance(rows, list) or len(rows) != d:
         raise ParseError(f"{locus}: expected {d} rows")
-    data = []
+    nz = {}
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != d:
             raise ParseError(f"{locus}[{r}]: expected {d} entries")
-        data.append([_parse_frac(x, f"{locus}[{r}][{c}]")
-                     for c, x in enumerate(row)])
-    return Matrix(data)
+        out = {}
+        for c, x in enumerate(row):
+            if type(x) is not str or x not in memo:
+                memo[x] = _parse_frac(x, f"{locus}[{r}][{c}]")
+            if memo[x]:
+                out[c] = memo[x]
+        if out:
+            nz[r] = out
+    return _matrix_of(nz, d, d)
 
 
 def _matrix_to_rows(m: Matrix) -> list:
@@ -150,9 +165,10 @@ def _matrix_to_rows(m: Matrix) -> list:
 
 def parse_rep(text: str, base_dir: str = ".") -> Representation:
     obj = _load_json(text)
+    memo: dict = {}
     source = obj.get("algebra")
     if isinstance(source, dict):
-        alg = _algebra_from_object(source, "algebra")
+        alg = _algebra_from_object(source, memo, "algebra")
     elif isinstance(source, str):
         path = source if os.path.isabs(source) else os.path.join(base_dir, source)
         try:
@@ -179,7 +195,7 @@ def parse_rep(text: str, base_dir: str = ".") -> Representation:
         if missing:
             raise ParseError(f"{key}: missing matrix for {sorted(missing)[0]!r}")
         sides[key] = tuple(
-            _matrix_from_rows(block[b], d, f"{key}.{b}") for b in alg.basis_names)
+            _matrix_from_rows(block[b], d, f"{key}.{b}", memo) for b in alg.basis_names)
     name = obj.get("name", "")
     if not isinstance(name, str):
         raise ParseError("name: expected a string")

@@ -34,7 +34,9 @@ from the sparse forms of a^T and b, and `_solutions` takes their kernel.
 The commutant and intertwiner systems (no c_t), the linearised pairing
 axioms in `sl2` (tail forcing and the left block over sl2),
 `decompose.solve_lowering_left` and the Sylvester equations of the Levi
-correction all build their equations with it.
+correction all build their equations with it. `intertwiner_space` skips
+each pair that the solutions so far satisfy: in a module lambda is often -rho
+or 0, and rho(h) lies in the algebra that rho(e) and rho(f) generate.
 
 Span closure has one routine on the same kernel, `_span_closure`: the
 smallest subspace that contains some seed rows and is closed under a list
@@ -829,8 +831,23 @@ def matrix_commutant(mats: Sequence[Matrix], dim: int) -> list[Matrix]:
 def intertwiner_space(
     pairs: Sequence[tuple[Matrix, Matrix]], rows_dim: int, cols_dim: int
 ) -> list[Matrix]:
-    """Basis of {X : X a = b X for every (a, b) pair}; X is rows_dim x cols_dim."""
-    rows = _axiom_rows([((), 0, a, b) for a, b in pairs], rows_dim, cols_dim)
-    ker = _solutions(rows, rows_dim * cols_dim)
+    """Basis of {X : X a = b X for every (a, b) pair}; X is rows_dim x cols_dim.
+
+    The pairs join one elimination in turn, but a pair that every solution so
+    far satisfies (tested in integers, on den * a and den * b) is skipped.
+    """
+    width = rows_dim * cols_dim
+    ech, space, ker = Echelon(width), Subspace.full(width), []
+    for a, b in pairs:
+        if a.rows != cols_dim or b.rows != rows_dim:
+            raise ValueError("equation factors do not match the unknown shape")
+        den = lcm(*[x.denominator for m in (a, b) for row in m.nz.values() for x in row.values()])
+        a_int, b_int = _int_matrix(a, den), _int_matrix(b, den)
+        if ech.rows and all(_sparse_matmul(x, a_int) == _sparse_matmul(b_int, x) for x in ker):
+            continue
+        for row in _axiom_rows([((), 0, a, b)], rows_dim, cols_dim):
+            ech._add(row)
+        space = _kernel(ech.rref(), width)
+        ker = [_unflatten(_integral(row), cols_dim) for row in space.rows.values()]
     return [_matrix_of(_unflatten(row, cols_dim), rows_dim, cols_dim)
-            for row in ker.rows.values()]
+            for row in space.rows.values()]

@@ -249,3 +249,67 @@ def test_human_output_has_no_json_braces():
     assert code == 0
     assert out.splitlines()[0] == "basis:"
     assert "{" not in out
+
+
+# -- the parser built for one argv against the eager parser of the same table --
+
+def eager_parser() -> cli._Parser:
+    """Reference: every subcommand of the command table, added in table order."""
+    parser = cli._Parser(prog="leibnizalg", description=cli._DESCRIPTION)
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for path, (handler, kind, help_text, arguments) in cli._COMMANDS.items():
+        parent, _, name = path.rpartition(" ")
+        p = groups[parent].add_parser(name, help=help_text)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        if handler is None:
+            groups[path] = p.add_subparsers(
+                dest=path.replace(" ", "_") + "_command", required=True)
+        else:
+            p.set_defaults(handler=handler, kind=kind)
+    return parser
+
+
+def run_or_exit(argv):
+    """run, with argparse's exit after --help turned into its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    old_out, old_err = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = out, err
+    try:
+        code = cli.run_command(argv)
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        sys.stdout, sys.stderr = old_out, old_err
+    return code, out.getvalue(), err.getvalue()
+
+
+LEAVES = [path.split() for path, (handler, *_) in cli._COMMANDS.items() if handler]
+USAGE_ARGVS = (
+    [[], ["--help"], ["-h"], ["bogus"], ["--json", "check", "x"], ["-h", "check"],
+     ["rep"], ["gen"], ["rep", "--help"], ["gen", "--help"], ["rep", "bogus"],
+     ["gen", "bogus"], ["rep", "-h", "check"],
+     ["gen", "sl2-irrep", "--m", "x"], ["gen", "sl2-irrep", "--m", "1", "--variant", "bad"]]
+    + [leaf + ["--help"] for leaf in LEAVES] + LEAVES)
+
+
+@pytest.mark.parametrize("argv", USAGE_ARGVS, ids=" ".join)
+def test_usage_and_help_text_match_the_eager_parser(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    ours = run_or_exit(argv)
+    monkeypatch.setattr(cli, "_build_parser", lambda argv=None: eager_parser())
+    assert ours == run_or_exit(argv)
+    assert ours[0] in (0, 1)
+
+
+def test_parser_holds_only_the_invoked_path():
+    def choices(parser):
+        return parser._subparsers._group_actions[0].choices
+
+    parser = cli._build_parser(["rep", "irreducible", "x.json", "--json"])
+    assert list(choices(parser)) == ["rep"]
+    assert list(choices(choices(parser)["rep"])) == ["irreducible"]
+    # where argv names no subcommand, all of them: 8 reports, rep and gen
+    assert len(choices(cli._build_parser(["--help"]))) == len(choices(eager_parser())) == 10
+    rep = choices(cli._build_parser(["rep", "bogus"]))["rep"]
+    assert list(choices(rep)) == [leaf[1] for leaf in LEAVES if leaf[0] == "rep"]

@@ -9,20 +9,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leibnizalg import cli
+from leibnizalg import cli, fileio
 from leibnizalg.algebra import abelian_algebra, direct_sum_algebra
 from leibnizalg.decompose import example_5_3, example_5_5
 from leibnizalg.fileio import (
     MAX_DIGITS,
     MAX_DIM,
     ParseError,
+    _matrix_from_rows,
     frac_str,
     parse_algebra,
     parse_rep,
     serialize_algebra,
     serialize_rep,
 )
-from leibnizalg.reps import adjoint_rep
+from leibnizalg.linalg import Matrix
+from leibnizalg.reps import Representation, adjoint_rep
 from leibnizalg.sl2 import (
     classify_extension_irreps,
     simple_ext_algebra,
@@ -411,3 +413,127 @@ def test_frac_str_examples():
     assert frac_str(Fraction(0)) == "0/1"
     assert frac_str(Fraction(-3, 6)) == "-1/2"
     assert frac_str(Fraction(7)) == "7/1"
+
+
+# -- the entry reader against its dense reference --
+
+def reference_frac(text, locus):
+    """Reference: one entry read on its own, by `Fraction(text)`."""
+    if not isinstance(text, str):
+        raise ParseError(f"{locus}: rational values must be strings like \"p/q\"")
+    match = fileio._RATIONAL.fullmatch(text)
+    if match is None:
+        raise ParseError(f"{locus}: expected an integer or \"p/q\"")
+    if any(len(part) > MAX_DIGITS for part in match.groups() if part):
+        raise ParseError(f"{locus}: more than {MAX_DIGITS} digits")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ParseError(f"{locus}: {exc}") from None
+
+
+def reference_matrix(rows, d, locus):
+    """Reference: every entry parsed, then the dense rows given to Matrix."""
+    if not isinstance(rows, list) or len(rows) != d:
+        raise ParseError(f"{locus}: expected {d} rows")
+    data = []
+    for r, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != d:
+            raise ParseError(f"{locus}[{r}]: expected {d} entries")
+        data.append([reference_frac(x, f"{locus}[{r}][{c}]") for c, x in enumerate(row)])
+    return Matrix(data)
+
+
+def outcome(read, *args):
+    try:
+        return read(*args)
+    except ParseError as exc:
+        return str(exc)
+
+
+def only_fractions(m: Matrix) -> bool:
+    return all(type(x) is Fraction for row in m.nz.values() for x in row.values())
+
+
+_GOOD = ["0", "-0", "0/5", "1", "-1", "2/4", "-3/4", "007", "12/18", "9" * MAX_DIGITS,
+         "-1/" + "7" * MAX_DIGITS]
+_BAD = ["1/0", "-5/0", "0/0", "1.5", "", "+1", "1/-2", " 1", "9" * (MAX_DIGITS + 1),
+        1, 0, 1.5, True, None, [], ["1"], {"a": "1"}]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 4), data=st.data())
+def test_matrix_reader_matches_dense_reference(d, data):
+    """Two matrices read with one memo, as parse_rep reads a file: the same
+    matrix (with Fraction entries and no stored zero) or the same first
+    error as the dense reference, whatever the first matrix left in the memo."""
+    entry = st.sampled_from(_GOOD) | st.sampled_from(_BAD) if data.draw(st.booleans()) \
+        else st.sampled_from(_GOOD)
+    row = st.lists(entry, min_size=d, max_size=d) | st.lists(entry, max_size=d + 1)
+    rows = st.lists(row, min_size=d, max_size=d) | st.lists(row, max_size=d + 1)
+    memo = {}
+    for locus in ("rho.e", "lambda.f"):
+        value = data.draw(rows)
+        ours = outcome(_matrix_from_rows, value, d, locus, memo)
+        assert ours == outcome(reference_matrix, value, d, locus)
+        if isinstance(ours, Matrix):
+            assert only_fractions(ours) and ours.nz == Matrix(ours.data).nz
+            assert (ours.rows, ours.cols) == (d, d)
+    assert all(type(k) is str and type(v) is Fraction for k, v in memo.items())
+
+
+def test_parse_errors_after_good_repeats_are_unchanged():
+    """A bad entry after many good copies of the same strings still raises
+    with its own locus and the message of the one-entry reader."""
+    alg_obj = json.loads(serialize_algebra(abelian_algebra(2)))
+    d = 6
+    cases = [
+        (7, 'rational values must be strings like "p/q"'),
+        ([], 'rational values must be strings like "p/q"'),
+        (None, 'rational values must be strings like "p/q"'),
+        ("9" * (MAX_DIGITS + 1), f"more than {MAX_DIGITS} digits"),
+        ("1/0", "Fraction(1, 0)"),
+        ("-2/0", "Fraction(-2, 0)"),
+        ("1/2/3", 'expected an integer or "p/q"'),
+    ]
+    for bad, message in cases:
+        good = [["1", "-1/2", "0"] * 2 for _ in range(d)]
+        spoiled = [list(r) for r in good]
+        spoiled[4][3] = bad
+        obj = {"algebra": alg_obj, "module_dim": d,
+               "rho": {"a0": good, "a1": spoiled}, "lambda": {"a0": good, "a1": good}}
+        with pytest.raises(ParseError) as info:
+            parse_rep(json.dumps(obj))
+        assert str(info.value) == f"rho.a1[4][3]: {message}"
+        assert str(info.value) == outcome(reference_matrix, spoiled, d, "rho.a1")
+
+
+def test_inline_algebra_shares_the_memo():
+    """A string first read in the inline algebra is a memo hit in a matrix,
+    and a bracket entry keeps its own locus when it is bad."""
+    rep = sl2_leibniz_irrep(3, "anti_symmetric")
+    obj = json.loads(serialize_rep(rep))
+    back = parse_rep(json.dumps(obj))
+    assert back.right == rep.right and back.left == rep.left
+    assert all(only_fractions(m) for m in back.right + back.left)
+    obj["algebra"]["brackets"][0]["result"] = {"e": 2}
+    with pytest.raises(ParseError, match=r"^algebra\.brackets\[0\]\.result\.e: rational values"):
+        parse_rep(json.dumps(obj))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 3), d=st.integers(1, 4), data=st.data())
+def test_serialize_parse_round_trip(n, d, data):
+    """serialize_rep then parse_rep gives back the module, and serializing
+    again gives the same bytes."""
+    value = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 30)) \
+        | st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)])
+    matrix = st.lists(st.lists(value, min_size=d, max_size=d), min_size=d, max_size=d)
+    right = [Matrix(data.draw(matrix)) for _ in range(n)]
+    left = [Matrix(data.draw(matrix)) for _ in range(n)]
+    rep = Representation(abelian_algebra(n), right, left, name=data.draw(st.text(max_size=4)))
+    text = serialize_rep(rep)
+    back = parse_rep(text)
+    assert back.right == rep.right and back.left == rep.left and back.name == rep.name
+    assert all(only_fractions(m) for m in back.right + back.left)
+    assert serialize_rep(back) == text

@@ -21,6 +21,8 @@ from leibnizalg.linalg import (
     _norton,
     _poly_at,
     _shift,
+    _solutions,
+    _unflatten,
     Matrix,
     Subspace,
     char_poly,
@@ -324,6 +326,60 @@ def test_intertwiner_space_conjugation():
     assert flat_span.contains(g.flatten())
     for x in space:
         assert x * a == b * x
+
+
+def intertwiners_one_shot(pairs, rows_dim: int, cols_dim: int) -> list[Matrix]:
+    """Reference: the rows of every pair in one system, with no pair skipped."""
+    rows = _axiom_rows([((), 0, a, b) for a, b in pairs], rows_dim, cols_dim)
+    ker = _solutions(rows, rows_dim * cols_dim)
+    return [_matrix_of(_unflatten(row, cols_dim), rows_dim, cols_dim)
+            for row in ker.rows.values()]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rows_dim=st.integers(1, 3), cols_dim=st.integers(1, 3), data=st.data())
+def test_intertwiner_space_skips_only_redundant_pairs(rows_dim, cols_dim, data):
+    """Skipping the pairs that the solutions so far satisfy gives the same
+    canonical basis as the one-shot system, on pair lists with zero
+    matrices, duplicates, negated duplicates, a != b and a == b."""
+    def matrix(rows, cols):
+        flat = data.draw(st.lists(st.integers(-2, 2), min_size=rows * cols,
+                                  max_size=rows * cols))
+        return Matrix.from_flat(flat, rows, cols)
+
+    pairs = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        kind = data.draw(st.sampled_from(
+            ["new", "zero", "same", "duplicate", "negated"] if pairs else ["new", "zero", "same"]))
+        if kind == "new":
+            pairs.append((matrix(cols_dim, cols_dim), matrix(rows_dim, rows_dim)))
+        elif kind == "zero":
+            pairs.append((Matrix.zeros(cols_dim, cols_dim), Matrix.zeros(rows_dim, rows_dim)))
+        elif kind == "same" and rows_dim == cols_dim:
+            a = matrix(cols_dim, cols_dim)
+            pairs.append((a, a))
+        elif kind in ("duplicate", "negated"):
+            a, b = data.draw(st.sampled_from(pairs))
+            pairs.append((-a, -b) if kind == "negated" else (a, b))
+    ours = intertwiner_space(pairs, rows_dim, cols_dim)
+    assert ours == intertwiners_one_shot(pairs, rows_dim, cols_dim)
+    assert all(only_fractions(x) for x in ours)
+    for x in ours:
+        assert all(x * a == b * x for a, b in pairs)
+
+
+def test_intertwiner_space_of_benchmark_modules_matches_one_shot():
+    """The commutants that `decompose` and `is_simple` solve, where most
+    pairs are implied by the first ones (rho(h) lies in the span of the
+    products of rho(e) and rho(f), and lambda = -rho or 0)."""
+    for rep in (ladder_sum(2, 3, 4, 4), ladder_sum(3, 3, variant="anti_symmetric"),
+                ladder_sum(5, 0, 2, variant="anti_symmetric")):
+        mats, d = rep.action_matrices(), rep.space_dim
+        pairs = [(m, m) for m in mats]
+        assert matrix_commutant(mats, d) == intertwiners_one_shot(pairs, d, d)
+    with pytest.raises(ValueError, match="unknown shape"):
+        intertwiner_space([(Matrix.identity(2), Matrix.identity(2)),
+                           (Matrix.zeros(3, 3), Matrix.zeros(2, 2))], 2, 2)
 
 
 def axiom_value(equation, xs: list[Matrix]) -> Matrix:
