@@ -9,7 +9,8 @@ A LeibnizAlgebra keeps its structure constants in one sparse integer form,
 which every operation reads; the dense table is a view built on demand. It
 validates the identity eagerly on construction and stores the violating
 triples; operations beyond the checks themselves refuse to run on an
-invalid table.
+invalid table. The identity is pairing axiom (1), R_[y,z] = R_z R_y - R_y R_z,
+of the right multiplications, checked one pair at a time in O(n^2) memory.
 
 The Levi chain, the kernel K, the Lie quotient Q = L/K and the radical, is
 computed and verified once per algebra (`_levi_data`); `radical`,
@@ -33,6 +34,7 @@ from .linalg import (
     _integral,
     _matrix_of,
     _norton,
+    _pairing_defects,
     _particular,
     _sparse,
     _sparse_combination,
@@ -158,30 +160,13 @@ class LeibnizAlgebra:
 
     def _find_violations(self) -> tuple[tuple[int, int, int], ...]:
         """Triples (i, j, k), in (j, k, i) order, where
-        [[b_i,b_j],b_k] - [[b_i,b_k],b_j] - [b_i,[b_j,b_k]] is not zero. Each
-        term is a product of two integer constants, and only the triples
-        that such products reach are visited.
-        """
+        [[b_i,b_j],b_k] - [[b_i,b_k],b_j] - [b_i,[b_j,b_k]] is not zero: column
+        i of the defect of axiom (1) at (j, k) for the right multiplications
+        R_k: v -> [v, b_k]. Row i of R_k^T is [b_i, b_k]; with e = -1 their
+        defects are the transposed ones, so the rows name the violating i."""
         n, nz = self.dim, self._int_table
-        right = [[k for k in range(n) if nz[t][k]] for t in range(n)]  # [b_t, b_k] != 0
-        left = [[i for i in range(n) if nz[i][t]] for t in range(n)]  # [b_i, b_t] != 0
-        acc: dict[tuple[int, int, int], dict[int, int]] = {}
-        for p in range(n):
-            for q in range(n):
-                for t, c in nz[p][q]:
-                    # c_pq^t [b_t, b_k] is in [[b_p,b_q],b_k] and in [[b_p,b_k],b_q]
-                    for k in right[t]:
-                        plus = acc.setdefault((p, q, k), {})
-                        minus = acc.setdefault((p, k, q), {})
-                        for s, x in nz[t][k]:
-                            plus[s] = plus.get(s, 0) + c * x
-                            minus[s] = minus.get(s, 0) - c * x
-                    # c_pq^t [b_i, b_t] is in [b_i,[b_p,b_q]]
-                    for i in left[t]:
-                        minus = acc.setdefault((i, p, q), {})
-                        for s, x in nz[i][t]:
-                            minus[s] = minus.get(s, 0) - c * x
-        bad = [triple for triple, out in acc.items() if any(out.values())]
+        cols = [{i: dict(nz[i][k]) for i in range(n) if nz[i][k]} for k in range(n)]
+        bad = [(i, j, k) for j, k, defect in _pairing_defects(cols, nz, -1, 1) for i in defect]
         return tuple(sorted(bad, key=lambda t: (t[1], t[2], t[0])))
 
     @property

@@ -21,13 +21,13 @@ from .decompose import (
     complete_reducibility_necessary, decompose, example_5_3, example_5_5,
 )
 from .fileio import (
-    MAX_DIM, ParseError, frac_str, parse_algebra, parse_rep, serialize_algebra,
+    MAX_DIM, ParseError, _matrix_to_rows, parse_algebra, parse_rep, serialize_algebra,
     serialize_rep, rep_to_object,
 )
 from .linalg import Subspace
 from .reps import Representation, adjoint_rep, equivalence, irreducibility, restrict
 from .sl2 import (
-    classify_extension_irreps, simple_ext_algebra, sl2_algebra,
+    _ladder_variants, classify_extension_irreps, simple_ext_algebra, sl2_algebra,
     sl2_leibniz_irrep,
 )
 
@@ -58,10 +58,6 @@ def _load_rep(path: str) -> Representation:
     return parse_rep(_read_source(path), base_dir=base)
 
 
-def _rows(space: Subspace) -> list:
-    return [[frac_str(x) for x in row] for row in space.basis.data]
-
-
 def _check_dim(flag: str, dim: int) -> None:
     if dim > MAX_DIM:
         raise ParseError(f"{flag}: dimension {dim} is above {MAX_DIM}")
@@ -86,7 +82,7 @@ def _cmd_check(args):
 
 def _cmd_kernel(args):
     kern = _load_algebra(args.file).leibniz_kernel()
-    return {"kernel_dim": kern.dim, "basis": _rows(kern)}
+    return {"kernel_dim": kern.dim, "basis": _matrix_to_rows(kern.basis)}
 
 
 def _cmd_series(args):
@@ -108,7 +104,7 @@ def _cmd_radical(args):
     rad = alg.radical()
     return {
         "radical_dim": rad.dim,
-        "basis": _rows(rad),
+        "basis": _matrix_to_rows(rad.basis),
         "equals_kernel": rad == alg.leibniz_kernel(),
     }
 
@@ -142,7 +138,7 @@ def _cmd_derivations(args):
 
 def _cmd_levi(args):
     levi = _load_algebra(args.file).levi_subalgebra()
-    return {"levi_dim": levi.dim, "basis": _rows(levi)}
+    return {"levi_dim": levi.dim, "basis": _matrix_to_rows(levi.basis)}
 
 
 def _cmd_rep_check(args):
@@ -173,14 +169,11 @@ def _cmd_rep_classify(args):
     alg = _load_algebra(args.file)
     if m < 0:
         raise ParseError("--m must be nonnegative")
+    variants = _ladder_variants(m)
     if alg.same_table(sl2_algebra()):
-        family = "sl2"
-        variants = ("zero_lambda",) if m == 0 else ("zero_lambda", "anti_symmetric")
-        reps = [sl2_leibniz_irrep(m, v) for v in variants]
+        family, reps = "sl2", [sl2_leibniz_irrep(m, v) for v in variants]
     elif alg.dim >= 5 and alg.same_table(simple_ext_algebra(alg.dim)):
-        family = "simple_ext"
-        reps = classify_extension_irreps(alg.dim, m)
-        variants = ("zero_lambda",) if m == 0 else ("zero_lambda", "anti_symmetric")
+        family, reps = "simple_ext", classify_extension_irreps(alg.dim, m)
     else:
         raise ParseError(
             "classification covers the (e, f, h) table and its simple extensions only")
@@ -202,8 +195,7 @@ def _cmd_rep_equivalent(args):
     if verdict.detail:
         report["detail"] = verdict.detail
     if verdict.certificate is not None:
-        report["certificate"] = [
-            [frac_str(x) for x in row] for row in verdict.certificate.data]
+        report["certificate"] = _matrix_to_rows(verdict.certificate)
     return report
 
 
@@ -215,7 +207,7 @@ def _cmd_rep_decompose(args):
         "verdict": result.verdict,
         "kernel_acts_trivially": necessary.ok,
         "component_dims": [c.dim for c in result.components],
-        "components": [_rows(c) for c in result.components],
+        "components": [_matrix_to_rows(c.basis) for c in result.components],
     }
     if result.obstruction:
         report["obstruction"] = result.obstruction

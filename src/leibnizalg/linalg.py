@@ -10,10 +10,13 @@ rows, `nz`; its dense rows, `data`, are a view built on each access, and
 product, `_sparse_matmul`, behind `Matrix * Matrix`, and one linear
 combination, `_sparse_combination`, behind `linear_combination`, the sum,
 difference and scaling of matrices and `_shift`. `_int_matrix` scales it to
-integers for the module axiom check in `reps`; the tail quadratics in `sl2`
-multiply in it. A Subspace lives in it too: it keeps the rows of its
-reduced row echelon form and their pivots, which makes equality of
-subspaces structural; its `basis` is the Matrix over those rows.
+integers, where `_pairing_defects` is the one check of pairing axiom (1),
+rho_[x,y] = rho_y rho_x - rho_x rho_y, one pair at a time in O(d^2) memory:
+the module axiom check in `reps` and the Leibniz identity (axiom (1) of the
+right multiplications) run on it. The tail quadratics in `sl2` multiply in
+it. A Subspace lives in it too: it keeps the rows of its reduced row echelon
+form and their pivots, which makes equality of subspaces structural; its
+`basis` is the Matrix over those rows.
 
 All elimination runs on one sparse, fraction-free kernel, `Echelon`. Its
 rows are dicts from column to int: each input row has its denominators
@@ -784,6 +787,26 @@ def _axiom_rows(equations: Iterable[tuple], rows: int, cols: int) -> list[dict]:
                         del row[c]
                 out.append(row)
     return out
+
+
+def _pairing_defects(mats: Sequence[dict], table: Sequence[Sequence[tuple]],
+                     e: int, den: int) -> Iterable[tuple[int, int, dict]]:
+    """(i, j, D) for each ordered pair with a nonzero defect of pairing axiom
+    (1), D = e (M_j M_i - M_i M_j) - den sum_k c_ij^k M_k, where table[i][j]
+    lists the (k, c_ij^k). One unordered pair at a time: its two products serve
+    both orders, and a pair with neither products nor bracket is skipped."""
+    for i in range(len(mats)):
+        for j in range(i, len(mats)):
+            prods = []
+            if i != j and mats[i] and mats[j]:
+                prods = [(e, _sparse_matmul(mats[j], mats[i])),
+                         (-e, _sparse_matmul(mats[i], mats[j]))]
+            for a, b, sign in ((i, j, 1), (j, i, -1)) if i != j else ((i, i, 1),):
+                if prods or table[a][b]:
+                    defect = _sparse_combination([(sign * c, p) for c, p in prods] + [
+                        (-den * c, mats[k]) for k, c in table[a][b]])
+                    if defect:
+                        yield a, b, defect
 
 
 def _int_matrix(m: Matrix, den: int) -> dict:

@@ -16,9 +16,10 @@ Every Representation checks the axioms when it is built, on integers: the
 action matrices are scaled by one common denominator D to sparse integer
 matrices R_k, L_k, the structure constants by theirs, E, to C_ij^k, and
 axiom (1) at (i, j) is checked as D sum_k C_ij^k R_k = E (R_j R_i - R_i R_j),
-axioms (2) and (3) the same way. Each product R_a R_b is formed once and
-serves both (a, b) and (b, a); products with a zero left action are never
-formed.
+axioms (2) and (3) the same way. Axiom (1) is `linalg._pairing_defects`,
+which also checks the Leibniz identity: one pair at a time in O(d^2) memory,
+each product R_a R_b formed once for both orders. Products with a zero left
+action are never formed.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .linalg import (
     _int_matrix,
     _matrix_of,
     _norton,
+    _pairing_defects,
     _shift,
     _sparse,
     _sparse_combination,
@@ -102,17 +104,13 @@ class Representation:
                     for row in m.nz.values() for x in row.values()])
         right = [_int_matrix(m, den) for m in self.right]
         left = [_int_matrix(m, den) for m in self.left]
-        prod = {(a, b): _sparse_matmul(right[a], right[b])
-                for a in range(n) for b in range(n) if a != b}
+        one = {(i, j) for i, j, _ in _pairing_defects(right, alg._int_table, e, den)}
         bad = []
         for i in range(n):
             for j in range(n):
-                cs = alg._int_table[i][j]
-                comm = {} if i == j else _sparse_combination(
-                    [(e, prod[j, i]), (-e, prod[i, j])])
-                if _sparse_combination([(den * c, right[k]) for k, c in cs]) != comm:
+                if (i, j) in one:
                     bad.append((1, i, j))
-                lam = _sparse_combination([(den * c, left[k]) for k, c in cs])
+                lam = _sparse_combination([(den * c, left[k]) for k, c in alg._int_table[i][j]])
                 two = three = {}
                 if left[i]:
                     rl = _sparse_matmul(right[j], left[i])

@@ -60,6 +60,11 @@ def sl2_irrep_rho(m: int) -> tuple[Matrix, Matrix, Matrix]:
     return _matrix_of(e, d, d), _matrix_of(f, d, d), _matrix_of(h, d, d)
 
 
+def _ladder_variants(m: int) -> tuple[str, ...]:
+    """The distinct left actions of the ladder; they coincide at m = 0."""
+    return ("zero_lambda",) if m == 0 else ("zero_lambda", "anti_symmetric")
+
+
 def sl2_leibniz_irrep(m: int, variant: str) -> Representation:
     """The (m+1)-dimensional two-sided ladder representation.
 
@@ -370,16 +375,12 @@ def classify_extension_irreps(n: int, m: int) -> list[Representation]:
     if m < 0:
         raise ValueError("ladder size parameter must be nonnegative")
     alg = simple_ext_algebra(n)
-    d = m + 1
-    nx = n - 3
-    zero = Matrix.zeros(d, d)
-    variants = ("zero_lambda",) if m == 0 else ("zero_lambda", "anti_symmetric")
+    tail = [Matrix.zeros(m + 1, m + 1)] * (n - 3)
     out = []
-    for variant in variants:
+    for variant in _ladder_variants(m):
         base = sl2_leibniz_irrep(m, variant)
-        right = list(base.right) + [zero] * nx
-        left = list(base.left) + [zero] * nx
-        rep = Representation(alg, right, left, name=f"ext{n}-ladder{m}[{variant}]")
+        rep = Representation(alg, list(base.right) + tail, list(base.left) + tail,
+                             name=f"ext{n}-ladder{m}[{variant}]")
         if not rep.is_valid:
             raise InternalCheckError("catalogue representation failed the axioms")
         out.append(rep)

@@ -8,6 +8,7 @@ matrix code.
 
 import json
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -178,6 +179,40 @@ def test_violations_match_the_product_residual_on_corrupted_tables():
             assert corrupted.leibniz_violations == violations_by_products(corrupted)
             found += len(corrupted.leibniz_violations)
     assert found > 100  # the corruptions do break the identity
+    constants = [F(1), F(-1), F(1, 2), F(-2, 3), F(3)]
+    broken = Counter()
+    for n in range(3, 7):
+        names = [f"x{i}" for i in range(n)]
+        for _ in range(4):
+            # dense, and with the right multiplications by the first labels
+            # zero while their brackets with the others are not
+            dense = [[[rng.choice(constants) for _ in range(n)] for _ in range(n)]
+                     for _ in range(n)]
+            vanish = rng.randint(1, n - 1)
+            sparse = [[[rng.choice(constants) if j >= vanish and rng.random() < 0.3 else 0
+                        for _ in range(n)] for j in range(n)] for _ in range(n)]
+            for kind, table in (("dense", dense), ("sparse", sparse)):
+                alg = LeibnizAlgebra(names, table)
+                assert alg.leibniz_violations == violations_by_products(alg)
+                broken[kind] += bool(alg.leibniz_violations)
+    assert broken["dense"] == 16 and broken["sparse"] > 8
+
+
+def test_identity_check_on_a_dense_table_stays_small():
+    # one (j, k) pair at a time: the check holds O(n^2) integers, not O(n^4)
+    rng = random.Random(12)
+    n = 12
+    table = [[[rng.choice([-2, -1, 1, 2, F(1, 2)]) for _ in range(n)] for _ in range(n)]
+             for _ in range(n)]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        alg = LeibnizAlgebra([f"x{i}" for i in range(n)], table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert alg.leibniz_violations
+    assert peak < 1_000_000, peak
 
 
 def test_shape_errors():

@@ -7,6 +7,7 @@ sympy oracle that assembles the commutation equations symbolically.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from leibnizalg import reps
-from leibnizalg.algebra import LeibnizAlgebra, algebra_from_brackets
+from leibnizalg.algebra import LeibnizAlgebra, abelian_algebra, algebra_from_brackets
 from leibnizalg.decompose import example_5_5
 from leibnizalg.linalg import (
     Matrix,
@@ -579,6 +580,25 @@ def test_axiom_check_matches_dense_products_with_some_zero_left_actions():
             rep = Representation(sl2(), rho, left)
             assert rep.axiom_violations
             assert rep.axiom_violations == axiom_violations_by_dense_products(rep)
+
+
+def test_axiom_check_on_dense_actions_stays_small():
+    # one pair at a time: no table of the n(n - 1) products R_a R_b
+    rng = random.Random(24)
+    d = 24
+    rho = [Matrix([[rng.choice([-2, -1, 1, 2, F(1, 2)]) for _ in range(d)] for _ in range(d)])
+           for _ in range(8)]
+    lam = [Matrix.zeros(d, d)] * 8
+    algebra = abelian_algebra(8)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        rep = Representation(algebra, rho, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.axiom_violations
+    assert peak < 1_000_000, peak
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
