@@ -25,7 +25,7 @@ from .fileio import (
     serialize_rep, rep_to_object,
 )
 from .linalg import Subspace
-from .reps import Representation, adjoint_rep, equivalence, irreducibility, restrict
+from .reps import _VARIANTS, Representation, equivalence, irreducibility, restrict
 from .sl2 import (
     _ladder_variants, classify_extension_irreps, simple_ext_algebra, sl2_algebra,
     sl2_leibniz_irrep,
@@ -255,7 +255,6 @@ def _cmd_gen_example_5_5(args):
     return serialize_rep(example_5_5(args.top, args.bottom))
 
 
-_VARIANTS = ("zero_lambda", "anti_symmetric")
 _DESCRIPTION = "\n\n".join(__doc__.split("\n\n")[:2])  # the top-level help
 
 

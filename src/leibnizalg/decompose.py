@@ -5,8 +5,9 @@ kernel on both action sides; that necessary condition is checked first.
 Splitting itself goes through the commutant: primary components of a
 deterministic commutant element are invariant, and recursion refines them
 until every leaf has commutant dimension one. Two benchmark modules of
-dimension five round out the catalogue: one whose adjoint module admits no
-irreducible decomposition, and one that splits as 3 + 2.
+dimension five round out the catalogue: the adjoint module of example 5.3,
+`simple_ext(5)` with its tail labelled x, y, which admits no irreducible
+decomposition, and one that splits as 3 + 2.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import InternalCheckError, LeibnizAlgebra, algebra_from_brackets
+from .algebra import InternalCheckError, LeibnizAlgebra
 from .linalg import (
     Matrix, Subspace, _axiom_rows, _eliminate, _poly_at, _solutions, _sparse_matmul,
     linear_combination, matrix_commutant, minimal_polynomial, nullspace, poly_eval,
@@ -23,7 +24,7 @@ from .linalg import (
 from .reps import (
     Representation, adjoint_rep, direct_sum, is_invariant, module_restriction,
 )
-from .sl2 import sl2_leibniz_irrep
+from .sl2 import simple_ext_algebra, sl2_leibniz_irrep
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -203,19 +204,12 @@ def _verify_partition(rep: Representation, leaves: list[Subspace]) -> None:
 def example_5_3() -> tuple[LeibnizAlgebra, Representation]:
     """The five-dimensional simple algebra whose adjoint module cannot be
     written as a direct sum of irreducible components, with that adjoint
-    module. The kernel is spanned by the last two basis vectors and the
-    left action on it is nonzero.
+    module: the simple extension of dimension five, with its tail labelled
+    x, y. The kernel is spanned by the last two basis vectors and the left
+    action on it is nonzero.
     """
-    alg = algebra_from_brackets(
-        ["e", "f", "h", "x", "y"],
-        {
-            ("e", "f"): {"h": 1}, ("f", "e"): {"h": -1},
-            ("e", "h"): {"e": 2}, ("h", "e"): {"e": -2},
-            ("f", "h"): {"f": -2}, ("h", "f"): {"f": 2},
-            ("x", "h"): {"x": 1}, ("y", "e"): {"x": -1},
-            ("x", "f"): {"y": 1}, ("y", "h"): {"y": -1},
-        },
-        name="example-5-3")
+    alg = LeibnizAlgebra(["e", "f", "h", "x", "y"], simple_ext_algebra(5).table,
+                         name="example-5-3")
     return alg, adjoint_rep(alg)
 
 

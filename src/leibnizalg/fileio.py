@@ -202,17 +202,16 @@ def parse_rep(text: str, base_dir: str = ".") -> Representation:
     return Representation(alg, sides["rho"], sides["lambda"], name=name)
 
 
-def rep_to_object(rep: Representation, algebra_ref: str | None = None) -> dict:
+def rep_to_object(rep: Representation) -> dict:
     names = rep.algebra.basis_names
     return {
         "name": rep.name,
-        "algebra": algebra_ref if algebra_ref is not None
-        else algebra_to_object(rep.algebra),
+        "algebra": algebra_to_object(rep.algebra),
         "module_dim": rep.space_dim,
         "rho": {b: _matrix_to_rows(rep.right[i]) for i, b in enumerate(names)},
         "lambda": {b: _matrix_to_rows(rep.left[i]) for i, b in enumerate(names)},
     }
 
 
-def serialize_rep(rep: Representation, algebra_ref: str | None = None) -> str:
-    return json.dumps(rep_to_object(rep, algebra_ref), indent=2, sort_keys=True) + "\n"
+def serialize_rep(rep: Representation) -> str:
+    return json.dumps(rep_to_object(rep), indent=2, sort_keys=True) + "\n"

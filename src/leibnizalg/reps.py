@@ -10,7 +10,9 @@ axioms (checked over the structure constants, basis pair by basis pair):
 
 Axiom (1) forces the right action of the algebra's kernel to vanish; the
 left action of the kernel is genuinely extra data, which is what separates
-this theory from Lie module theory.
+this theory from Lie module theory. On an irreducible module the left action
+is 0 or -rho (the dichotomy): `_VARIANTS` maps the two variants to their a
+in lambda = a * rho, and `_variant_rep` builds every catalogue module from it.
 
 Every Representation checks the axioms when it is built, on integers: the
 action matrices are scaled by one common denominator D to sparse integer
@@ -166,6 +168,20 @@ class EquivalenceVerdict(NamedTuple):
 
 # -- constructions --
 
+# the two left actions of the catalogue modules, in catalogue order: variant
+# -> a, where the left action is a times the right one
+_VARIANTS = {"zero_lambda": 0, "anti_symmetric": -1}
+
+
+def _variant_rep(algebra: LeibnizAlgebra, right: Sequence[Matrix], variant: str,
+                 name: str) -> Representation:
+    """The module with the given right action and the variant's left action."""
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    a = _VARIANTS[variant]
+    return Representation(algebra, right, [m.scale(a) for m in right], name=name)
+
+
 def from_lie_rep(
     algebra: LeibnizAlgebra, phi: Sequence[Matrix], variant: str
 ) -> Representation:
@@ -182,15 +198,7 @@ def from_lie_rep(
         raise ValueError("from_lie_rep needs a Lie table")
     if len(phi) != algebra.dim:
         raise ValueError("need one matrix per basis element")
-    d = phi[0].rows if phi else 0
-    right = tuple(-m for m in phi)
-    if variant == "anti_symmetric":
-        left = tuple(phi)
-    elif variant == "zero_lambda":
-        left = tuple(Matrix.zeros(d, d) for _ in phi)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    rep = Representation(algebra, right, left, name=f"lie[{variant}]")
+    rep = _variant_rep(algebra, [-m for m in phi], variant, f"lie[{variant}]")
     for axiom, i, j in rep.axiom_violations:
         if axiom == 1:
             raise ValueError(f"phi is not a Lie homomorphism at pair ({i},{j})")
@@ -325,16 +333,15 @@ def dichotomy_classify(rep: Representation) -> str:
         raise ValueError("dichotomy needs an absolutely irreducible module")
     v = sym_span(rep)
     if v.is_zero():
-        for j in range(rep.algebra.dim):
-            if rep.left[j] != -rep.right[j]:
-                raise InternalCheckError("zero symmetrized span without lambda = -rho")
-        return "anti_symmetric"
-    if v.is_full():
-        for j in range(rep.algebra.dim):
-            if not rep.left[j].is_zero():
-                raise InternalCheckError("full symmetrized span without lambda = 0")
-        return "zero_lambda"
-    raise InternalCheckError("symmetrized span is a proper nonzero submodule")
+        variant, failure = "anti_symmetric", "zero symmetrized span without lambda = -rho"
+    elif v.is_full():
+        variant, failure = "zero_lambda", "full symmetrized span without lambda = 0"
+    else:
+        raise InternalCheckError("symmetrized span is a proper nonzero submodule")
+    a = _VARIANTS[variant]
+    if any(left != right.scale(a) for right, left in zip(rep.right, rep.left)):
+        raise InternalCheckError(failure)
+    return variant
 
 
 _COMBO_COEFFS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(3))

@@ -2,10 +2,12 @@
 
 This module hosts the explicit catalogue: the 3-dimensional simple Lie
 algebra on (e, f, h), its (m+1)-dimensional ladder representations in the
-two left-action flavors, the twelve constraint identities the ladder
+two left-action variants, the twelve constraint identities the ladder
 matrices satisfy (each read off the module's pairing-axiom check at fixed
 basis pairs), and the n-dimensional simple Leibniz extensions whose tail
-representations are forced to zero. The forcing argument runs in two
+representations are forced to zero. Every catalogue module, a ladder or a
+ladder extended by zero on the tail, is built from the variant table by
+`reps._variant_rep`. The forcing argument runs in two
 stages: a linear stage pairing tail elements with e, f, h, and a quadratic
 stage for the tail-tail pairs that peels equations of the perfect-square
 form q*(linear)^2 = 0 into linear ones.
@@ -20,7 +22,7 @@ from typing import NamedTuple
 from .algebra import InternalCheckError, LeibnizAlgebra, algebra_from_brackets
 from .linalg import (Matrix, Subspace, _axiom_rows, _matrix_of, _solutions, _sparse_matmul,
                      rational_roots)
-from .reps import Representation
+from .reps import _VARIANTS, Representation, _variant_rep
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -62,7 +64,7 @@ def sl2_irrep_rho(m: int) -> tuple[Matrix, Matrix, Matrix]:
 
 def _ladder_variants(m: int) -> tuple[str, ...]:
     """The distinct left actions of the ladder; they coincide at m = 0."""
-    return ("zero_lambda",) if m == 0 else ("zero_lambda", "anti_symmetric")
+    return tuple(_VARIANTS)[:1] if m == 0 else tuple(_VARIANTS)
 
 
 def sl2_leibniz_irrep(m: int, variant: str) -> Representation:
@@ -72,15 +74,7 @@ def sl2_leibniz_irrep(m: int, variant: str) -> Representation:
     left action equal to the negative of the right one. At m = 0 the two
     coincide (everything is zero).
     """
-    rho = sl2_irrep_rho(m)
-    d = m + 1
-    if variant == "anti_symmetric":
-        left = tuple(-x for x in rho)
-    elif variant == "zero_lambda":
-        left = tuple(Matrix.zeros(d, d) for _ in rho)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    rep = Representation(sl2_algebra(), rho, left, name=f"ladder{m}[{variant}]")
+    rep = _variant_rep(sl2_algebra(), sl2_irrep_rho(m), variant, f"ladder{m}[{variant}]")
     if not rep.is_valid:
         raise InternalCheckError("ladder construction failed its own axioms")
     return rep
@@ -337,12 +331,7 @@ def extension_rep_solve(n: int, m: int) -> ExtensionSolution:
     basis_mats = _tail_stage1_basis(n, m)
     p = len(basis_mats)
     _sl2_left_block_check(m)
-    used_quadratic = p > 0
-    if p == 0:
-        free, obstruction = 0, None
-    else:
-        quads = _tail_quadratic_matrices(basis_mats, nx)
-        free, obstruction = _reduce_quadratics(quads, 2 * p)
+    free, obstruction = _reduce_quadratics(_tail_quadratic_matrices(basis_mats, nx), 2 * p)
     coeffs = _left_coefficient_roots(m)
     if obstruction is None and free == 0:
         zero = Matrix.zeros(d, d)
@@ -357,7 +346,7 @@ def extension_rep_solve(n: int, m: int) -> ExtensionSolution:
         forced_lambda_I=forced_l,
         free_parameters=free,
         stage1_free_parameters=p,
-        used_quadratic_stage=used_quadratic,
+        used_quadratic_stage=p > 0,
         lambda_sl2_coefficients=coeffs,
         obstruction=obstruction,
     )
@@ -370,40 +359,24 @@ def classify_extension_irreps(n: int, m: int) -> list[Representation]:
     on the tail; the left action is zero or the negative of the right one.
     At m = 0 the two coincide, so the list has a single entry.
     """
-    if n < 5:
-        raise ValueError("the extension family starts at dimension 5")
-    if m < 0:
-        raise ValueError("ladder size parameter must be nonnegative")
     alg = simple_ext_algebra(n)
-    tail = [Matrix.zeros(m + 1, m + 1)] * (n - 3)
-    out = []
-    for variant in _ladder_variants(m):
-        base = sl2_leibniz_irrep(m, variant)
-        rep = Representation(alg, list(base.right) + tail, list(base.left) + tail,
-                             name=f"ext{n}-ladder{m}[{variant}]")
-        if not rep.is_valid:
-            raise InternalCheckError("catalogue representation failed the axioms")
-        out.append(rep)
-    return out
+    right = list(sl2_irrep_rho(m)) + [Matrix.zeros(m + 1, m + 1)] * (n - 3)
+    reps = [_variant_rep(alg, right, v, f"ext{n}-ladder{m}[{v}]") for v in _ladder_variants(m)]
+    if not all(rep.is_valid for rep in reps):
+        raise InternalCheckError("catalogue representation failed the axioms")
+    return reps
 
 
 def _cross_check_against_catalog(n: int, m: int,
                                  coeffs: tuple[Fraction, ...]) -> None:
-    alg = simple_ext_algebra(n)
-    rho = sl2_irrep_rho(m)
-    d = m + 1
-    nx = n - 3
-    zero = Matrix.zeros(d, d)
-    catalog = classify_extension_irreps(n, m)
-    if len(catalog) != len(coeffs):
-        raise InternalCheckError("catalogue size differs from the root count")
-    by_coeff = {ZERO: catalog[0], Fraction(-1): catalog[1]}
+    catalog = {_VARIANTS[v]: rep
+               for v, rep in zip(_ladder_variants(m), classify_extension_irreps(n, m))}
+    if sorted(coeffs) != sorted(catalog):
+        raise InternalCheckError("solver roots differ from the catalogue coefficients")
+    right = list(sl2_irrep_rho(m)) + [Matrix.zeros(m + 1, m + 1)] * (n - 3)
     for a in coeffs:
-        right = list(rho) + [zero] * nx
-        left = [x.scale(a) for x in rho] + [zero] * nx
-        rep = Representation(alg, right, left)
+        rep = Representation(simple_ext_algebra(n), right, [x.scale(a) for x in right])
         if not rep.is_valid:
             raise InternalCheckError("forced solution fails the axioms")
-        match = by_coeff[a]
-        if rep.right != match.right or rep.left != match.left:
+        if (rep.right, rep.left) != (catalog[a].right, catalog[a].left):
             raise InternalCheckError("forced solution differs from the catalogue")

@@ -9,6 +9,8 @@ import pytest
 
 from leibnizalg import cli
 from leibnizalg.algebra import InternalCheckError
+from leibnizalg.fileio import serialize_algebra
+from leibnizalg.sl2 import sl2_algebra
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -66,6 +68,23 @@ def test_classify_matches_golden():
                        stdin_text=ext6)
     assert code == 0
     assert out == golden("classify_ext6_m1.json")
+
+
+def test_classify_sl2_matches_golden():
+    code, out, err = run(["rep", "classify", "-", "--m", "2", "--json"],
+                         stdin_text=serialize_algebra(sl2_algebra()))
+    assert (code, err) == (0, "")
+    assert out == golden("classify_sl2_m2.json")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["gen", "example-5-3"], "example_5_3.alg.json"),
+    (["gen", "example-5-3", "--adjoint"], "example_5_3_adjoint.rep.json"),
+])
+def test_gen_example_5_3_matches_golden(argv, name):
+    code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    assert out == golden(name)
 
 
 def test_decompose_matches_golden():

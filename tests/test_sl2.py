@@ -227,6 +227,9 @@ def test_reduce_quadratics_two_squares_one_round():
     a = mat([[1, -1], [-1, 1]])
     b = mat([[1, 0], [0, 0]])
     assert _reduce_quadratics([a, b], 2) == (0, None)
+    # no stage-1 parameters: no tail-tail quadratics and nothing free
+    assert _tail_quadratic_matrices([], 3) == []
+    assert _reduce_quadratics([], 0) == (0, None)
 
 
 def test_reduce_quadratics_needs_second_round():
@@ -405,6 +408,10 @@ def test_solve_input_validation():
         extension_rep_solve(4, 1)
     with pytest.raises(ValueError):
         extension_rep_solve(5, 0)
+    with pytest.raises(ValueError, match="starts at dimension 5"):
+        classify_extension_irreps(4, -1)
+    with pytest.raises(ValueError, match="ladder size parameter must be nonnegative"):
+        classify_extension_irreps(5, -1)
 
 
 # -- the catalogue --
@@ -434,16 +441,25 @@ def test_classify_single_rep_at_ladder_zero():
 
 
 def test_classified_reps_restrict_to_ladders():
-    reps = classify_extension_irreps(6, 2)
-    sl2_span_rows = [tuple(Q(1) if j == i else Q(0) for j in range(6))
-                     for i in range(3)]
-    span3 = Subspace.from_vectors(6, sl2_span_rows)
-    for rep, variant in zip(reps, ("zero_lambda", "anti_symmetric")):
-        cut = restrict(rep, span3)
-        base = sl2_leibniz_irrep(2, variant)
-        assert cut.right == base.right
-        assert cut.left == base.left
-        assert cut.algebra == sl2_algebra()
+    for n in range(5, 9):
+        sl2_span_rows = [tuple(Q(1) if j == i else Q(0) for j in range(n))
+                         for i in range(3)]
+        span3 = Subspace.from_vectors(n, sl2_span_rows)
+        for m in range(5):
+            reps = classify_extension_irreps(n, m)
+            variants = ("zero_lambda", "anti_symmetric")[:1 if m == 0 else 2]
+            assert len(reps) == len(variants)
+            tail = (Matrix.zeros(m + 1, m + 1),) * (n - 3)
+            for rep, variant in zip(reps, variants):
+                # the ladder module extended by zero on the tail
+                base = sl2_leibniz_irrep(m, variant)
+                assert rep.right == base.right + tail
+                assert rep.left == base.left + tail
+                assert rep.name == f"ext{n}-ladder{m}[{variant}]"
+                cut = restrict(rep, span3)
+                assert cut.right == base.right
+                assert cut.left == base.left
+                assert cut.algebra == sl2_algebra()
 
 
 def test_classified_reps_are_absolutely_irreducible():
