@@ -46,7 +46,6 @@ from .linalg import (
     matrix_commutant,
     envelope_dimension,
     nullspace,
-    subspace_intersect,
     subspace_sum,
     vec,
 )
@@ -565,8 +564,7 @@ class LeibnizAlgebra:
                           self.dim).subspace()
         if levi.dim != q:
             raise InternalCheckError("Levi complement has wrong dimension")
-        if not subspace_intersect(levi, kernel).is_zero():
-            raise InternalCheckError("Levi complement intersects the kernel")
+        # the dimensions add up to q + r = n, so spanning makes the sum direct
         if subspace_sum(levi, kernel).dim != self.dim:
             raise InternalCheckError("Levi complement and kernel do not span")
         try:

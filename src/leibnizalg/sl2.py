@@ -318,9 +318,10 @@ def extension_rep_solve(n: int, m: int) -> ExtensionSolution:
     are homogeneous quadratics in the surviving parameters, through the
     rank-one peeling loop. The left block over (e, f, h) is handled
     separately: it is verified to be the line through the right action, and
-    its coefficient is pinned by the third-axiom identities. The final
-    candidates are rebuilt as full representations and compared against the
-    catalogue as an end-to-end check.
+    its coefficient is pinned by the third-axiom identities. The forced
+    candidates are the catalogue modules with those coefficients, so they are
+    not rebuilt: the end-to-end check matches the coefficients against the
+    catalogue and builds it, which checks its axioms.
     """
     if n < 5:
         raise ValueError("the extension family starts at dimension 5")
@@ -369,14 +370,6 @@ def classify_extension_irreps(n: int, m: int) -> list[Representation]:
 
 def _cross_check_against_catalog(n: int, m: int,
                                  coeffs: tuple[Fraction, ...]) -> None:
-    catalog = {_VARIANTS[v]: rep
-               for v, rep in zip(_ladder_variants(m), classify_extension_irreps(n, m))}
-    if sorted(coeffs) != sorted(catalog):
+    classify_extension_irreps(n, m)
+    if sorted(coeffs) != sorted(_VARIANTS[v] for v in _ladder_variants(m)):
         raise InternalCheckError("solver roots differ from the catalogue coefficients")
-    right = list(sl2_irrep_rho(m)) + [Matrix.zeros(m + 1, m + 1)] * (n - 3)
-    for a in coeffs:
-        rep = Representation(simple_ext_algebra(n), right, [x.scale(a) for x in right])
-        if not rep.is_valid:
-            raise InternalCheckError("forced solution fails the axioms")
-        if (rep.right, rep.left) != (catalog[a].right, catalog[a].left):
-            raise InternalCheckError("forced solution differs from the catalogue")

@@ -3,12 +3,14 @@ benchmark five-dimensional modules."""
 
 from fractions import Fraction
 import random
+import sys
 
 import pytest
 import sympy
 
-from leibnizalg.algebra import abelian_algebra
+from leibnizalg.algebra import InternalCheckError, abelian_algebra
 from leibnizalg.decompose import (
+    DecompositionResult,
     _lift,
     _poly_divide_out_root,
     _primary_components,
@@ -21,7 +23,8 @@ from leibnizalg.decompose import (
     solve_lowering_left,
 )
 from leibnizalg.linalg import (
-    Matrix, Subspace, minimal_polynomial, nullspace, poly_eval, rational_roots,
+    Matrix, Subspace, linear_combination, minimal_polynomial, nullspace, poly_eval,
+    rational_roots, subspace_intersect,
 )
 from leibnizalg.reps import (
     Representation, adjoint_rep, direct_sum, equivalence, irreducibility,
@@ -202,6 +205,105 @@ def test_rootless_commutant_reports_undetermined():
     assert result.verdict == "undetermined"
     assert result.obstruction == "commutant splitting found no rational idempotent"
     assert len(result.components) == 1
+
+
+# -- the splitting loop against a per-piece reference --
+
+def decompose_by_restriction(rep):
+    """Reference: every piece is rebuilt as a module (axioms checked again),
+    its commutant split, and the leaves proved pairwise independent by
+    intersecting them."""
+    d = rep.space_dim
+    full = Subspace.full(d)
+    if not complete_reducibility_necessary(rep).ok:
+        return DecompositionResult("indecomposable", (full,), "kernel acts nontrivially")
+    leaves, stuck, stack = [], False, [full]
+    while stack:
+        piece = stack.pop()
+        basis = commutant(module_restriction(rep, piece))
+        if len(basis) == 1:
+            leaves.append(piece)
+            continue
+        k = piece.dim
+        generic = linear_combination(range(1, len(basis) + 1), basis, k, k)
+        split = next((pieces for pieces in map(_primary_components, [generic] + basis)
+                      if len(pieces) >= 2), None)
+        if split is None:
+            stuck = True
+            leaves.append(piece)
+        else:
+            stack.extend(_lift(s, piece) for s in split)
+    leaves.sort(key=lambda p: (-p.dim, p.pivots))
+    assert sum(p.dim for p in leaves) == d
+    assert Subspace.from_vectors(d, [v for p in leaves for v in p.basis.data]).is_full()
+    for i in range(len(leaves)):
+        for j in range(i + 1, len(leaves)):
+            assert subspace_intersect(leaves[i], leaves[j]).is_zero()
+    if stuck:
+        return DecompositionResult("undetermined", tuple(leaves),
+                                   "commutant splitting found no rational idempotent")
+    if len(leaves) == 1:
+        return DecompositionResult("indecomposable", tuple(leaves), "commutant dimension 1")
+    return DecompositionResult("decomposed", tuple(leaves))
+
+
+def ladder_sum(ms, variant):
+    rep = sl2_leibniz_irrep(ms[0], variant)
+    for m in ms[1:]:
+        rep = direct_sum(rep, sl2_leibniz_irrep(m, variant))
+    return rep
+
+
+def conjugate(rep, p):
+    """The module in the basis given by the columns of p."""
+    pi = p.inverse()
+    mats = [pi * m * p for m in rep.action_matrices()]
+    n = rep.algebra.dim
+    return Representation(rep.algebra, mats[:n], mats[n:], name=rep.name)
+
+
+def test_decompose_matches_the_per_piece_reference():
+    rng = random.Random(1817)
+    sums = [ladder_sum(ms, v) for ms, v in (((2, 3, 4, 4), "zero_lambda"),
+                                           ((1, 1), "anti_symmetric"), ((0, 3), "zero_lambda"))]
+    signed = [conjugate(rep, Matrix([[rng.choice((1, -1)) if i == j else 0
+                                      for j in range(rep.space_dim)]
+                                     for i in range(rep.space_dim)]))
+              for rep in sums]
+    variants = ("zero_lambda", "anti_symmetric")
+    rotation = Representation(abelian_algebra(1), (mat([[0, 2], [1, 0]]),), (Matrix.zeros(2, 2),))
+    # a dense basis: larger dense inputs stall in rational_roots
+    dense_rng = random.Random(5)
+    while True:
+        p = Matrix([[dense_rng.randint(-2, 2) for _ in range(5)] for _ in range(5)])
+        if p.is_invertible():
+            break
+    dense = conjugate(ladder_sum((1, 2), "zero_lambda"), p)
+    cases = [*sums, *signed, *(example_5_5(t, b) for t in variants for b in variants),
+             example_5_3()[1], rotation, dense]
+    verdicts = []
+    for rep in cases:
+        result = decompose(rep)
+        assert result == decompose_by_restriction(rep)  # components in the same order
+        verdicts.append(result.verdict)
+    assert verdicts == ["decomposed"] * 10 + ["indecomposable", "undetermined", "decomposed"]
+
+
+def test_partition_check_rejects_bad_leaves(monkeypatch):
+    module = sys.modules["leibnizalg.decompose"]  # the package attribute is the function
+    single = sl2_leibniz_irrep(1, "zero_lambda")
+    rep = direct_sum(single, single)
+    first = Subspace.from_vectors(4, [unit(0, 4), unit(1, 4)])
+    assert all(first.induced(m) is not None for m in rep.action_matrices())
+    monkeypatch.setattr(module, "_try_split", lambda mats, d: [first, first] if d == 4 else None)
+    with pytest.raises(InternalCheckError, match="components do not partition the module"):
+        decompose(rep)
+    mixed = [Subspace.from_vectors(4, [unit(0, 4), unit(2, 4)]),
+             Subspace.from_vectors(4, [unit(1, 4), unit(3, 4)])]
+    assert not all(w.induced(m) is not None for w in mixed for m in rep.action_matrices())
+    monkeypatch.setattr(module, "_try_split", lambda mats, d: mixed if d == 4 else None)
+    with pytest.raises(InternalCheckError, match="component is not invariant"):
+        decompose(rep)
 
 
 # -- primary components against the power loop --
