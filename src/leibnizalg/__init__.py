@@ -1,141 +1,71 @@
-"""Exact computation with finite-dimensional Leibniz algebras over the rationals."""
+"""Exact computation with finite-dimensional Leibniz algebras over the rationals.
 
-from .linalg import (
-    QQ,
-    Matrix,
-    Subspace,
-    char_poly,
-    envelope_dimension,
-    matrix_commutant,
-    minimal_polynomial,
-    nullspace,
-    rational_roots,
-    rref,
-    solve,
-    subspace_intersect,
-    subspace_sum,
-)
-from .algebra import (
-    InternalCheckError,
-    InvalidAlgebraError,
-    LeibnizAlgebra,
-    SeriesReport,
-    SimplicityVerdict,
-    StructureReport,
-    abelian_algebra,
-    algebra_from_brackets,
-    direct_sum_algebra,
-)
-from .reps import (
-    AxiomViolationError,
-    EquivalenceVerdict,
-    IrreducibilityVerdict,
-    Representation,
-    adjoint_rep,
-    dichotomy_classify,
-    direct_sum,
-    equivalence,
-    from_lie_rep,
-    irreducibility,
-    is_invariant,
-    module_restriction,
-    restrict,
-    spin_submodule,
-    sym_span,
-)
-from .sl2 import (
-    ExtensionSolution,
-    Sl2ConstraintReport,
-    check_sl2_constraints,
-    classify_extension_irreps,
-    extension_rep_solve,
-    simple_ext_algebra,
-    sl2_algebra,
-    sl2_irrep_rho,
-    sl2_leibniz_irrep,
-)
-from .decompose import (
-    DecompositionResult,
-    KernelActionReport,
-    commutant,
-    complete_reducibility_necessary,
-    decompose,
-    example_5_3,
-    example_5_5,
-    h_gap_positions,
-    solve_lowering_left,
-)
-from .fileio import (
-    ParseError,
-    frac_str,
-    parse_algebra,
-    parse_rep,
-    serialize_algebra,
-    serialize_rep,
-)
+Importing the package registers its six layers in `sys.modules` behind
+`importlib.util.LazyLoader`: a layer is compiled and run on first attribute
+access, and any `import` statement that reaches it loads it. So a process
+compiles only the layers it uses, while `sys.modules` holds every layer from
+the start. The public names resolve on first use through `__getattr__`
+(PEP 562), from one table of their home layers. No layer is bound onto the
+package: `leibnizalg.decompose` is the function, and every other
+`leibnizalg.<layer>` is the layer module.
+"""
 
-__all__ = [
-    "QQ",
-    "Matrix",
-    "Subspace",
-    "char_poly",
-    "envelope_dimension",
-    "matrix_commutant",
-    "minimal_polynomial",
-    "nullspace",
-    "rational_roots",
-    "rref",
-    "solve",
-    "subspace_intersect",
-    "subspace_sum",
-    "InternalCheckError",
-    "InvalidAlgebraError",
-    "LeibnizAlgebra",
-    "SeriesReport",
-    "SimplicityVerdict",
-    "StructureReport",
-    "abelian_algebra",
-    "algebra_from_brackets",
-    "direct_sum_algebra",
-    "AxiomViolationError",
-    "EquivalenceVerdict",
-    "IrreducibilityVerdict",
-    "Representation",
-    "adjoint_rep",
-    "dichotomy_classify",
-    "direct_sum",
-    "equivalence",
-    "from_lie_rep",
-    "irreducibility",
-    "is_invariant",
-    "module_restriction",
-    "restrict",
-    "spin_submodule",
-    "sym_span",
-    "ExtensionSolution",
-    "Sl2ConstraintReport",
-    "check_sl2_constraints",
-    "classify_extension_irreps",
-    "extension_rep_solve",
-    "simple_ext_algebra",
-    "sl2_algebra",
-    "sl2_irrep_rho",
-    "sl2_leibniz_irrep",
-    "DecompositionResult",
-    "KernelActionReport",
-    "commutant",
-    "complete_reducibility_necessary",
-    "decompose",
-    "example_5_3",
-    "example_5_5",
-    "h_gap_positions",
-    "solve_lowering_left",
-    "ParseError",
-    "frac_str",
-    "parse_algebra",
-    "parse_rep",
-    "serialize_algebra",
-    "serialize_rep",
-]
+import importlib.machinery
+import importlib.util
+import sys
 
+# layer -> its public names; the layers are registered in this order
+_EXPORTS = {
+    "linalg": (
+        "QQ", "Matrix", "Subspace", "char_poly", "envelope_dimension", "matrix_commutant",
+        "minimal_polynomial", "nullspace", "rational_roots", "rref", "solve",
+        "subspace_intersect", "subspace_sum",
+    ),
+    "algebra": (
+        "InternalCheckError", "InvalidAlgebraError", "LeibnizAlgebra", "SeriesReport",
+        "SimplicityVerdict", "StructureReport", "abelian_algebra", "algebra_from_brackets",
+        "direct_sum_algebra",
+    ),
+    "reps": (
+        "AxiomViolationError", "EquivalenceVerdict", "IrreducibilityVerdict",
+        "Representation", "adjoint_rep", "dichotomy_classify", "direct_sum", "equivalence",
+        "from_lie_rep", "irreducibility", "is_invariant", "module_restriction", "restrict",
+        "spin_submodule", "sym_span",
+    ),
+    "sl2": (
+        "ExtensionSolution", "Sl2ConstraintReport", "check_sl2_constraints",
+        "classify_extension_irreps", "extension_rep_solve", "simple_ext_algebra",
+        "sl2_algebra", "sl2_irrep_rho", "sl2_leibniz_irrep",
+    ),
+    "decompose": (
+        "DecompositionResult", "KernelActionReport", "commutant",
+        "complete_reducibility_necessary", "decompose", "example_5_3", "example_5_5",
+        "h_gap_positions", "solve_lowering_left",
+    ),
+    "fileio": (
+        "ParseError", "frac_str", "parse_algebra", "parse_rep", "serialize_algebra",
+        "serialize_rep",
+    ),
+}
+_HOME = {name: layer for layer, names in _EXPORTS.items() for name in names}
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+for _layer in _EXPORTS:
+    _spec = importlib.machinery.PathFinder.find_spec(f"{__name__}.{_layer}", __path__)
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(sys.modules[_spec.name])
+del _layer, _spec
+
+
+def __getattr__(name):
+    if name in _HOME:
+        return getattr(sys.modules[f"{__name__}.{_HOME[name]}"], name)
+    if name in _EXPORTS:
+        return sys.modules[f"{__name__}.{name}"]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *__all__})

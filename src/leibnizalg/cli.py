@@ -7,7 +7,9 @@ errors, 2 when an internal consistency check failed.
 
 Each subcommand is a row of `_COMMANDS`, and `_build_parser(argv)` adds only
 the path that argv names; where argv names none, it adds all of them below,
-so help and usage errors read as from the whole tree.
+so help and usage errors read as from the whole tree. The handlers that
+need `sl2` or `decompose` import them when they run, so a job compiles only
+the layers its subcommand uses (see the package docstring).
 """
 
 from __future__ import annotations
@@ -17,19 +19,12 @@ import json
 import sys
 
 from .algebra import InternalCheckError, LeibnizAlgebra
-from .decompose import (
-    complete_reducibility_necessary, decompose, example_5_3, example_5_5,
-)
 from .fileio import (
     MAX_DIM, ParseError, _matrix_to_rows, parse_algebra, parse_rep, serialize_algebra,
     serialize_rep, rep_to_object,
 )
 from .linalg import Subspace
 from .reps import _VARIANTS, Representation, equivalence, irreducibility, restrict
-from .sl2 import (
-    _ladder_variants, classify_extension_irreps, simple_ext_algebra, sl2_algebra,
-    sl2_leibniz_irrep,
-)
 
 
 class _UsageError(Exception):
@@ -164,6 +159,11 @@ def _cmd_rep_irreducible(args):
 
 
 def _cmd_rep_classify(args):
+    from .sl2 import (
+        _ladder_variants, classify_extension_irreps, simple_ext_algebra, sl2_algebra,
+        sl2_leibniz_irrep,
+    )
+
     m = args.m
     _check_dim("--m", m + 1)
     alg = _load_algebra(args.file)
@@ -200,6 +200,8 @@ def _cmd_rep_equivalent(args):
 
 
 def _cmd_rep_decompose(args):
+    from .decompose import complete_reducibility_necessary, decompose
+
     rep = _load_rep(args.file)
     necessary = complete_reducibility_necessary(rep)
     result = decompose(rep)
@@ -235,16 +237,22 @@ def _cmd_rep_restrict(args):
 
 
 def _cmd_gen_sl2_irrep(args):
+    from .sl2 import sl2_leibniz_irrep
+
     _check_dim("--m", args.m + 1)
     return serialize_rep(sl2_leibniz_irrep(args.m, args.variant))
 
 
 def _cmd_gen_simple_ext(args):
+    from .sl2 import simple_ext_algebra
+
     _check_dim("--n", args.n)
     return serialize_algebra(simple_ext_algebra(args.n))
 
 
 def _cmd_gen_example_5_3(args):
+    from .decompose import example_5_3
+
     alg, rep = example_5_3()
     if args.adjoint:
         return serialize_rep(rep)
@@ -252,6 +260,8 @@ def _cmd_gen_example_5_3(args):
 
 
 def _cmd_gen_example_5_5(args):
+    from .decompose import example_5_5
+
     return serialize_rep(example_5_5(args.top, args.bottom))
 
 

@@ -25,7 +25,6 @@ from .linalg import (
     rational_roots,
 )
 from .reps import Representation, adjoint_rep, direct_sum
-from .sl2 import simple_ext_algebra, sl2_leibniz_irrep
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -204,6 +203,8 @@ def example_5_3() -> tuple[LeibnizAlgebra, Representation]:
     x, y. The kernel is spanned by the last two basis vectors and the left
     action on it is nonzero.
     """
+    from .sl2 import simple_ext_algebra  # only the examples need the sl2 layer
+
     alg = LeibnizAlgebra(["e", "f", "h", "x", "y"], simple_ext_algebra(5).table,
                          name="example-5-3")
     return alg, adjoint_rep(alg)
@@ -215,6 +216,8 @@ def example_5_5(top_variant: str = "zero_lambda",
     the size-3 ladder stacked over the size-2 ladder, each block carrying
     its own left-action flavor. It splits back into those blocks.
     """
+    from .sl2 import sl2_leibniz_irrep
+
     top = sl2_leibniz_irrep(2, top_variant)
     bottom = sl2_leibniz_irrep(1, bottom_variant)
     return direct_sum(

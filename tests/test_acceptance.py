@@ -344,6 +344,7 @@ def test_criterion_10_io_round_trips_and_cli_contract(monkeypatch, tmp_path):
 
     def boom(rep):
         raise InternalCheckError("synthetic failure")
-    monkeypatch.setattr(cli, "decompose", boom)
+    # the layer, not the package: `leibnizalg.decompose` is the function
+    monkeypatch.setattr(sys.modules["leibnizalg.decompose"], "decompose", boom)
     code, _, err = run(["rep", "decompose", "-"], stdin_text=e55)
     assert code == 2 and err.startswith("internal check failed:")

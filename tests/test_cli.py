@@ -255,7 +255,8 @@ def test_equivalent_rejects_mismatched_algebras(tmp_path):
 def test_internal_check_failure_exits_two(monkeypatch):
     def boom(rep):
         raise InternalCheckError("synthetic failure")
-    monkeypatch.setattr(cli, "decompose", boom)
+    # the layer, not the package: `leibnizalg.decompose` is the function
+    monkeypatch.setattr(sys.modules["leibnizalg.decompose"], "decompose", boom)
     _, e55, _ = run(["gen", "example-5-5"])
     code, out, err = run(["rep", "decompose", "-"], stdin_text=e55)
     assert code == 2
