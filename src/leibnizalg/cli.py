@@ -89,8 +89,8 @@ def _cmd_series(args):
         "lower_central_stabilized": lower.stabilized,
         "derived_dims": [t.dim for t in derived.terms],
         "derived_stabilized": derived.stabilized,
-        "solvable": alg.is_solvable(),
-        "nilpotent": alg.is_nilpotent(),
+        "solvable": derived.terminal.is_zero(),
+        "nilpotent": lower.terminal.is_zero(),
     }
 
 
@@ -100,7 +100,7 @@ def _cmd_radical(args):
     return {
         "radical_dim": rad.dim,
         "basis": _matrix_to_rows(rad.basis),
-        "equals_kernel": rad == alg.leibniz_kernel(),
+        "equals_kernel": alg.is_semisimple(),
     }
 
 

@@ -1,7 +1,8 @@
 """Complete-reducibility analysis for two-sided modules.
 
 A module that splits into irreducible components must kill the algebra's
-kernel on both action sides; that necessary condition is checked first.
+kernel on both action sides; the right action kills it in every module, so
+the left action on the kernel is checked first.
 Splitting itself goes through the commutant: primary components of a
 deterministic commutant element are invariant, and recursion refines them
 until every leaf has commutant dimension one. A piece is split on the action
@@ -15,26 +16,22 @@ splits as 3 + 2.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import comb
 from typing import NamedTuple
 
 from .algebra import InternalCheckError, LeibnizAlgebra
 from .linalg import (
-    Matrix, Subspace, _axiom_rows, _eliminate, _poly_at, _solutions, _sparse_matmul,
-    linear_combination, matrix_commutant, minimal_polynomial, nullspace, poly_eval,
-    rational_roots,
+    Matrix, Subspace, _axiom_rows, _eliminate, _poly_at, _rational_factors, _solutions,
+    _sparse_matmul, linear_combination, matrix_commutant, minimal_polynomial, nullspace,
 )
 from .reps import Representation, adjoint_rep, direct_sum
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class KernelActionReport(NamedTuple):
     """Whether every kernel basis vector acts by zero on both sides."""
     ok: bool
     witness_vector: tuple | None = None
-    witness_side: str | None = None  # "rho" or "lambda"
+    witness_side: str | None = None  # "lambda": rho vanishes on the kernel
     witness_matrix: Matrix | None = None
 
 
@@ -43,15 +40,14 @@ def complete_reducibility_necessary(rep: Representation) -> KernelActionReport:
 
     On every irreducible component the left action is zero or the negative
     of the right one, and the right action kills the kernel; summing over
-    components, both actions of every kernel element vanish. A nonzero
-    action is returned as a witness.
+    components, both actions of every kernel element vanish. The right action
+    kills it in every module: axiom (1) gives rho_[x,x] = rho_x rho_x -
+    rho_x rho_x = 0, and the kernel is spanned by squares. So only the left
+    action is checked, and a nonzero one is returned as a witness.
     """
     rep._require_valid()
     kern = rep.algebra.leibniz_kernel()
     for v in kern.basis.data:
-        r = rep.rho_of(v)
-        if not r.is_zero():
-            return KernelActionReport(False, v, "rho", r)
         l = rep.lambda_of(v)
         if not l.is_zero():
             return KernelActionReport(False, v, "lambda", l)
@@ -79,17 +75,6 @@ class DecompositionResult(NamedTuple):
     obstruction: str | None = None
 
 
-def _poly_divide_out_root(coeffs: list[Fraction], a: Fraction) -> list[Fraction]:
-    """Synthetic division of an ascending-coefficient polynomial by (t - a)."""
-    n = len(coeffs) - 1
-    out = [ZERO] * n
-    carry = ZERO
-    for k in range(n - 1, -1, -1):
-        carry = coeffs[k + 1] + a * carry
-        out[k] = carry
-    return out
-
-
 def _primary_components(c: Matrix) -> list[Subspace]:
     """Primary decomposition of the space under c, as far as rational roots go.
 
@@ -97,16 +82,11 @@ def _primary_components(c: Matrix) -> list[Subspace]:
     root a plus a rootless leftover; the space is the direct sum of the
     kernels of the factors at c, none zero: each divides the minimal polynomial.
     """
-    poly = list(minimal_polynomial(c))
-    factors = []
-    for a in rational_roots(poly):
-        f = [ONE]
-        while poly_eval(poly, a) == 0:
-            poly = _poly_divide_out_root(poly, a)
-            f = [x - a * y for x, y in zip([ZERO] + f, f + [ZERO])]  # f (t - a)
-        factors.append(f)
-    if len(poly) > 1:  # leftover factor without rational roots
-        factors.append(poly)
+    roots, rest = _rational_factors(minimal_polynomial(c))
+    # (t - a)^e by the binomial theorem, then the leftover without rational roots
+    factors = [[comb(e, k) * (-a) ** (e - k) for k in range(e + 1)] for a, e in roots]
+    if len(rest) > 1:
+        factors.append(rest)
     pieces = [nullspace(_poly_at(f, c)) for f in factors]
     if sum(p.dim for p in pieces) != c.rows:
         raise InternalCheckError("primary components do not fill the space")

@@ -450,10 +450,11 @@ class Subspace:
     __slots__ = ("ambient_dim", "rows", "pivots")
 
     def __init__(self, ambient_dim: int, basis: Matrix):
-        """Subspace over basis, taken as it is: an RREF with no zero row."""
-        self.ambient_dim, self.rows = ambient_dim, dict(sorted(basis.nz.items()))
-        # a computed row need not be in column order: its pivot is its least column
-        self.pivots = tuple(min(row) for row in self.rows.values())
+        """The span of the rows of basis, brought to the canonical form."""
+        if basis.rows and basis.cols != ambient_dim:
+            raise ValueError("basis width does not match ambient dimension")
+        s = _eliminate(basis.nz.values(), ambient_dim).subspace()
+        self.ambient_dim, self.rows, self.pivots = ambient_dim, s.rows, s.pivots
 
     @staticmethod
     def _of(ambient_dim: int, reduced: list[tuple[int, dict]]) -> "Subspace":
@@ -646,32 +647,47 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def rational_roots(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """All rational roots of the polynomial, sorted, by the rational root theorem."""
-    cs = [ _frac(c) for c in coeffs ]
+def _poly_divide_out_root(coeffs: list[Fraction], a: Fraction) -> list[Fraction]:
+    """Synthetic division of an ascending-coefficient polynomial by (t - a)."""
+    n = len(coeffs) - 1
+    out = [ZERO] * n
+    carry = ZERO
+    for k in range(n - 1, -1, -1):
+        carry = coeffs[k + 1] + a * carry
+        out[k] = carry
+    return out
+
+
+def _rational_factors(coeffs: Sequence) -> tuple[list[tuple[Fraction, int]], Poly]:
+    """The rational roots of a nonzero polynomial in ascending order, each
+    with its multiplicity, and the cofactor left after dividing them out.
+
+    The candidates are 0 and, by the rational root theorem, every +-p/q with
+    p dividing the lowest and q the leading nonzero coefficient of the
+    primitive integer form; each is divided out for as long as it is a root.
+    """
+    cs = [_frac(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
     if not cs:
         raise ValueError("zero polynomial has every root")
-    roots = set()
-    # factor out powers of t
-    v = 0
-    while cs[v] == 0:
-        v += 1
-    if v > 0:
-        roots.add(ZERO)
-        cs = cs[v:]
-    if len(cs) > 1:
-        denom_lcm = lcm(*[c.denominator for c in cs])
-        ints = [int(c * denom_lcm) for c in cs]
-        g = gcd(*ints)
-        ints = [x // g for x in ints]
-        for p in _divisors(ints[0]):
-            for q in _divisors(ints[-1]):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if poly_eval(cs, cand) == 0:
-                        roots.add(cand)
-    return tuple(sorted(roots))
+    ints = _integral({k: c for k, c in enumerate(cs) if c})
+    cands = {ZERO} | {Fraction(s * p, q) for p in _divisors(ints[min(ints)])
+                      for q in _divisors(ints[max(ints)]) for s in (1, -1)}
+    roots = []
+    for a in sorted(cands):
+        e = 0
+        while poly_eval(cs, a) == 0:
+            cs = _poly_divide_out_root(cs, a)
+            e += 1
+        if e:
+            roots.append((a, e))
+    return roots, tuple(cs)
+
+
+def rational_roots(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """All rational roots of the polynomial, sorted, by the rational root theorem."""
+    return tuple(a for a, _ in _rational_factors(coeffs)[0])
 
 
 def _span_closure(seeds: Iterable[dict], maps: Sequence[dict], width: int) -> Echelon:

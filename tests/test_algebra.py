@@ -524,6 +524,33 @@ def test_simple_ext_kernel_module_skips_the_envelope(monkeypatch):
     assert [alg.is_simple().value for alg in algs] == ["yes"] * 5
 
 
+def test_simple_reports_a_short_kernel_envelope(monkeypatch):
+    # sl2 over two copies of the tail of simple_ext(5): the kernel module is
+    # ladder1 + ladder1, where no action matrix has nullity 1 and the
+    # envelope is M_2(QQ) inside M_4(QQ); one copy of the tail is the ideal
+    import leibnizalg.algebra as algebra_module
+    from leibnizalg.linalg import envelope_dimension
+    from leibnizalg.sl2 import _SL2_BRACKETS
+    brackets = dict(_SL2_BRACKETS)
+    for y in "xz":
+        brackets.update({(f"{y}0", "h"): {f"{y}0": 1}, (f"{y}1", "h"): {f"{y}1": -1},
+                         (f"{y}0", "f"): {f"{y}1": 1}, (f"{y}1", "e"): {f"{y}0": -1}})
+    alg = algebra_from_brackets(["e", "f", "h", "x0", "x1", "z0", "z1"], brackets)
+    envelopes = []
+
+    def counted(mats, d):
+        envelopes.append((d, envelope_dimension(mats, d)))
+        return envelopes[-1][1]
+
+    monkeypatch.setattr(algebra_module, "envelope_dimension", counted)
+    verdict = alg.is_simple()
+    assert envelopes == [(4, 4)]
+    assert verdict.value == "no" and verdict.witness.dim == 2
+    assert verdict.witness == Subspace.from_vectors(7, [Matrix.identity(7).row(k) for k in (3, 4)])
+    assert alg.is_ideal(verdict.witness)
+    assert verdict.reason == "closure of a sampled vector is a proper ideal"
+
+
 # -- derivations --
 
 def test_derivations_frozen_dims():

@@ -54,6 +54,27 @@ def test_check_json_matches_golden(tmp_path):
     assert out == golden("check_ext5.json")
 
 
+def test_series_and_radical_compute_each_fact_once(monkeypatch):
+    # series reads solvable and nilpotent off the terms it reports; radical
+    # reads equals_kernel off the Levi chain that gave the radical
+    from leibnizalg.algebra import LeibnizAlgebra
+    calls = []
+    for name in ("_series", "leibniz_kernel"):
+        def counted(self, *args, _name=name, _method=getattr(LeibnizAlgebra, name)):
+            calls.append(_name)
+            return _method(self, *args)
+        monkeypatch.setattr(LeibnizAlgebra, name, counted)
+    text = golden("simple_ext5.alg.json")
+    code, out, _ = run(["series", "--json", "-"], stdin_text=text)
+    assert code == 0 and calls == ["_series", "_series"]
+    report = json.loads(out)
+    assert (report["solvable"], report["nilpotent"]) == (False, False)
+    calls.clear()
+    code, out, _ = run(["radical", "--json", "-"], stdin_text=text)
+    assert code == 0 and calls.count("leibniz_kernel") == 1
+    assert json.loads(out)["equals_kernel"] is True
+
+
 def test_semisimple_human_matches_golden():
     code, out, _ = run(["semisimple", "-"],
                        stdin_text=golden("simple_ext5.alg.json"))

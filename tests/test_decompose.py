@@ -12,7 +12,6 @@ from leibnizalg.algebra import InternalCheckError, abelian_algebra
 from leibnizalg.decompose import (
     DecompositionResult,
     _lift,
-    _poly_divide_out_root,
     _primary_components,
     commutant,
     complete_reducibility_necessary,
@@ -23,8 +22,8 @@ from leibnizalg.decompose import (
     solve_lowering_left,
 )
 from leibnizalg.linalg import (
-    Matrix, Subspace, linear_combination, minimal_polynomial, nullspace, poly_eval,
-    rational_roots, subspace_intersect,
+    Matrix, Subspace, _poly_divide_out_root, linear_combination, minimal_polynomial, nullspace,
+    poly_eval, rational_roots, subspace_intersect,
 )
 from leibnizalg.reps import (
     Representation, adjoint_rep, direct_sum, equivalence, irreducibility,

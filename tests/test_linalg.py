@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from leibnizalg.linalg import (
     Echelon,
     _eliminate,
+    _rational_factors,
     _axiom_rows,
     _dense,
     _matrix_of,
@@ -591,6 +592,47 @@ def test_rational_roots_sweep():
             assert poly_eval(coeffs, r) == 0
 
 
+def poly_mul(f, g):
+    out = [QQ(0)] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+def test_rational_factors_rebuild_the_polynomial():
+    """Random products of (t - a)^e and a factor without rational roots,
+    scaled by a rational: the roots come back in ascending order with their
+    multiplicities, and the cofactor times the (t - a)^e is the input. The
+    numerators stay small, since the candidates come from trial division of
+    the end coefficients; random 20-digit coefficients wait for the p-adic
+    root finder of ROADMAP item 1, which removes that stall."""
+    t = sympy.Symbol("t")
+    rootless = [[QQ(1)], [QQ(1), QQ(0), QQ(1)], [QQ(-2), QQ(0), QQ(1)], [QQ(1), QQ(1), QQ(3)]]
+    rng = random.Random(4471)
+    for _ in range(60):
+        roots = sorted({QQ(rng.randint(-4, 4), rng.randint(1, 3))
+                        for _ in range(rng.randint(0, 3))})
+        mults = [rng.randint(1, 3) for _ in roots]
+        rest = [QQ(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 6))]
+        for _ in range(rng.randint(0, 2)):
+            rest = poly_mul(rest, rng.choice(rootless))
+        linears = [[-a, QQ(1)] for a, e in zip(roots, mults) for _ in range(e)]
+        coeffs = rest
+        for f in linears:
+            coeffs = poly_mul(coeffs, f)
+        found, cofactor = _rational_factors(coeffs)
+        assert found == list(zip(roots, mults))
+        rebuilt = list(cofactor)
+        for f in linears:
+            rebuilt = poly_mul(rebuilt, f)
+        assert rebuilt == coeffs and all(x.__class__ is QQ for x in cofactor)
+        assert not sympy.Poly(list(reversed(cofactor)), t, domain="QQ").ground_roots()
+        assert rational_roots(coeffs) == tuple(roots)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        _rational_factors([QQ(0), QQ(0)])
+
+
 def test_envelope_of_single_matrix_is_minpoly_degree():
     # the unital algebra generated by one matrix is QQ[m]
     rng = random.Random(808)
@@ -966,7 +1008,8 @@ def test_subspace_form_ignores_the_spanning_vectors():
             ech.insert(v)
         forms = [s, Subspace.from_vectors(n, shuffled + combos), ech.subspace(),
                  Subspace(n, s.basis), Subspace(n, Matrix(s.basis.data, cols=n)),
-                 Subspace(n, scrambled(s.basis, rng))]
+                 Subspace(n, scrambled(s.basis, rng)),
+                 Subspace(n, Matrix(shuffled + combos, cols=n))]
         if s.is_full():
             forms += [Subspace.full(n), Subspace(n, Matrix.identity(n))]
         for f in forms:
@@ -979,3 +1022,17 @@ def test_subspace_form_ignores_the_spanning_vectors():
                 assert not set(row) & (set(f.pivots) - {p})
         assert len(set(forms)) == 1
         assert repr(forms[2]) == repr(s) == f"Subspace(ambient_dim={n}, basis={s.basis!r})"
+
+
+def test_subspace_constructor_canonicalises_its_basis():
+    """Subspace(n, basis) is the span of the rows of any basis, not only of
+    a reduced one with no zero row; the random spanning sets of the test
+    above are the other cases."""
+    upper = Subspace(2, Matrix([[1, 1], [0, 1]]))
+    assert upper.dim == 2 and upper.contains([1, 0]) and upper == Subspace.full(2)
+    assert Subspace(2, Matrix([[2, 0]])) == Subspace.from_vectors(2, [[1, 0]])
+    lower = Subspace(2, Matrix([[0, 0], [1, 0]]))
+    assert lower.rows == {0: {0: 1}} and lower.basis == Matrix([[1, 0]])
+    assert Subspace(3, Matrix([], cols=2)) == Subspace.zero(3)
+    with pytest.raises(ValueError, match="ambient dimension"):
+        Subspace(3, Matrix([[1, 0]]))

@@ -28,6 +28,7 @@ from leibnizalg.linalg import (
 )
 from leibnizalg.reps import (
     AxiomViolationError,
+    EquivalenceVerdict,
     IrreducibilityVerdict,
     Representation,
     adjoint_rep,
@@ -397,6 +398,19 @@ def test_not_equivalent_cases():
     # same right action, different left action: only the zero intertwiner
     assert equivalence(ladder_rep(1, "anti_symmetric"),
                        ladder_rep(1, "zero_lambda")).value == "not_equivalent"
+
+
+def test_equivalence_undetermined_on_singular_intertwiners():
+    # 1+1+2 against 2+2+0 (d = 7): Hom is the 2-dimensional space of maps
+    # from the one ladder2 into the two, and none is invertible. The
+    # dimension criterion of ROADMAP item 3 (dim End V, dim Hom(V, W) and
+    # dim End W are 5, 2 and 5) should turn this into not_equivalent.
+    ladders = [ladder_rep(m, "zero_lambda") for m in range(3)]
+    v = direct_sum(direct_sum(ladders[1], ladders[1]), ladders[2])
+    w = direct_sum(direct_sum(ladders[2], ladders[2]), ladders[0])
+    assert v.space_dim == w.space_dim == 7
+    assert equivalence(v, w) == EquivalenceVerdict(
+        "undetermined", None, "intertwiners exist but none of the sampled ones is invertible")
 
 
 def test_equivalence_needs_common_algebra():
