@@ -1,6 +1,6 @@
 """Exact computation with finite-dimensional Leibniz algebras over the rationals.
 
-Importing the package registers its six layers in `sys.modules` behind
+Importing the package registers its seven layers in `sys.modules` behind
 `importlib.util.LazyLoader`: a layer is compiled and run on first attribute
 access, and any `import` statement that reaches it loads it. So a process
 compiles only the layers it uses, while `sys.modules` holds every layer from
@@ -22,10 +22,10 @@ _EXPORTS = {
         "subspace_intersect", "subspace_sum",
     ),
     "algebra": (
-        "InternalCheckError", "InvalidAlgebraError", "LeibnizAlgebra", "SeriesReport",
-        "SimplicityVerdict", "StructureReport", "abelian_algebra", "algebra_from_brackets",
-        "direct_sum_algebra",
+        "InternalCheckError", "InvalidAlgebraError", "LeibnizAlgebra", "abelian_algebra",
+        "algebra_from_brackets", "direct_sum_algebra",
     ),
+    "structure": ("SeriesReport", "SimplicityVerdict", "StructureReport"),
     "reps": (
         "AxiomViolationError", "EquivalenceVerdict", "IrreducibilityVerdict",
         "Representation", "adjoint_rep", "dichotomy_classify", "direct_sum", "equivalence",

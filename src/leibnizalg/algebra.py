@@ -12,12 +12,12 @@ triples; operations beyond the checks themselves refuse to run on an
 invalid table. The identity is pairing axiom (1), R_[y,z] = R_z R_y - R_y R_z,
 of the right multiplications, checked one pair at a time in O(n^2) memory.
 
-The Levi chain, the kernel K, the Lie quotient Q = L/K and the radical, is
-computed and verified once per algebra (`_levi_data`); `radical`,
-`is_semisimple`, `is_simple`, `levi_subalgebra` and `structure_report` read
-it. The radical is K plus the lift of the radical of Q by the section
-e_k -> b_comp[k]. `quotient` reads its projection off the RREF rows of the
-ideal, and `subalgebra_on` its table off the pivot entries of the products.
+This layer holds what every job runs: the constructor with its identity
+check, the bracket, the multiplication matrices, the Leibniz kernel and
+ideal closure. The structure theory (ideals, quotients, series, the Killing
+form, the Levi chain, simplicity and derivations) lives in the `structure`
+layer. The class keeps those methods under their names, each forwarding to
+that layer, so a module job never compiles it.
 """
 
 from __future__ import annotations
@@ -25,33 +25,18 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
+from . import structure
 from .linalg import (
-    Matrix,
-    _axiom_rows,
-    _eliminate,
-    _integral,
-    _matrix_of,
-    _norton,
-    _pairing_defects,
-    _particular,
-    _sparse,
-    _sparse_combination,
-    _sparse_matmul,
-    _span_closure,
-    Subspace,
-    Vector,
-    _solutions,
-    matrix_commutant,
-    envelope_dimension,
-    nullspace,
-    subspace_sum,
+    Matrix, Subspace, Vector, _eliminate, _matrix_of, _pairing_defects, _sparse, _span_closure,
     vec,
 )
 
+if TYPE_CHECKING:
+    from .structure import SeriesReport, SimplicityVerdict, StructureReport
+
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class InvalidAlgebraError(ValueError):
@@ -60,33 +45,6 @@ class InvalidAlgebraError(ValueError):
 
 class InternalCheckError(RuntimeError):
     """A result failed its own verification; this signals a bug, not bad input."""
-
-
-class SeriesReport(NamedTuple):
-    kind: str  # "lower_central" or "derived"
-    terms: tuple[Subspace, ...]
-    stabilized: bool
-
-    @property
-    def terminal(self) -> Subspace:
-        return self.terms[-1]
-
-
-class SimplicityVerdict(NamedTuple):
-    value: str  # "yes", "no", "undetermined"
-    witness: Subspace | None = None
-    reason: str = ""
-
-
-class StructureReport(NamedTuple):
-    is_lie: bool
-    kernel: Subspace
-    radical: Subspace
-    solvable: bool
-    nilpotent: bool
-    semisimple: bool
-    simple: SimplicityVerdict
-    witnesses: tuple[tuple[str, Subspace], ...]
 
 
 class LeibnizAlgebra:
@@ -260,14 +218,6 @@ class LeibnizAlgebra:
         seeds = ({i: 1, j: 1} for i in range(n) for j in range(i, n))
         return _eliminate((self._product(s, s) for s in seeds), n).subspace()
 
-    def product_space(self, u: Subspace, w: Subspace) -> Subspace:
-        """Span of [u', w'] over basis pairs of the two subspaces."""
-        self._require_valid(u, w)
-        n = self.dim
-        us = [_integral(a) for a in u.rows.values()]
-        ws = [_integral(b) for b in w.rows.values()]
-        return _eliminate((self._product(a, b) for a in us for b in ws), n).subspace()
-
     def full_space(self) -> Subspace:
         return Subspace.full(self.dim)
 
@@ -280,17 +230,17 @@ class LeibnizAlgebra:
         maps += [{k: dict(cell) for k, cell in enumerate(nonzero[j]) if cell} for j in range(n)]
         return _span_closure([_sparse(s, n) for s in seeds], maps, n).subspace()
 
+    # -- structure theory: each method below runs in the `structure` layer --
+
+    def product_space(self, u: Subspace, w: Subspace) -> Subspace:
+        """Span of [u', w'] over basis pairs of the two subspaces."""
+        return structure.product_space(self, u, w)
+
     def is_subalgebra(self, u: Subspace) -> bool:
-        self._require_valid()
-        return u.contains_subspace(self.product_space(u, u))
+        return structure.is_subalgebra(self, u)
 
     def is_ideal(self, u: Subspace) -> bool:
-        self._require_valid()
-        full = self.full_space()
-        return (u.contains_subspace(self.product_space(u, full))
-                and u.contains_subspace(self.product_space(full, u)))
-
-    # -- quotients and subalgebras --
+        return structure.is_ideal(self, u)
 
     def quotient(self, ideal: Subspace) -> tuple["LeibnizAlgebra", Matrix]:
         """Quotient algebra and the projection matrix onto it.
@@ -300,115 +250,42 @@ class LeibnizAlgebra:
         deterministic. b_comp[k] projects to e_k, a pivot to minus the rest
         of its RREF row.
         """
-        self._require_valid()
-        if not self.is_ideal(ideal):
-            raise ValueError("subspace is not an ideal")
-        pivots = set(ideal.pivots)
-        index = {c: k for k, c in enumerate(c for c in range(self.dim) if c not in pivots)}
-        images = {c: {k: ONE} for c, k in index.items()}  # images[t]: column t of proj
-        for p, row in zip(ideal.pivots, ideal.rows.values()):
-            images[p] = {index[c]: -x for c, x in row.items() if c != p}
-        # [b_a, b_b] = sum_t c_ab^t b_t projects to sum_t c_ab^t images[t]
-        cells = {}
-        for ca, a in index.items():
-            for cb, b in index.items():
-                acc = cells[a, b] = {}
-                for t, c in self._int_table[ca][cb]:
-                    for k, x in images[t].items():
-                        acc[k] = acc.get(k, 0) + Fraction(c, self._den) * x
-        out = LeibnizAlgebra._of([self.basis_names[c] for c in index], cells)
-        if not out.is_valid:
-            raise InternalCheckError("quotient by an ideal produced an invalid table")
-        proj = _matrix_of({t: col for t, col in images.items() if col}, self.dim, len(index))
-        return out, proj.transpose()
+        return structure.quotient(self, ideal)
 
     def subalgebra_on(self, u: Subspace) -> "LeibnizAlgebra":
         """The induced table on a subspace closed under the bracket: a product
         with no remainder has its RREF coordinates at the pivots."""
-        self._require_valid(u)
-        rows = list(u.rows.values())
-        cells = {}
-        for a, x in enumerate(rows):
-            for b, y in enumerate(rows):
-                w = self._product(x, y)
-                if u._remainder(w):
-                    raise ValueError("subspace is not closed under the bracket")
-                cells[a, b] = {k: w[p] / self._den for k, p in enumerate(u.pivots) if p in w}
-        # an RREF row with one entry is the unit vector at its pivot
-        names = [self.basis_names[p] if len(u.rows[a]) == 1 else f"u{a}"
-                 for a, p in enumerate(u.pivots)]
-        return LeibnizAlgebra._of(names, cells)
-
-    # -- series --
-
-    def _series(self, term: Subspace, against: Subspace | None = None) -> tuple[Subspace, ...]:
-        """term, [term, against], [[term, against], against], ... up to the
-        first repeat; without against each term is bracketed with itself."""
-        terms = [term]
-        while True:
-            nxt = self.product_space(term, term if against is None else against)
-            if nxt == term:
-                return tuple(terms)
-            terms.append(nxt)
-            term = nxt
+        return structure.subalgebra_on(self, u)
 
     def lower_central_series(self) -> SeriesReport:
-        self._require_valid()
-        full = self.full_space()
-        return SeriesReport("lower_central", self._series(full, full), True)
+        return structure.lower_central_series(self)
 
     def derived_series(self) -> SeriesReport:
-        self._require_valid()
-        return SeriesReport("derived", self._series(self.full_space()), True)
+        return structure.derived_series(self)
 
     def is_solvable(self) -> bool:
-        return self.derived_series().terminal.is_zero()
+        return structure.is_solvable(self)
 
     def is_nilpotent(self) -> bool:
-        return self.lower_central_series().terminal.is_zero()
-
-    # -- Killing form, radical, semisimplicity --
+        return structure.is_nilpotent(self)
 
     def killing_form(self) -> Matrix:
         """Gram matrix of (x, y) -> trace(ad x . ad y), summed from the integer
         constants as sum_{k,s} c_ik^s c_js^k. Lie algebras only."""
-        self._require_valid()
-        if not self.is_lie():
-            raise ValueError("Killing form is only computed on Lie tables")
-        n, nz = self.dim, self._int_table
-        ads = [{(s, k): c for k in range(n) for s, c in nz[i][k]} for i in range(n)]  # ad b_i
-        return Matrix([[Fraction(sum(c * b.get((k, s), 0) for (s, k), c in a.items()),
-                                 self._den ** 2) for b in ads] for a in ads])
+        return structure.killing_form(self)
 
     @cached_property
     def _levi_data(self) -> tuple[Subspace, tuple[int, ...], "LeibnizAlgebra", Subspace]:
-        """The kernel K, its non-pivot columns comp, the Lie quotient Q = L/K,
-        whose basis vector k is the coset of b_comp[k], and the radical: the
-        preimage of the radical of Q, so K plus the rows of the radical of Q
-        read at comp. The chain is computed and verified once."""
-        kernel = self.leibniz_kernel()
-        quo, _ = self.quotient(kernel)
-        if not quo.is_lie():
-            raise InternalCheckError("quotient by the kernel is not Lie")
-        comp = tuple(c for c in range(self.dim) if c not in kernel.pivots)
-        lifts = ({comp[k]: x for k, x in row.items()} for row in _lie_radical(quo).rows.values())
-        rad = _eliminate([*kernel.rows.values(), *lifts], self.dim).subspace()
-        if not self.is_ideal(rad):
-            raise InternalCheckError("computed radical is not an ideal")
-        if not self._series(rad)[-1].is_zero():
-            raise InternalCheckError("computed radical is not solvable")
-        return kernel, comp, quo, rad
+        """The Levi chain (kernel, comp, Lie quotient, radical), computed once."""
+        return structure._levi_chain(self)
 
     def radical(self) -> Subspace:
         """Largest solvable ideal, read off the verified Levi chain."""
-        self._require_valid()
-        return self._levi_data[3]
+        return structure.radical(self)
 
     def is_semisimple(self) -> bool:
         """Radical equal to the kernel."""
-        return self.radical() == self._levi_data[0]
-
-    # -- simplicity --
+        return structure.is_semisimple(self)
 
     def is_simple(self) -> SimplicityVerdict:
         """Three-valued simplicity test.
@@ -419,95 +296,15 @@ class LeibnizAlgebra:
         module is absolutely irreducible. Anything else is "undetermined"
         with the blocking check named.
         """
-        self._require_valid()
-        kernel, _, quo, rad = self._levi_data
-        full = self.full_space()
-        derived = self.product_space(full, full)
-        if derived == kernel:
-            return SimplicityVerdict("no", derived, "[L,L] equals the kernel")
-        if rad != kernel:
-            return SimplicityVerdict("no", rad, "radical exceeds the kernel")
-        # rad == kernel: [Q,Q]^perp = 0 in Q, so the Killing form of Q is nondegenerate
-        ads = [quo.right_mult_matrix_basis(j) for j in range(quo.dim)]
-        reason = ""
-        if len(matrix_commutant(ads, quo.dim)) != 1:
-            reason = "adjoint commutant of the Lie quotient has dimension above one"
-        elif kernel.dim:
-            mats, k = self._kernel_action_matrices(kernel), kernel.dim
-            if not _norton(mats, k) and envelope_dimension(mats, k) != k * k:
-                reason = "kernel module envelope is short of the full matrix algebra"
-        if not reason:
-            # Q = L/K is simple and K an irreducible module, so a proper ideal
-            # I other than K would have I + K = L and I meet K in 0. Then
-            # [K, L] = [K, I] = 0 and [L, K] = 0, so every square lies in I
-            # and K = 0: no seed can find one. The seed search runs only past
-            # a failed certificate, whose reason it keeps if it finds none.
-            return SimplicityVerdict("yes", None, "")
-        for seed in self._ideal_seed_candidates():
-            closure = self.ideal_closure([seed])
-            if closure != kernel and not closure.is_zero() and closure != full:
-                return SimplicityVerdict(
-                    "no", closure, "closure of a sampled vector is a proper ideal")
-        return SimplicityVerdict("undetermined", None, reason)
-
-    def _ideal_seed_candidates(self) -> list[Vector]:
-        """The unit vectors, then the sums of two of them."""
-        units = Matrix.identity(self.dim).data
-        return list(units) + [tuple(a + b for a, b in zip(units[i], units[j]))
-                              for i in range(self.dim) for j in range(i + 1, self.dim)]
-
-    def _kernel_action_matrices(self, kernel: Subspace) -> list[Matrix]:
-        """Right actions of every basis element on the kernel; the left ones
-        vanish there, since [x, [y, y]] = 0."""
-        mats = [kernel.induced(self.right_mult_matrix_basis(j)) for j in range(self.dim)]
-        if any(m is None for m in mats):
-            raise InternalCheckError("kernel is not acting into itself")
-        return mats
-
-    # -- derivations --
+        return structure.is_simple(self)
 
     def derivations(self) -> Subspace:
         """All d with d[x,y] = [dx,y] + [x,dy], flattened row-major into QQ^(n^2)."""
-        self._require_valid()
-        n, nz = self.dim, self._int_table
-        # entry (r, s) of d is unknown r*n + s; the equation at (p, q, r) is
-        # sum_s c_pq^s d_rs - c_sq^r d_sp - c_ps^r d_sq = 0, in integers
-        right = [[[] for _ in range(n)] for _ in range(n)]  # right[q][r]: (s, c_sq^r)
-        left = [[[] for _ in range(n)] for _ in range(n)]  # left[p][r]: (s, c_ps^r)
-        for s in range(n):
-            for q in range(n):
-                for r, c in nz[s][q]:
-                    right[q][r].append((s, c))
-                for r, c in nz[q][s]:
-                    left[q][r].append((s, c))
-        # only a triple where nz[p][q], right[q][r] or left[p][r] is nonempty can
-        # give a nonzero row; sorted, the rows keep their (p, q, r) order
-        every = range(n)
-        triples = {(p, q, r) for p in every for q in every if nz[p][q] for r in every}
-        triples.update((p, q, r) for q in every for r in every if right[q][r] for p in every)
-        triples.update((p, q, r) for p in every for r in every if left[p][r] for q in every)
-        rows = []
-        for p, q, r in sorted(triples):
-            row = {r * n + s: c for s, c in nz[p][q]}
-            terms = [(s * n + p, c) for s, c in right[q][r]]
-            terms += [(s * n + q, c) for s, c in left[p][r]]
-            for col, c in terms:
-                y = row.get(col, 0) - c
-                if y:
-                    row[col] = y
-                else:
-                    del row[col]
-            if row:
-                rows.append(row)
-        return _solutions(rows, n * n)
+        return structure.derivations(self)
 
     def inner_derivations(self) -> Subspace:
         """Span of the right multiplications, flattened row-major."""
-        self._require_valid()
-        n = self.dim
-        mults = (self.right_mult_matrix_basis(j).nz for j in range(n))
-        return _eliminate(({r * n + c: x for r, row in m.items() for c, x in row.items()}
-                           for m in mults), n * n).subspace()
+        return structure.inner_derivations(self)
 
     def check_inn_ideal(self) -> bool:
         """Inner derivations form an ideal of the derivation Lie algebra.
@@ -515,9 +312,7 @@ class LeibnizAlgebra:
         For a derivation D and R_x: v -> [v, x], D R_x - R_x D = R_{Dx}, so
         the inner derivations are an ideal as soon as they are derivations.
         """
-        return self.derivations().contains_subspace(self.inner_derivations())
-
-    # -- Levi complement --
+        return structure.check_inn_ideal(self)
 
     def levi_subalgebra(self) -> Subspace:
         """A Lie complement S to the kernel K in a semisimple algebra.
@@ -536,73 +331,10 @@ class LeibnizAlgebra:
         subalgebra with a Lie table, intersects the kernel trivially, and
         together they span everything.
         """
-        self._require_valid()
-        kernel, comp, quo, rad = self._levi_data
-        if rad != kernel:
-            raise ValueError("Levi complement is computed on semisimple algebras only")
-        if kernel.is_zero():
-            return self.full_space()
-        q, r = len(comp), kernel.dim
-        # X A_b^T - C_b X = -Gamma_b, one row per (b, a, m), with the
-        # right-hand side in column q r
-        rights = self._kernel_action_matrices(kernel)
-        rows = _axiom_rows([((), 0, rights[c].transpose(),
-                             Matrix([quo._cell(a, b) for a in range(q)]))
-                            for b, c in enumerate(comp)], q, r)
-        nz = self._int_table
-        cells = [dict(nz[comp[a]][comp[b]]) for b in range(q) for a in range(q)]
-        gammas = (cell.get(p, 0) for cell in cells for p in kernel.pivots)
-        for row, g in zip(rows, gammas):
-            if g:
-                row[q * r] = Fraction(-g, self._den)
-        particular, _ = _particular(rows, q * r)
-        if particular is None:
-            raise InternalCheckError("Levi correction system is unsolvable")
-        section = {a: {c: ONE} for a, c in enumerate(comp)}
-        correction = _sparse_matmul(Matrix.from_flat(particular, q, r).nz, kernel.rows)
-        levi = _eliminate(_sparse_combination([(1, section), (1, correction)]).values(),
-                          self.dim).subspace()
-        if levi.dim != q:
-            raise InternalCheckError("Levi complement has wrong dimension")
-        # the dimensions add up to q + r = n, so spanning makes the sum direct
-        if subspace_sum(levi, kernel).dim != self.dim:
-            raise InternalCheckError("Levi complement and kernel do not span")
-        try:
-            table = self.subalgebra_on(levi)
-        except ValueError:
-            raise InternalCheckError("Levi complement is not a subalgebra") from None
-        if not table.is_lie():
-            raise InternalCheckError("Levi complement table is not Lie")
-        return levi
-
-    # -- aggregate report --
+        return structure.levi_subalgebra(self)
 
     def structure_report(self) -> StructureReport:
-        self._require_valid()
-        kernel, _, _, rad = self._levi_data
-        simple = self.is_simple()
-        witnesses: list[tuple[str, Subspace]] = [("kernel", kernel), ("radical", rad)]
-        if simple.witness is not None:
-            witnesses.append(("simplicity", simple.witness))
-        return StructureReport(
-            is_lie=self.is_lie(),
-            kernel=kernel,
-            radical=rad,
-            solvable=self.is_solvable(),
-            nilpotent=self.is_nilpotent(),
-            semisimple=rad == kernel,
-            simple=simple,
-            witnesses=tuple(witnesses),
-        )
-
-
-def _lie_radical(lie: LeibnizAlgebra) -> Subspace:
-    """Killing-orthogonal complement of the derived algebra (Cartan criterion)."""
-    derived = lie.product_space(lie.full_space(), lie.full_space())
-    if derived.is_zero():
-        return lie.full_space()
-    # kappa is symmetric, so row k of derived.basis * kappa is kappa d_k
-    return nullspace(derived.basis * lie.killing_form())
+        return structure.structure_report(self)
 
 
 def algebra_from_brackets(

@@ -106,7 +106,8 @@ def _cmd_radical(args):
 
 def _cmd_semisimple(args):
     alg = _load_algebra(args.file)
-    rad, kernel = alg.radical(), alg.leibniz_kernel()
+    rad = alg.radical()
+    kernel = alg._levi_data[0]  # the kernel that gave the radical
     return {
         "semisimple": rad == kernel,
         "radical_dim": rad.dim,
@@ -200,14 +201,13 @@ def _cmd_rep_equivalent(args):
 
 
 def _cmd_rep_decompose(args):
-    from .decompose import complete_reducibility_necessary, decompose
+    from .decompose import decompose
 
-    rep = _load_rep(args.file)
-    necessary = complete_reducibility_necessary(rep)
-    result = decompose(rep)
+    result = decompose(_load_rep(args.file))
     report = {
         "verdict": result.verdict,
-        "kernel_acts_trivially": necessary.ok,
+        # decompose checks the kernel action first and names its failure
+        "kernel_acts_trivially": result.obstruction != "kernel acts nontrivially",
         "component_dims": [c.dim for c in result.components],
         "components": [_matrix_to_rows(c.basis) for c in result.components],
     }

@@ -19,7 +19,6 @@ from leibnizalg.algebra import (
     InternalCheckError,
     InvalidAlgebraError,
     LeibnizAlgebra,
-    _lie_radical,
     abelian_algebra,
     algebra_from_brackets,
     direct_sum_algebra,
@@ -28,6 +27,7 @@ from leibnizalg.fileio import MAX_DIM, frac_str, serialize_algebra
 from leibnizalg.linalg import (Matrix, Subspace, intertwiner_space, linear_combination,
                               nullspace, subspace_intersect, subspace_sum)
 from leibnizalg.reps import adjoint_rep, restrict
+from leibnizalg.structure import _ideal_seed_candidates, _lie_radical
 
 F = Fraction
 
@@ -411,8 +411,8 @@ def test_killing_rejects_non_lie():
 
 def test_radical_solvability_check_fires(monkeypatch):
     # a Killing complement claimed to be all of sl2 lifts to a perfect ideal
-    import leibnizalg.algebra as algebra_module
-    monkeypatch.setattr(algebra_module, "_lie_radical", lambda lie: lie.full_space())
+    import leibnizalg.structure as structure_module
+    monkeypatch.setattr(structure_module, "_lie_radical", lambda lie: lie.full_space())
     with pytest.raises(InternalCheckError, match="radical is not solvable"):
         sl2().radical()
 
@@ -491,7 +491,7 @@ def test_simple_yes_leaves_no_ideal_for_the_seeds():
                 continue
             yes += 1
             kernel, full = alg.leibniz_kernel(), alg.full_space()
-            for seed in alg._ideal_seed_candidates():
+            for seed in _ideal_seed_candidates(alg):
                 closure = alg.ideal_closure([seed])
                 assert closure in (kernel, full) or closure.is_zero(), base.name
             for j in range(alg.dim):
@@ -511,7 +511,7 @@ def test_simple_verdicts_match_the_envelope_only_certificate(monkeypatch):
     algs += [direct_sum_algebra(ext5(), ext5()), direct_sum_algebra(ext5(), abelian_algebra(1))]
     verdicts = [alg.is_simple() for alg in algs]
     assert Counter(v.value for v in verdicts) == Counter(yes=12, no=7)
-    monkeypatch.setattr("leibnizalg.algebra._norton", lambda mats, d: False)
+    monkeypatch.setattr("leibnizalg.structure._norton", lambda mats, d: False)
     assert [alg.is_simple() for alg in algs] == verdicts
 
 
@@ -520,7 +520,7 @@ def test_simple_ext_kernel_module_skips_the_envelope(monkeypatch):
     rng = random.Random(1717)
     algs = [simple_ext_algebra(n) for n in (5, 10, 16)]
     algs += [change_basis(simple_ext_algebra(n), random_invertible(rng, n)) for n in (8, 10)]
-    monkeypatch.setattr("leibnizalg.algebra.envelope_dimension", None)
+    monkeypatch.setattr("leibnizalg.structure.envelope_dimension", None)
     assert [alg.is_simple().value for alg in algs] == ["yes"] * 5
 
 
@@ -528,7 +528,7 @@ def test_simple_reports_a_short_kernel_envelope(monkeypatch):
     # sl2 over two copies of the tail of simple_ext(5): the kernel module is
     # ladder1 + ladder1, where no action matrix has nullity 1 and the
     # envelope is M_2(QQ) inside M_4(QQ); one copy of the tail is the ideal
-    import leibnizalg.algebra as algebra_module
+    import leibnizalg.structure as structure_module
     from leibnizalg.linalg import envelope_dimension
     from leibnizalg.sl2 import _SL2_BRACKETS
     brackets = dict(_SL2_BRACKETS)
@@ -542,7 +542,7 @@ def test_simple_reports_a_short_kernel_envelope(monkeypatch):
         envelopes.append((d, envelope_dimension(mats, d)))
         return envelopes[-1][1]
 
-    monkeypatch.setattr(algebra_module, "envelope_dimension", counted)
+    monkeypatch.setattr(structure_module, "envelope_dimension", counted)
     verdict = alg.is_simple()
     assert envelopes == [(4, 4)]
     assert verdict.value == "no" and verdict.witness.dim == 2

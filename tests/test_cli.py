@@ -56,14 +56,16 @@ def test_check_json_matches_golden(tmp_path):
 
 def test_series_and_radical_compute_each_fact_once(monkeypatch):
     # series reads solvable and nilpotent off the terms it reports; radical
-    # reads equals_kernel off the Levi chain that gave the radical
+    # and semisimple read the kernel off the Levi chain that gave the
+    # radical; rep decompose reads the kernel action off its one check
+    from leibnizalg import structure
     from leibnizalg.algebra import LeibnizAlgebra
     calls = []
-    for name in ("_series", "leibniz_kernel"):
-        def counted(self, *args, _name=name, _method=getattr(LeibnizAlgebra, name)):
+    for owner, name in ((structure, "_series"), (LeibnizAlgebra, "leibniz_kernel")):
+        def counted(self, *args, _name=name, _method=getattr(owner, name)):
             calls.append(_name)
             return _method(self, *args)
-        monkeypatch.setattr(LeibnizAlgebra, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     text = golden("simple_ext5.alg.json")
     code, out, _ = run(["series", "--json", "-"], stdin_text=text)
     assert code == 0 and calls == ["_series", "_series"]
@@ -73,6 +75,16 @@ def test_series_and_radical_compute_each_fact_once(monkeypatch):
     code, out, _ = run(["radical", "--json", "-"], stdin_text=text)
     assert code == 0 and calls.count("leibniz_kernel") == 1
     assert json.loads(out)["equals_kernel"] is True
+    calls.clear()
+    code, out, _ = run(["semisimple", "-"], stdin_text=text)
+    assert code == 0 and calls.count("leibniz_kernel") == 1
+    assert out == golden("semisimple_ext5.txt")
+    _, e55, _ = run(["gen", "example-5-5"])
+    for rep_text, trivially in ((e55, True), (golden("example_5_3_adjoint.rep.json"), False)):
+        calls.clear()
+        code, out, _ = run(["rep", "decompose", "--json", "-"], stdin_text=rep_text)
+        assert code == 0 and calls.count("leibniz_kernel") == 1
+        assert json.loads(out)["kernel_acts_trivially"] is trivially
 
 
 def test_semisimple_human_matches_golden():

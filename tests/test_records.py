@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from leibnizalg.algebra import SeriesReport, SimplicityVerdict, StructureReport
+from leibnizalg.structure import SeriesReport, SimplicityVerdict, StructureReport
 from leibnizalg.decompose import DecompositionResult, KernelActionReport
 from leibnizalg.linalg import Matrix, Subspace
 from leibnizalg.reps import EquivalenceVerdict, IrreducibilityVerdict
