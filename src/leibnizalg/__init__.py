@@ -1,6 +1,6 @@
 """Exact computation with finite-dimensional Leibniz algebras over the rationals.
 
-Importing the package registers its seven layers in `sys.modules` behind
+Importing the package registers its nine layers in `sys.modules` behind
 `importlib.util.LazyLoader`: a layer is compiled and run on first attribute
 access, and any `import` statement that reaches it loads it. So a process
 compiles only the layers it uses, while `sys.modules` holds every layer from
@@ -17,20 +17,19 @@ import sys
 # layer -> its public names; the layers are registered in this order
 _EXPORTS = {
     "linalg": (
-        "QQ", "Matrix", "Subspace", "char_poly", "envelope_dimension", "matrix_commutant",
-        "minimal_polynomial", "nullspace", "rational_roots", "rref", "solve",
+        "QQ", "Matrix", "Subspace", "envelope_dimension", "nullspace", "rref",
         "subspace_intersect", "subspace_sum",
     ),
+    "poly": ("char_poly", "minimal_polynomial", "rational_roots"),
+    "equations": ("matrix_commutant", "solve"),
     "algebra": (
         "InternalCheckError", "InvalidAlgebraError", "LeibnizAlgebra", "abelian_algebra",
         "algebra_from_brackets", "direct_sum_algebra",
     ),
     "structure": ("SeriesReport", "SimplicityVerdict", "StructureReport"),
     "reps": (
-        "AxiomViolationError", "EquivalenceVerdict", "IrreducibilityVerdict",
-        "Representation", "adjoint_rep", "dichotomy_classify", "direct_sum", "equivalence",
-        "from_lie_rep", "irreducibility", "is_invariant", "module_restriction", "restrict",
-        "spin_submodule", "sym_span",
+        "AxiomViolationError", "IrreducibilityVerdict", "Representation", "irreducibility",
+        "spin_submodule",
     ),
     "sl2": (
         "ExtensionSolution", "Sl2ConstraintReport", "check_sl2_constraints",
@@ -38,9 +37,11 @@ _EXPORTS = {
         "sl2_algebra", "sl2_irrep_rho", "sl2_leibniz_irrep",
     ),
     "decompose": (
-        "DecompositionResult", "KernelActionReport", "commutant",
-        "complete_reducibility_necessary", "decompose", "example_5_3", "example_5_5",
-        "h_gap_positions", "solve_lowering_left",
+        "DecompositionResult", "EquivalenceVerdict", "KernelActionReport", "adjoint_rep",
+        "commutant", "complete_reducibility_necessary", "decompose", "dichotomy_classify",
+        "direct_sum", "equivalence", "example_5_3", "example_5_5", "from_lie_rep",
+        "h_gap_positions", "is_invariant", "module_restriction", "restrict",
+        "solve_lowering_left", "sym_span",
     ),
     "fileio": (
         "ParseError", "frac_str", "parse_algebra", "parse_rep", "serialize_algebra",

@@ -7,9 +7,12 @@ errors, 2 when an internal consistency check failed.
 
 Each subcommand is a row of `_COMMANDS`, and `_build_parser(argv)` adds only
 the path that argv names; where argv names none, it adds all of them below,
-so help and usage errors read as from the whole tree. The handlers that
-need `sl2` or `decompose` import them when they run, so a job compiles only
-the layers its subcommand uses (see the package docstring).
+so help and usage errors read as from the whole tree. The arguments of a
+row are a zero-argument callable, called when its subcommand is added, so
+the `--variant` choices read `reps._VARIANTS` only then. `reps` is bound
+with `from . import reps`, which does not load it, and the handlers import
+`sl2` and `decompose` when they run, so a job compiles only the layers its
+subcommand uses (see the package docstring).
 """
 
 from __future__ import annotations
@@ -18,13 +21,13 @@ import argparse
 import json
 import sys
 
+from . import reps
 from .algebra import InternalCheckError, LeibnizAlgebra
 from .fileio import (
     MAX_DIM, ParseError, _matrix_to_rows, parse_algebra, parse_rep, serialize_algebra,
     serialize_rep, rep_to_object,
 )
 from .linalg import Subspace
-from .reps import _VARIANTS, Representation, equivalence, irreducibility, restrict
 
 
 class _UsageError(Exception):
@@ -47,7 +50,7 @@ def _load_algebra(path: str) -> LeibnizAlgebra:
     return parse_algebra(_read_source(path))
 
 
-def _load_rep(path: str) -> Representation:
+def _load_rep(path: str) -> reps.Representation:
     import os
     base = "." if path == "-" else (os.path.dirname(path) or ".")
     return parse_rep(_read_source(path), base_dir=base)
@@ -150,7 +153,7 @@ def _cmd_rep_check(args):
 
 
 def _cmd_rep_irreducible(args):
-    verdict = irreducibility(_load_rep(args.file))
+    verdict = reps.irreducibility(_load_rep(args.file))
     report = {"verdict": verdict.value}
     if verdict.detail:
         report["detail"] = verdict.detail
@@ -172,14 +175,14 @@ def _cmd_rep_classify(args):
         raise ParseError("--m must be nonnegative")
     variants = _ladder_variants(m)
     if alg.same_table(sl2_algebra()):
-        family, reps = "sl2", [sl2_leibniz_irrep(m, v) for v in variants]
+        family, modules = "sl2", [sl2_leibniz_irrep(m, v) for v in variants]
     elif alg.dim >= 5 and alg.same_table(simple_ext_algebra(alg.dim)):
-        family, reps = "simple_ext", classify_extension_irreps(alg.dim, m)
+        family, modules = "simple_ext", classify_extension_irreps(alg.dim, m)
     else:
         raise ParseError(
             "classification covers the (e, f, h) table and its simple extensions only")
     out = []
-    for variant, rep in zip(variants, reps):
+    for variant, rep in zip(variants, modules):
         obj = rep_to_object(rep)
         del obj["algebra"]
         obj["variant"] = variant
@@ -189,6 +192,8 @@ def _cmd_rep_classify(args):
 
 
 def _cmd_rep_equivalent(args):
+    from .decompose import equivalence
+
     a = _load_rep(args.file_a)
     b = _load_rep(args.file_b)
     verdict = equivalence(a, b)
@@ -219,6 +224,8 @@ def _cmd_rep_decompose(args):
 # -- data handlers; each returns file-format text --
 
 def _cmd_rep_restrict(args):
+    from .decompose import restrict
+
     rep = _load_rep(args.file)
     labels = [x.strip() for x in args.span.split(",") if x.strip()]
     if not labels:
@@ -272,45 +279,58 @@ def _arg(*flags, **kwargs):
     return flags, kwargs
 
 
-_JSON = _arg("--json", action="store_true")
-_FILE_JSON = (_arg("file"), _JSON)
-_ALG = (_arg("file", help="algebra file, or - for standard input"),
-        _arg("--json", action="store_true", help="structured output"))
+def _variants(*flags):
+    return tuple(_arg(flag, choices=reps._VARIANTS, default="zero_lambda") for flag in flags)
 
-# path -> (handler, kind, help, arguments); a group has no handler, and its
-# subcommands are the paths one word longer, in table order
+
+_JSON = _arg("--json", action="store_true")
+
+
+def _alg():
+    return (_arg("file", help="algebra file, or - for standard input"),
+            _arg("--json", action="store_true", help="structured output"))
+
+
+def _file_json():
+    return _arg("file"), _JSON
+
+
+# path -> (handler, kind, help, arguments); arguments is a zero-argument
+# callable giving the (flags, kwargs) pairs, called when the row is added. A
+# group has no handler, and its subcommands are the paths one word longer,
+# in table order
 _COMMANDS = {
-    "check": (_cmd_check, "report", "bracket identity, Lie flag, kernel size", _ALG),
-    "kernel": (_cmd_kernel, "report", "kernel dimension and basis", _ALG),
-    "series": (_cmd_series, "report", "lower central and derived series", _ALG),
-    "radical": (_cmd_radical, "report", "maximal solvable ideal", _ALG),
-    "semisimple": (_cmd_semisimple, "report", "radical equals kernel?", _ALG),
-    "simple": (_cmd_simple, "report", "simplicity verdict", _ALG),
-    "derivations": (_cmd_derivations, "report", "derivation algebra dimensions", _ALG),
-    "levi": (_cmd_levi, "report", "Levi complement of a semisimple algebra", _ALG),
-    "rep": (None, None, "representation commands", ()),
+    "check": (_cmd_check, "report", "bracket identity, Lie flag, kernel size", _alg),
+    "kernel": (_cmd_kernel, "report", "kernel dimension and basis", _alg),
+    "series": (_cmd_series, "report", "lower central and derived series", _alg),
+    "radical": (_cmd_radical, "report", "maximal solvable ideal", _alg),
+    "semisimple": (_cmd_semisimple, "report", "radical equals kernel?", _alg),
+    "simple": (_cmd_simple, "report", "simplicity verdict", _alg),
+    "derivations": (_cmd_derivations, "report", "derivation algebra dimensions", _alg),
+    "levi": (_cmd_levi, "report", "Levi complement of a semisimple algebra", _alg),
+    "rep": (None, None, "representation commands", tuple),
     "rep check": (_cmd_rep_check, "report", "axiom report",
-                  (_arg("file", help="representation file, or -"), _JSON)),
-    "rep irreducible": (_cmd_rep_irreducible, "report", "irreducibility verdict", _FILE_JSON),
+                  lambda: (_arg("file", help="representation file, or -"), _JSON)),
+    "rep irreducible": (_cmd_rep_irreducible, "report", "irreducibility verdict", _file_json),
     "rep classify": (_cmd_rep_classify, "report", "irreducible reps of a catalog algebra",
-                     (_arg("file", help="algebra file, or -"), _arg(
+                     lambda: (_arg("file", help="algebra file, or -"), _arg(
                          "--m", type=int, required=True, help="ladder size parameter"), _JSON)),
     "rep equivalent": (_cmd_rep_equivalent, "report", "equivalence of two representations",
-                       (_arg("file_a"), _arg("file_b"), _JSON)),
-    "rep decompose": (_cmd_rep_decompose, "report", "invariant direct-sum splitting", _FILE_JSON),
-    "rep restrict": (_cmd_rep_restrict, "data", "restrict to a spanned subalgebra", (_arg(
-        "file"), _arg("--span", required=True, help="comma-separated basis labels, e.g. e,f,h"))),
-    "gen": (None, None, "emit catalog objects as files", ()),
-    "gen sl2-irrep": (_cmd_gen_sl2_irrep, "data", "ladder representation file", (
-        _arg("--m", type=int, required=True),
-        _arg("--variant", choices=_VARIANTS, default="zero_lambda"))),
+                       lambda: (_arg("file_a"), _arg("file_b"), _JSON)),
+    "rep decompose": (_cmd_rep_decompose, "report", "invariant direct-sum splitting",
+                      _file_json),
+    "rep restrict": (_cmd_rep_restrict, "data", "restrict to a spanned subalgebra", lambda: (
+        _arg("file"),
+        _arg("--span", required=True, help="comma-separated basis labels, e.g. e,f,h"))),
+    "gen": (None, None, "emit catalog objects as files", tuple),
+    "gen sl2-irrep": (_cmd_gen_sl2_irrep, "data", "ladder representation file", lambda: (
+        _arg("--m", type=int, required=True), *_variants("--variant"))),
     "gen simple-ext": (_cmd_gen_simple_ext, "data", "simple extension algebra file",
-                       (_arg("--n", type=int, required=True),)),
-    "gen example-5-3": (_cmd_gen_example_5_3, "data", "benchmark simple algebra", (_arg(
-        "--adjoint", action="store_true", help="emit its adjoint representation instead"),)),
-    "gen example-5-5": (_cmd_gen_example_5_5, "data", "benchmark split module", (
-        _arg("--top", choices=_VARIANTS, default="zero_lambda"),
-        _arg("--bottom", choices=_VARIANTS, default="zero_lambda"))),
+                       lambda: (_arg("--n", type=int, required=True),)),
+    "gen example-5-3": (_cmd_gen_example_5_3, "data", "benchmark simple algebra", lambda: (
+        _arg("--adjoint", action="store_true", help="emit its adjoint representation instead"),)),
+    "gen example-5-5": (_cmd_gen_example_5_5, "data", "benchmark split module",
+                        lambda: _variants("--top", "--bottom")),
 }
 
 
@@ -332,7 +352,7 @@ def _add_subcommands(parser: _Parser, path: str, argv) -> None:
     for name in names:
         handler, kind, help_text, arguments = _COMMANDS[prefix + name]
         p = sub.add_parser(name, help=help_text)
-        for flags, kwargs in arguments:
+        for flags, kwargs in arguments():
             p.add_argument(*flags, **kwargs)
         if handler is None:
             _add_subcommands(p, prefix + name, argv)

@@ -22,9 +22,9 @@ import os
 import re
 from fractions import Fraction
 
+from . import reps
 from .algebra import LeibnizAlgebra, algebra_from_brackets
 from .linalg import Matrix, _matrix_of
-from .reps import Representation
 
 MAX_DIGITS = 1000
 MAX_DIM = 128
@@ -163,7 +163,7 @@ def _matrix_to_rows(m: Matrix) -> list:
     return [[frac_str(x) for x in row] for row in m.data]
 
 
-def parse_rep(text: str, base_dir: str = ".") -> Representation:
+def parse_rep(text: str, base_dir: str = ".") -> reps.Representation:
     obj = _load_json(text)
     memo: dict = {}
     source = obj.get("algebra")
@@ -199,10 +199,10 @@ def parse_rep(text: str, base_dir: str = ".") -> Representation:
     name = obj.get("name", "")
     if not isinstance(name, str):
         raise ParseError("name: expected a string")
-    return Representation(alg, sides["rho"], sides["lambda"], name=name)
+    return reps.Representation(alg, sides["rho"], sides["lambda"], name=name)
 
 
-def rep_to_object(rep: Representation) -> dict:
+def rep_to_object(rep: reps.Representation) -> dict:
     names = rep.algebra.basis_names
     return {
         "name": rep.name,
@@ -213,5 +213,5 @@ def rep_to_object(rep: Representation) -> dict:
     }
 
 
-def serialize_rep(rep: Representation) -> str:
+def serialize_rep(rep: reps.Representation) -> str:
     return json.dumps(rep_to_object(rep), indent=2, sort_keys=True) + "\n"

@@ -9,9 +9,9 @@ rows, `nz`; its dense rows, `data`, are a view built on each access, and
 `_matrix_of` wraps a sparse matrix as a Matrix as it is. The form has one
 product, `_sparse_matmul`, behind `Matrix * Matrix`, and one linear
 combination, `_sparse_combination`, behind `linear_combination`, the sum,
-difference and scaling of matrices and `_shift`. `_int_matrix` scales it to
-integers, where `_pairing_defects` is the one check of pairing axiom (1),
-rho_[x,y] = rho_y rho_x - rho_x rho_y, one pair at a time in O(d^2) memory:
+difference and scaling of matrices and `poly._shift`. `_int_matrix` scales
+it to integers, where `_pairing_defects` is the one check of pairing axiom
+(1), rho_[x,y] = rho_y rho_x - rho_x rho_y, one pair at a time in O(d^2) memory:
 the module axiom check in `reps` and the Leibniz identity (axiom (1) of the
 right multiplications) run on it. The tail quadratics in `sl2` multiply in
 it. A Subspace lives in it too: it keeps the rows of its reduced row echelon
@@ -24,22 +24,10 @@ cleared once, rows are combined by integer cross-multiplication, and every
 row is divided by the gcd of its entries after each step. One division per
 pivot at the end gives the unique reduced row echelon form as Fraction
 rows, which `Echelon.subspace` hands to a Subspace as they are. `rref`,
-`nullspace`, `solve`, `Subspace.from_vectors`, the sum and the (Zassenhaus)
-intersection of subspaces, `Matrix.rank`, `Matrix.inverse` and
-`minimal_polynomial` all run on it. An inhomogeneous system keeps its
-right-hand side as one more column; `_particular` reads the solution with
-every free variable zero off the reduced form, for `solve` and for
-`LeibnizAlgebra.levi_subalgebra`.
-
-Linear equations in unknown matrices have one builder, `_axiom_rows`: the
-sparse rows of (X_0, ..., X_{u-1}) -> sum_t c_t X_t + X_i a - b X_i, read
-from the sparse forms of a^T and b, and `_solutions` takes their kernel.
-The commutant and intertwiner systems (no c_t), the linearised pairing
-axioms in `sl2` (tail forcing and the left block over sl2),
-`decompose.solve_lowering_left` and the Sylvester equations of the Levi
-correction all build their equations with it. `intertwiner_space` skips
-each pair that the solutions so far satisfy: in a module lambda is often -rho
-or 0, and rho(h) lies in the algebra that rho(e) and rho(f) generate.
+`nullspace`, `Subspace.from_vectors`, the sum and the (Zassenhaus)
+intersection of subspaces, `Matrix.rank` and `Matrix.inverse` run on it, and
+so do the layers above: `poly` (`minimal_polynomial`) and `equations`
+(`solve` and the linear equations in unknown matrices).
 
 Span closure has one routine on the same kernel, `_span_closure`: the
 smallest subspace that contains some seed rows and is closed under a list
@@ -50,10 +38,15 @@ it. `envelope_dimension` (X -> X g on flattened matrices),
 `LeibnizAlgebra.ideal_closure` (right and left multiplications read from
 the integer structure constants) call it; Norton's certificate `_norton`
 spins twice, over width d, before `reps` and `is_simple` try the envelope.
+
+The benchmark tracer (`bench/child.py`) reads four names here whose home
+is `poly` or `equations`; `__getattr__` (PEP 562) resolves exactly those,
+through the package table, on first access, which loads their layer.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -406,39 +399,6 @@ def nullspace(m: Matrix) -> "Subspace":
     return _solutions(m.nz.values(), m.cols)
 
 
-def _particular(rows: Iterable[dict], n: int) -> tuple[Vector | None, list]:
-    """The solution with every free variable zero of sparse rows over
-    QQ^(n+1) whose column n holds the right-hand side, None when they are
-    inconsistent; and their reduced form, without the inconsistent row."""
-    reduced = _eliminate(rows, n + 1).rref()
-    if reduced and reduced[-1][0] == n:
-        reduced.pop()
-        return None, reduced
-    x = [ZERO] * n
-    for p, row in reduced:
-        x[p] = row.get(n, ZERO)
-    return tuple(x), reduced
-
-
-def solve(a: Matrix, b: Vector) -> tuple[Vector | None, "Subspace"]:
-    """Solve a x = b exactly.
-
-    Returns (particular, homogeneous) where particular is None when the
-    system is inconsistent, and otherwise the solution with all free
-    variables set to zero. homogeneous is the kernel of a.
-    """
-    if len(b) != a.rows:
-        raise ValueError("right hand side length does not match row count")
-    n = a.cols
-    if not a.rows:
-        return (ZERO,) * n, Subspace.full(n)
-    x, reduced = _particular([{**a.nz.get(r, {}), n: bv} if bv else a.nz.get(r, {})
-                              for r, bv in enumerate(vec(b))], n)
-    # with the last column dropped, this is the reduced form of a
-    return x, _kernel([(p, {c: y for c, y in row.items() if c != n})
-                       for p, row in reduced], n)
-
-
 class Subspace:
     """Subspace of QQ^n, stored as the sparse rows {col: x} of its reduced
     row echelon form, with no zero row; row k is 1 at its pivot, pivots[k].
@@ -564,132 +524,6 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
                             for p, row in reduced if p >= n])
 
 
-# ---- polynomials ----
-# Polynomials are coefficient tuples in ascending degree order.
-
-Poly = tuple[Fraction, ...]
-
-
-def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = ZERO
-    for c in reversed(list(coeffs)):
-        acc = acc * x + c
-    return acc
-
-
-def minimal_polynomial(m: Matrix) -> Poly:
-    """Monic minimal polynomial of a square matrix, ascending coefficients.
-
-    Found as the first linear dependency among I, m, m^2, ...: each power
-    m^k enters one echelon form as flat(m^k) followed by a tag column e_k.
-    The first row that reduces to zero on the flat part keeps the
-    dependency in its tag columns, with a nonzero coefficient at e_k.
-    """
-    if not m.is_square():
-        raise ValueError("minimal polynomial of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return (ZERO, ONE)
-    tags = n * n
-    ech = Echelon(tags + n + 1)
-    power = Matrix.identity(n)
-    for k in range(n + 1):
-        if k:
-            power = power * m
-        row = {r * n + c: x for r, prow in power.nz.items() for c, x in prow.items()}
-        row[tags + k] = ONE
-        ech._add(row)
-        last = max(ech.rows)
-        if last >= tags:
-            dep = ech.rows[last]
-            return tuple(Fraction(dep.get(tags + j, 0), dep[tags + k])
-                         for j in range(k)) + (ONE,)
-    raise AssertionError("no dependency up to degree n; impossible over a field")
-
-
-def _shift(m: Matrix, c: Fraction) -> Matrix:
-    """m + c I for a square m."""
-    return linear_combination((1, c), (m, Matrix.identity(m.rows)), m.rows, m.cols)
-
-
-def _poly_at(coeffs: Sequence[Fraction], m: Matrix) -> Matrix:
-    """sum_k coeffs[k] m^k for a square m, by Horner's rule."""
-    acc = Matrix.zeros(m.rows, m.rows)
-    for c in reversed(coeffs):
-        acc = _shift(acc * m, c)
-    return acc
-
-
-def char_poly(m: Matrix) -> Poly:
-    """Characteristic polynomial det(tI - m) by the Faddeev-LeVerrier scheme."""
-    if not m.is_square():
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    n = m.rows
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
-    prod = Matrix.zeros(n, n)  # m times the last shift, zero before the first step
-    for k in range(1, n + 1):
-        prod = m * _shift(prod, coeffs[n - k + 1])
-        coeffs[n - k] = -prod.trace() / k
-    return tuple(coeffs)
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _poly_divide_out_root(coeffs: list[Fraction], a: Fraction) -> list[Fraction]:
-    """Synthetic division of an ascending-coefficient polynomial by (t - a)."""
-    n = len(coeffs) - 1
-    out = [ZERO] * n
-    carry = ZERO
-    for k in range(n - 1, -1, -1):
-        carry = coeffs[k + 1] + a * carry
-        out[k] = carry
-    return out
-
-
-def _rational_factors(coeffs: Sequence) -> tuple[list[tuple[Fraction, int]], Poly]:
-    """The rational roots of a nonzero polynomial in ascending order, each
-    with its multiplicity, and the cofactor left after dividing them out.
-
-    The candidates are 0 and, by the rational root theorem, every +-p/q with
-    p dividing the lowest and q the leading nonzero coefficient of the
-    primitive integer form; each is divided out for as long as it is a root.
-    """
-    cs = [_frac(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs:
-        raise ValueError("zero polynomial has every root")
-    ints = _integral({k: c for k, c in enumerate(cs) if c})
-    cands = {ZERO} | {Fraction(s * p, q) for p in _divisors(ints[min(ints)])
-                      for q in _divisors(ints[max(ints)]) for s in (1, -1)}
-    roots = []
-    for a in sorted(cands):
-        e = 0
-        while poly_eval(cs, a) == 0:
-            cs = _poly_divide_out_root(cs, a)
-            e += 1
-        if e:
-            roots.append((a, e))
-    return roots, tuple(cs)
-
-
-def rational_roots(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """All rational roots of the polynomial, sorted, by the rational root theorem."""
-    return tuple(a for a, _ in _rational_factors(coeffs)[0])
-
-
 def _span_closure(seeds: Iterable[dict], maps: Sequence[dict], width: int) -> Echelon:
     """Echelon of the smallest subspace of QQ^width that contains the sparse
     seed rows and is closed under every map.
@@ -768,43 +602,6 @@ def _norton(mats: Sequence[Matrix], d: int) -> bool:
     return False
 
 
-def _axiom_rows(equations: Iterable[tuple], rows: int, cols: int) -> list[dict]:
-    """Sparse rows of (X_0, ..., X_{u-1}) -> sum_t c_t X_t + X_i a - b X_i.
-
-    The unknowns are rows x cols matrices, flattened row-major one after the
-    other: entry (r, s) of X_t is column t*rows*cols + r*cols + s. Each
-    equation (coeffs, i, a, b) has c_t = coeffs[t] (zero past the end), a
-    of shape cols x cols and b of shape rows x rows; it gives one row per
-    entry (r, s), in row-major order. Entries that cancel are not stored,
-    so a row may be empty. This is the one place where the linearised
-    pairing axioms and the commutant systems become equations.
-    """
-    size = rows * cols
-    out = []
-    for coeffs, i, a, b in equations:
-        if a.rows != cols or a.cols != cols or b.rows != rows or b.cols != rows:
-            raise ValueError("equation factors do not match the unknown shape")
-        at = i * size
-        a_cols, b_rows = a.transpose().nz, b.nz
-        for r in range(rows):
-            # at entry (r, s), X_i a reads row r of X_i; the columns that
-            # b X_i and the c_t X_t read are these offsets plus s
-            base = r * cols
-            terms = [(at + k * cols, -x) for k, x in b_rows.get(r, {}).items()]
-            terms += [(t * size + base, c) for t, c in enumerate(coeffs) if c]
-            for s in range(cols):
-                row = {at + base + k: x for k, x in a_cols.get(s, {}).items()}
-                for c, x in terms:
-                    c += s
-                    y = row.get(c, 0) + x
-                    if y:
-                        row[c] = y
-                    else:
-                        del row[c]
-                out.append(row)
-    return out
-
-
 def _pairing_defects(mats: Sequence[dict], table: Sequence[Sequence[tuple]],
                      e: int, den: int) -> Iterable[tuple[int, int, dict]]:
     """(i, j, D) for each ordered pair with a nonzero defect of pairing axiom
@@ -860,33 +657,10 @@ def _sparse_combination(terms: Iterable[tuple]) -> dict:
     return {r: acc for r, acc in out.items() if acc}
 
 
-def matrix_commutant(mats: Sequence[Matrix], dim: int) -> list[Matrix]:
-    """Basis of {X : X m = m X for every m in mats}, in RREF order."""
-    if any(m.rows != dim or m.cols != dim for m in mats):
-        raise ValueError("matrix shape does not match the ambient dimension")
-    return intertwiner_space([(m, m) for m in mats], dim, dim)
+_FORWARDED = ("char_poly", "matrix_commutant", "minimal_polynomial", "solve")
 
 
-def intertwiner_space(
-    pairs: Sequence[tuple[Matrix, Matrix]], rows_dim: int, cols_dim: int
-) -> list[Matrix]:
-    """Basis of {X : X a = b X for every (a, b) pair}; X is rows_dim x cols_dim.
-
-    The pairs join one elimination in turn, but a pair that every solution so
-    far satisfies (tested in integers, on den * a and den * b) is skipped.
-    """
-    width = rows_dim * cols_dim
-    ech, space, ker = Echelon(width), Subspace.full(width), []
-    for a, b in pairs:
-        if a.rows != cols_dim or b.rows != rows_dim:
-            raise ValueError("equation factors do not match the unknown shape")
-        den = lcm(*[x.denominator for m in (a, b) for row in m.nz.values() for x in row.values()])
-        a_int, b_int = _int_matrix(a, den), _int_matrix(b, den)
-        if ech.rows and all(_sparse_matmul(x, a_int) == _sparse_matmul(b_int, x) for x in ker):
-            continue
-        for row in _axiom_rows([((), 0, a, b)], rows_dim, cols_dim):
-            ech._add(row)
-        space = _kernel(ech.rref(), width)
-        ker = [_unflatten(_integral(row), cols_dim) for row in space.rows.values()]
-    return [_matrix_of(_unflatten(row, cols_dim), rows_dim, cols_dim)
-            for row in space.rows.values()]
+def __getattr__(name):
+    if name in _FORWARDED:
+        return getattr(sys.modules[__package__], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,24 +22,27 @@ axioms (2) and (3) the same way. Axiom (1) is `linalg._pairing_defects`,
 which also checks the Leibniz identity: one pair at a time in O(d^2) memory,
 each product R_a R_b formed once for both orders. Products with a zero left
 action are never formed.
+
+This layer holds only what parsing, `rep check` and `rep irreducible` run;
+the constructions, the dichotomy and equivalence live in `decompose`, and
+the eigenvector fallback of `irreducibility` loads `poly` when it runs. The
+bench scripts read `direct_sum` and `module_restriction` here, which
+`__getattr__` (PEP 562) resolves from `decompose` on first access.
 """
 
 from __future__ import annotations
 
-import itertools
-from fractions import Fraction
+import sys
 from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .algebra import InternalCheckError, LeibnizAlgebra
+from . import poly
+from .algebra import LeibnizAlgebra
 from .linalg import (
     Matrix,
-    _eliminate,
     _int_matrix,
-    _matrix_of,
     _norton,
     _pairing_defects,
-    _shift,
     _sparse,
     _sparse_combination,
     _sparse_matmul,
@@ -47,10 +50,7 @@ from .linalg import (
     Subspace,
     Vector,
     envelope_dimension,
-    intertwiner_space,
     linear_combination,
-    minimal_polynomial,
-    rational_roots,
     nullspace,
     vec,
 )
@@ -160,14 +160,6 @@ class IrreducibilityVerdict(NamedTuple):
     detail: str = ""
 
 
-class EquivalenceVerdict(NamedTuple):
-    value: str  # "equivalent", "not_equivalent", "undetermined"
-    certificate: Matrix | None = None
-    detail: str = ""
-
-
-# -- constructions --
-
 # the two left actions of the catalogue modules, in catalogue order: variant
 # -> a, where the left action is a times the right one
 _VARIANTS = {"zero_lambda": 0, "anti_symmetric": -1}
@@ -181,83 +173,6 @@ def _variant_rep(algebra: LeibnizAlgebra, right: Sequence[Matrix], variant: str,
     a = _VARIANTS[variant]
     return Representation(algebra, right, [m.scale(a) for m in right], name=name)
 
-
-def from_lie_rep(
-    algebra: LeibnizAlgebra, phi: Sequence[Matrix], variant: str
-) -> Representation:
-    """Turn a classical Lie representation phi into a two-sided one.
-
-    phi must satisfy phi_[x,y] = phi_x phi_y - phi_y phi_x over a Lie table.
-    The right action is -phi, for which that is pairing axiom (1), so the
-    first violation of axiom (1) in the built representation names the pair
-    where phi fails. variant "anti_symmetric" sets the left action to the
-    negative of the right one; "zero_lambda" sets it to zero.
-    """
-    algebra._require_valid()
-    if not algebra.is_lie():
-        raise ValueError("from_lie_rep needs a Lie table")
-    if len(phi) != algebra.dim:
-        raise ValueError("need one matrix per basis element")
-    rep = _variant_rep(algebra, [-m for m in phi], variant, f"lie[{variant}]")
-    for axiom, i, j in rep.axiom_violations:
-        if axiom == 1:
-            raise ValueError(f"phi is not a Lie homomorphism at pair ({i},{j})")
-    return rep
-
-
-def adjoint_rep(algebra: LeibnizAlgebra) -> Representation:
-    """The algebra acting on itself by right and left multiplications."""
-    algebra._require_valid()
-    right = [algebra.right_mult_matrix_basis(j) for j in range(algebra.dim)]
-    left = [algebra.left_mult_matrix_basis(j) for j in range(algebra.dim)]
-    return Representation(algebra, right, left, name="adjoint")
-
-
-def direct_sum(a: Representation, b: Representation, name: str = "") -> Representation:
-    """Block-diagonal sum of two representations of the same algebra."""
-    if not a.algebra.same_table(b.algebra):
-        raise ValueError("direct sum needs a common algebra")
-    a._require_valid()
-    b._require_valid()
-
-    def block(x: Matrix, y: Matrix) -> Matrix:
-        n, d = x.rows, x.rows + y.rows
-        low = {n + r: {n + c: v for c, v in row.items()} for r, row in y.nz.items()}
-        return _matrix_of({**x.nz, **low}, d, d)
-
-    right = [block(a.right[j], b.right[j]) for j in range(a.algebra.dim)]
-    left = [block(a.left[j], b.left[j]) for j in range(a.algebra.dim)]
-    return Representation(a.algebra, right, left, name=name or "sum")
-
-
-def restrict(rep: Representation, span: Subspace) -> Representation:
-    """Same module, smaller algebra: restrict the actions to a subalgebra."""
-    rep._require_valid()
-    sub = rep.algebra.subalgebra_on(span)
-    basis = span.basis.data
-    right = [rep.rho_of(v) for v in basis]
-    left = [rep.lambda_of(v) for v in basis]
-    return Representation(sub, right, left, name=rep.name)
-
-
-def is_invariant(rep: Representation, w: Subspace) -> bool:
-    """Both actions map the subspace into itself."""
-    return all(w.induced(m) is not None for m in rep.action_matrices())
-
-
-def module_restriction(rep: Representation, w: Subspace) -> Representation:
-    """Same algebra, smaller module: actions induced on an invariant subspace."""
-    rep._require_valid()
-    if w.ambient_dim != rep.space_dim:
-        raise ValueError("subspace lives in the wrong ambient space")
-    induced = [w.induced(m) for m in rep.action_matrices()]
-    if any(m is None for m in induced):
-        raise ValueError("subspace is not invariant under both actions")
-    n = rep.algebra.dim
-    return Representation(rep.algebra, induced[:n], induced[n:], name=rep.name)
-
-
-# -- analysis --
 
 def spin_submodule(rep: Representation, seeds: Sequence[Sequence]) -> Subspace:
     """Smallest subspace containing the seeds and invariant under both actions."""
@@ -307,75 +222,14 @@ def _proper_spin(rep: Representation, vectors: Iterable[Vector]) -> Subspace | N
 def _eigenvectors(mats: Sequence[Matrix]) -> Iterator[Vector]:
     """The rational eigenvectors of each matrix, generated lazily."""
     for m in mats:
-        for root in rational_roots(minimal_polynomial(m)):
-            yield from nullspace(_shift(m, -root)).basis.data
+        for root in poly.rational_roots(poly.minimal_polynomial(m)):
+            yield from nullspace(poly._shift(m, -root)).basis.data
 
 
-def sym_span(rep: Representation) -> Subspace:
-    """Span of the images of all symmetrized actions (left plus right)."""
-    rep._require_valid()
-    columns = ((rep.left[j] + rep.right[j]).transpose().nz.values()
-               for j in range(rep.algebra.dim))
-    return _eliminate((v for cols in columns for v in cols), rep.space_dim).subspace()
+_FORWARDED = ("direct_sum", "module_restriction")
 
 
-def dichotomy_classify(rep: Representation) -> str:
-    """Classify an absolutely irreducible representation by its left action.
-
-    Returns "anti_symmetric" when the left action is the negative of the
-    right one and "zero_lambda" when the left action vanishes. For an
-    absolutely irreducible module one of the two must hold; anything else is
-    an internal error, as is calling this on a module that is not certified
-    absolutely irreducible.
-    """
-    verdict = irreducibility(rep)
-    if verdict.value != "abs_irreducible":
-        raise ValueError("dichotomy needs an absolutely irreducible module")
-    v = sym_span(rep)
-    if v.is_zero():
-        variant, failure = "anti_symmetric", "zero symmetrized span without lambda = -rho"
-    elif v.is_full():
-        variant, failure = "zero_lambda", "full symmetrized span without lambda = 0"
-    else:
-        raise InternalCheckError("symmetrized span is a proper nonzero submodule")
-    a = _VARIANTS[variant]
-    if any(left != right.scale(a) for right, left in zip(rep.right, rep.left)):
-        raise InternalCheckError(failure)
-    return variant
-
-
-_COMBO_COEFFS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(3))
-
-
-def equivalence(a: Representation, b: Representation) -> EquivalenceVerdict:
-    """Decide whether two representations are intertwined by an invertible map.
-
-    The intertwiner space is computed exactly. An empty space settles the
-    negative; an invertible element (searched over the basis and a bounded
-    deterministic set of small combinations) settles the positive; a nonzero
-    space with no invertible element found is reported as undetermined.
-    """
-    a._require_valid()
-    b._require_valid()
-    if not a.algebra.same_table(b.algebra):
-        raise ValueError("equivalence needs a common algebra")
-    if a.space_dim != b.space_dim:
-        return EquivalenceVerdict("not_equivalent", None, "dimensions differ")
-    pairs = [(a.right[j], b.right[j]) for j in range(a.algebra.dim)]
-    pairs += [(a.left[j], b.left[j]) for j in range(a.algebra.dim)]
-    basis = intertwiner_space(pairs, b.space_dim, a.space_dim)
-    if not basis:
-        return EquivalenceVerdict("not_equivalent", None,
-                                  "no nonzero intertwiner exists")
-    for t in basis:
-        if t.is_invertible():
-            return EquivalenceVerdict("equivalent", t)
-    if len(basis) > 1:
-        for coeffs in itertools.islice(
-                itertools.product(_COMBO_COEFFS, repeat=len(basis)), 64):
-            combo = linear_combination(coeffs, basis, a.space_dim, a.space_dim)
-            if combo.is_invertible():
-                return EquivalenceVerdict("equivalent", combo)
-    return EquivalenceVerdict(
-        "undetermined", None,
-        "intertwiners exist but none of the sampled ones is invertible")
+def __getattr__(name):
+    if name in _FORWARDED:
+        return getattr(sys.modules[__package__], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

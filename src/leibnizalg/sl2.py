@@ -19,9 +19,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
+from . import poly
 from .algebra import InternalCheckError, LeibnizAlgebra, algebra_from_brackets
-from .linalg import (Matrix, Subspace, _axiom_rows, _matrix_of, _solutions, _sparse_matmul,
-                     rational_roots)
+from .equations import _axiom_rows
+from .linalg import Matrix, Subspace, _matrix_of, _solutions, _sparse_matmul
 from .reps import _VARIANTS, Representation, _variant_rep
 
 ZERO = Fraction(0)
@@ -305,7 +306,7 @@ def _left_coefficient_roots(m: int) -> tuple[Fraction, ...]:
     rho = sl2_irrep_rho(m)
     if all((x * y).is_zero() for x in rho for y in rho):
         raise InternalCheckError("every action product vanished; nothing pins a")
-    return rational_roots((ZERO, ONE, ONE))
+    return poly.rational_roots((ZERO, ONE, ONE))
 
 
 def extension_rep_solve(n: int, m: int) -> ExtensionSolution:

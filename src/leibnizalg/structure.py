@@ -23,10 +23,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import InternalCheckError, LeibnizAlgebra
+from .equations import _axiom_rows, _particular, matrix_commutant
 from .linalg import (
-    Matrix, Subspace, Vector, _axiom_rows, _eliminate, _integral, _matrix_of, _norton,
-    _particular, _solutions, _sparse_combination, _sparse_matmul, envelope_dimension,
-    matrix_commutant, nullspace, subspace_sum,
+    Matrix, Subspace, Vector, _eliminate, _integral, _matrix_of, _norton, _solutions,
+    _sparse_combination, _sparse_matmul, envelope_dimension, nullspace, subspace_sum,
 )
 
 ONE = Fraction(1)

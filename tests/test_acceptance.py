@@ -18,12 +18,18 @@ from leibnizalg.algebra import (
     direct_sum_algebra,
 )
 from leibnizalg.decompose import (
+    adjoint_rep,
     complete_reducibility_necessary,
     decompose,
+    dichotomy_classify,
+    equivalence,
     example_5_3,
     example_5_5,
     h_gap_positions,
+    is_invariant,
+    module_restriction,
     solve_lowering_left,
+    sym_span,
 )
 from leibnizalg.fileio import parse_algebra, parse_rep, serialize_algebra, serialize_rep
 from leibnizalg.linalg import (
@@ -33,16 +39,7 @@ from leibnizalg.linalg import (
     subspace_intersect,
     subspace_sum,
 )
-from leibnizalg.reps import (
-    Representation,
-    adjoint_rep,
-    dichotomy_classify,
-    equivalence,
-    irreducibility,
-    is_invariant,
-    module_restriction,
-    sym_span,
-)
+from leibnizalg.reps import Representation, irreducibility
 from leibnizalg.sl2 import (
     check_sl2_constraints,
     classify_extension_irreps,

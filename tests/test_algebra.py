@@ -23,10 +23,11 @@ from leibnizalg.algebra import (
     algebra_from_brackets,
     direct_sum_algebra,
 )
+from leibnizalg.decompose import adjoint_rep, restrict
+from leibnizalg.equations import intertwiner_space
 from leibnizalg.fileio import MAX_DIM, frac_str, serialize_algebra
-from leibnizalg.linalg import (Matrix, Subspace, intertwiner_space, linear_combination,
-                              nullspace, subspace_intersect, subspace_sum)
-from leibnizalg.reps import adjoint_rep, restrict
+from leibnizalg.linalg import (Matrix, Subspace, linear_combination, nullspace,
+                              subspace_intersect, subspace_sum)
 from leibnizalg.structure import _ideal_seed_candidates, _lie_radical
 
 F = Fraction

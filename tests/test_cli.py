@@ -313,7 +313,7 @@ def eager_parser() -> cli._Parser:
     for path, (handler, kind, help_text, arguments) in cli._COMMANDS.items():
         parent, _, name = path.rpartition(" ")
         p = groups[parent].add_parser(name, help=help_text)
-        for flags, kwargs in arguments:
+        for flags, kwargs in arguments():
             p.add_argument(*flags, **kwargs)
         if handler is None:
             groups[path] = p.add_subparsers(

@@ -13,22 +13,21 @@ from leibnizalg.decompose import (
     DecompositionResult,
     _lift,
     _primary_components,
+    adjoint_rep,
     commutant,
     complete_reducibility_necessary,
     decompose,
+    direct_sum,
+    equivalence,
     example_5_3,
     example_5_5,
     h_gap_positions,
+    module_restriction,
     solve_lowering_left,
 )
-from leibnizalg.linalg import (
-    Matrix, Subspace, _poly_divide_out_root, linear_combination, minimal_polynomial, nullspace,
-    poly_eval, rational_roots, subspace_intersect,
-)
-from leibnizalg.reps import (
-    Representation, adjoint_rep, direct_sum, equivalence, irreducibility,
-    module_restriction,
-)
+from leibnizalg.linalg import Matrix, Subspace, linear_combination, nullspace, subspace_intersect
+from leibnizalg.poly import _poly_divide_out_root, minimal_polynomial, poly_eval, rational_roots
+from leibnizalg.reps import Representation, irreducibility
 from leibnizalg.sl2 import simple_ext_algebra, sl2_algebra, sl2_leibniz_irrep
 
 Q = Fraction

@@ -23,8 +23,9 @@ from leibnizalg.fileio import (
     serialize_algebra,
     serialize_rep,
 )
+from leibnizalg.decompose import adjoint_rep
 from leibnizalg.linalg import Matrix
-from leibnizalg.reps import Representation, adjoint_rep
+from leibnizalg.reps import Representation
 from leibnizalg.sl2 import (
     classify_extension_irreps,
     simple_ext_algebra,

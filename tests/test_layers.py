@@ -10,14 +10,18 @@ import sys
 
 import pytest
 
-from leibnizalg.decompose import example_5_5
+from leibnizalg.decompose import direct_sum, example_5_5
 from leibnizalg.fileio import serialize_algebra, serialize_rep
+from leibnizalg.linalg import Matrix
+from leibnizalg.reps import Representation
 from leibnizalg.sl2 import simple_ext_algebra, sl2_leibniz_irrep
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-LAYERS = ("linalg", "algebra", "structure", "reps", "sl2", "decompose", "fileio")
+LAYERS = ("linalg", "poly", "equations", "algebra", "structure", "reps", "sl2", "decompose",
+          "fileio")
 MODULE_JOB = {"linalg", "algebra", "reps", "fileio"}  # what rep irreducible runs
-ALGEBRA_JOB = MODULE_JOB | {"structure"}  # the algebra subcommands add the structure theory
+CHECK_JOB = {"linalg", "algebra", "fileio"}  # check and kernel: no module type
+ALGEBRA_JOB = CHECK_JOB | {"structure", "equations"}  # the other algebra subcommands
 
 ENTRY_POINTS = {
     # python -m leibnizalg.cli
@@ -44,12 +48,25 @@ def python(code, *args):
                           text=True, check=True).stdout
 
 
+def dense_ladder_sum():
+    """The ladders of size 2 and 3 in a dense module basis, a module of the
+    envelope-first reference test in test_reps: every coordinate vector spins
+    to the whole module, so irreducibility reaches its eigenvector fallback."""
+    rep = direct_sum(sl2_leibniz_irrep(1, "zero_lambda"), sl2_leibniz_irrep(2, "zero_lambda"))
+    p = Matrix([[0, -1, -2, 1, -2], [1, 2, -1, -1, -2], [-1, -1, -1, -2, -1],
+                [1, -2, 1, 0, -1], [1, -1, 2, -2, 2]])
+    pi = p.inverse()
+    return Representation(rep.algebra, [p * m * pi for m in rep.right],
+                          [p * m * pi for m in rep.left])
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("layers")
     files = {"ext5.alg.json": serialize_algebra(simple_ext_algebra(5)),
              "ladder2.rep.json": serialize_rep(sl2_leibniz_irrep(2, "zero_lambda")),
-             "e55.rep.json": serialize_rep(example_5_5())}
+             "e55.rep.json": serialize_rep(example_5_5()),
+             "dense12.rep.json": serialize_rep(dense_ladder_sum())}
     for name, text in files.items():
         (root / name).write_text(text)
     return root
@@ -58,12 +75,17 @@ def inputs(tmp_path_factory):
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 @pytest.mark.parametrize("argv, executed", [
     (["rep", "irreducible", "ladder2.rep.json"], MODULE_JOB),
+    (["rep", "irreducible", "dense12.rep.json"], MODULE_JOB | {"poly"}),
+    (["rep", "check", "e55.rep.json"], MODULE_JOB),
+    (["check", "ext5.alg.json"], CHECK_JOB),
+    (["kernel", "ext5.alg.json"], CHECK_JOB),
     (["simple", "ext5.alg.json"], ALGEBRA_JOB),
     (["radical", "ext5.alg.json"], ALGEBRA_JOB),
     (["levi", "ext5.alg.json"], ALGEBRA_JOB),
-    (["rep", "decompose", "e55.rep.json"], MODULE_JOB | {"decompose"}),
-    (["gen", "sl2-irrep", "--m", "2"], MODULE_JOB | {"sl2"}),
-], ids=["rep irreducible", "simple", "radical", "levi", "rep decompose", "gen sl2-irrep"])
+    (["rep", "decompose", "e55.rep.json"], MODULE_JOB | {"decompose", "poly", "equations"}),
+    (["gen", "sl2-irrep", "--m", "2"], MODULE_JOB | {"sl2", "equations"}),
+], ids=["rep irreducible", "rep irreducible eigenvectors", "rep check", "check", "kernel",
+        "simple", "radical", "levi", "rep decompose", "gen sl2-irrep"])
 def test_a_subcommand_executes_only_the_layers_it_runs(inputs, entry, argv, executed):
     argv = [str(inputs / a) if a.endswith(".json") else a for a in argv]
     record = json.loads(python(RUN_AND_LIST % ENTRY_POINTS[entry], *argv).splitlines()[-1])
@@ -76,9 +98,12 @@ def test_importing_the_cli_puts_every_layer_in_sys_modules():
 import sys
 import leibnizalg.cli
 layers = {name: sys.modules["leibnizalg." + name] for name in
-          ("algebra", "cli", "decompose", "fileio", "linalg", "reps", "sl2", "structure")}
+          ("algebra", "cli", "decompose", "equations", "fileio", "linalg", "poly", "reps", "sl2",
+           "structure")}
 assert layers["cli"].run_command is not None
 assert layers["linalg"].Matrix.identity(2).rows == 2
+assert layers["poly"].poly_eval((1, 1), 2) == 3
+assert layers["equations"].solve(layers["linalg"].Matrix.identity(1), (1,))[0] == (1,)
 assert layers["algebra"].abelian_algebra(2).dim == 2
 assert layers["structure"].SeriesReport._fields[0] == "kind"
 assert layers["reps"]._VARIANTS
@@ -106,7 +131,7 @@ for name in leibnizalg.__all__:
 assert isinstance(leibnizalg.decompose, types.FunctionType)
 assert leibnizalg.decompose is layer["decompose"].decompose
 assert leibnizalg.sl2 is layer["sl2"]
-for name in ("linalg", "algebra", "structure", "reps", "fileio"):
+for name in ("linalg", "poly", "equations", "algebra", "structure", "reps", "fileio"):
     assert getattr(leibnizalg, name) is layer[name], name
 try:
     leibnizalg.no_such_name
@@ -131,6 +156,46 @@ print("ok")
 ], ids=lambda first: first.splitlines()[0])
 def test_public_names_resolve_to_their_home_layer_in_every_import_order(first):
     assert python(first + "\n" + CHECK_API) == "ok\n"
+
+
+# the names that bench/ reads through their former layer: (old layer, name, home)
+FORWARDED = (
+    ("linalg", "solve", "equations"), ("linalg", "matrix_commutant", "equations"),
+    ("linalg", "minimal_polynomial", "poly"), ("linalg", "char_poly", "poly"),
+    ("reps", "module_restriction", "decompose"), ("reps", "direct_sum", "decompose"),
+)
+# reading the name executes its home layer and no other
+READ_FORWARDED = """
+import sys, types
+import leibnizalg
+old, name, home = sys.argv[1:]
+def executed():
+    return {layer for layer in %r
+            if type(sys.modules["leibnizalg." + layer]) is types.ModuleType}
+module = sys.modules["leibnizalg." + old]
+assert module.__name__ == "leibnizalg." + old  # any attribute executes the layer itself
+before = executed()
+obj = getattr(module, name)
+assert executed() - before == {home}, executed() - before
+assert obj is getattr(sys.modules["leibnizalg." + home], name)
+print("ok")
+""" % (LAYERS,)
+
+
+@pytest.mark.parametrize("old, name, home", FORWARDED, ids=[f"{o}.{n}" for o, n, _ in FORWARDED])
+def test_a_forwarded_name_is_its_home_object_and_loads_its_home(old, name, home):
+    assert python(READ_FORWARDED, old, name, home) == "ok\n"
+
+
+def test_only_the_forwarded_names_resolve_through_their_former_layer():
+    import leibnizalg.linalg as linalg
+    import leibnizalg.reps as reps
+    for old, module in (("linalg", linalg), ("reps", reps)):
+        assert sorted(module._FORWARDED) == sorted(n for o, n, _ in FORWARDED if o == old)
+    for module, name in ((linalg, "rational_roots"), (linalg, "_axiom_rows"),
+                         (reps, "equivalence"), (reps, "adjoint_rep")):
+        with pytest.raises(AttributeError):
+            getattr(module, name)
 
 
 # frozen public API: the public attributes of LeibnizAlgebra and the package's names

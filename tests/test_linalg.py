@@ -12,36 +12,30 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from leibnizalg.decompose import direct_sum
+from leibnizalg.equations import _axiom_rows, intertwiner_space, matrix_commutant, solve
 from leibnizalg.linalg import (
     Echelon,
     _eliminate,
-    _rational_factors,
-    _axiom_rows,
     _dense,
     _matrix_of,
     _norton,
-    _poly_at,
-    _shift,
     _solutions,
     _unflatten,
     Matrix,
     Subspace,
-    char_poly,
     envelope_dimension,
-    intertwiner_space,
     linear_combination,
-    matrix_commutant,
-    minimal_polynomial,
     nullspace,
-    poly_eval,
-    rational_roots,
     rref,
-    solve,
     subspace_intersect,
     subspace_sum,
     vec,
 )
-from leibnizalg.reps import direct_sum
+from leibnizalg.poly import (
+    _poly_at, _rational_factors, _shift, char_poly, minimal_polynomial, poly_eval,
+    rational_roots,
+)
 from leibnizalg.sl2 import sl2_leibniz_irrep
 
 QQ = Fraction

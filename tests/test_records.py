@@ -10,7 +10,8 @@ import pytest
 from leibnizalg.structure import SeriesReport, SimplicityVerdict, StructureReport
 from leibnizalg.decompose import DecompositionResult, KernelActionReport
 from leibnizalg.linalg import Matrix, Subspace
-from leibnizalg.reps import EquivalenceVerdict, IrreducibilityVerdict
+from leibnizalg.decompose import EquivalenceVerdict
+from leibnizalg.reps import IrreducibilityVerdict
 from leibnizalg.sl2 import ExtensionSolution, Sl2ConstraintReport
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"

@@ -16,32 +16,27 @@ from hypothesis import assume, given, settings, strategies as st
 
 from leibnizalg import reps
 from leibnizalg.algebra import LeibnizAlgebra, abelian_algebra, algebra_from_brackets
-from leibnizalg.decompose import example_5_5
-from leibnizalg.linalg import (
-    Matrix,
-    Subspace,
-    _norton,
-    envelope_dimension,
-    minimal_polynomial,
-    nullspace,
-    rational_roots,
-)
-from leibnizalg.reps import (
-    AxiomViolationError,
+from leibnizalg.decompose import (
     EquivalenceVerdict,
-    IrreducibilityVerdict,
-    Representation,
     adjoint_rep,
     dichotomy_classify,
     direct_sum,
     equivalence,
+    example_5_5,
     from_lie_rep,
-    irreducibility,
     is_invariant,
     module_restriction,
     restrict,
-    spin_submodule,
     sym_span,
+)
+from leibnizalg.linalg import Matrix, Subspace, _norton, envelope_dimension, nullspace
+from leibnizalg.poly import minimal_polynomial, rational_roots
+from leibnizalg.reps import (
+    AxiomViolationError,
+    IrreducibilityVerdict,
+    Representation,
+    irreducibility,
+    spin_submodule,
 )
 
 F = Fraction
@@ -446,7 +441,7 @@ def test_intertwiner_dims_match_sympy_oracle():
         (ladder_rep(2, "zero_lambda"), ladder_rep(2, "zero_lambda"), 1),
         (ladder_rep(1, "anti_symmetric"), ladder_rep(2, "anti_symmetric"), 0),
     ]
-    from leibnizalg.linalg import intertwiner_space
+    from leibnizalg.equations import intertwiner_space
     for a, b, expected in pairs:
         sys_pairs = [(a.right[j], b.right[j]) for j in range(3)]
         sys_pairs += [(a.left[j], b.left[j]) for j in range(3)]

@@ -8,8 +8,9 @@ import sympy
 
 from leibnizalg import sl2
 from leibnizalg.algebra import InternalCheckError
+from leibnizalg.decompose import equivalence, restrict
 from leibnizalg.linalg import Matrix, Subspace, nullspace
-from leibnizalg.reps import Representation, equivalence, irreducibility, restrict
+from leibnizalg.reps import Representation, irreducibility
 from leibnizalg.sl2 import (
     ExtensionSolution,
     _reduce_quadratics,
@@ -158,7 +159,7 @@ def test_identities_flag_left_e_and_h_injections_and_scaled_weights():
 
 
 def test_identities_require_the_sl2_table():
-    from leibnizalg.reps import adjoint_rep
+    from leibnizalg.decompose import adjoint_rep
     with pytest.raises(ValueError):
         check_sl2_constraints(adjoint_rep(simple_ext_algebra(5)))
 
