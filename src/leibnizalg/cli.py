@@ -5,21 +5,27 @@ no timestamps); diagnostics go to standard error. Exit codes: 0 when a
 verdict was computed (including "no" and "undetermined"), 1 on input
 errors, 2 when an internal consistency check failed.
 
-Each subcommand is a row of `_COMMANDS`, and `_build_parser(argv)` adds only
-the path that argv names; where argv names none, it adds all of them below,
-so help and usage errors read as from the whole tree. The arguments of a
-row are a zero-argument callable, called when its subcommand is added, so
-the `--variant` choices read `reps._VARIANTS` only then. `reps` is bound
-with `from . import reps`, which does not load it, and the handlers import
-`sl2` and `decompose` when they run, so a job compiles only the layers its
+Each subcommand is a row of `_COMMANDS`. `_parse(argv)` reads a plain
+command line straight off the table: the words of one path, then each
+positional once and each option by its exact name at most once. Any other
+argv, help and usage errors among them, goes to argparse: `_build_parser(argv)`
+adds only the path that argv names; where argv names none, it adds all of
+them below, so help and usage errors read as from the whole tree. So a
+valid command line imports neither argparse nor gettext, while argparse
+stays the only source of help and usage text. The arguments of a row are a
+zero-argument callable, called when its subcommand is read, so the
+`--variant` choices read `reps._VARIANTS` only then. `reps` is bound with
+`from . import reps`, which does not load it, and the handlers import `sl2`
+and `decompose` when they run, so a job compiles only the layers its
 subcommand uses (see the package docstring).
 """
 
 from __future__ import annotations
 
-import argparse
+import functools
 import json
 import sys
+import types
 
 from . import reps
 from .algebra import InternalCheckError, LeibnizAlgebra
@@ -34,9 +40,21 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # exit code 1 for bad usage, not argparse's 2
-        raise _UsageError(f"{self.prog}: {message}")
+@functools.cache
+def _parser_class():
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # exit code 1 for bad usage, not argparse's 2
+            raise _UsageError(f"{self.prog}: {message}")
+
+    return _Parser
+
+
+def __getattr__(name):  # PEP 562: `cli._Parser` imports argparse on first use
+    if name == "_Parser":
+        return _parser_class()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _read_source(path: str) -> str:
@@ -296,9 +314,11 @@ def _file_json():
 
 
 # path -> (handler, kind, help, arguments); arguments is a zero-argument
-# callable giving the (flags, kwargs) pairs, called when the row is added. A
-# group has no handler, and its subcommands are the paths one word longer,
-# in table order
+# callable giving the (flag, kwargs) pairs, called when the row is read, with
+# one flag each and no keywords but action="store_true", type, choices,
+# required, default and help, the ones `_parse` knows. A group has no
+# handler and no arguments, and its subcommands are the paths one word
+# longer, in table order
 _COMMANDS = {
     "check": (_cmd_check, "report", "bracket identity, Lie flag, kernel size", _alg),
     "kernel": (_cmd_kernel, "report", "kernel dimension and basis", _alg),
@@ -334,10 +354,66 @@ _COMMANDS = {
 }
 
 
+def _parse(argv):
+    """The namespace argparse gives for a plain command line, else None.
+
+    A plain command line is the words of one path of `_COMMANDS`, then each
+    positional of its leaf once and each option by its exact name at most
+    once, as `--flag` or `--opt value`, in any order, with no value that
+    starts with `-` but `-` itself; the values must pass the row's type and
+    choices, and every positional and required option must be there. None
+    for anything else (`-h`, abbreviations, `--opt=value`, repeats, `--`),
+    which goes to argparse.
+    """
+    words, args, prefix, handler = list(argv or ()), {}, "", None
+    while handler is None:  # down the groups to a leaf
+        word = words.pop(0) if words else ""
+        if " " in word or prefix + word not in _COMMANDS:
+            return None
+        args[prefix.replace(" ", "_") + "command"] = word
+        handler, kind, _, arguments = _COMMANDS[prefix + word]
+        prefix += word + " "
+    rows = {flags[0]: kwargs for flags, kwargs in arguments()}
+    positionals = iter(name for name in rows if not name.startswith("-"))
+    given = {}
+    while words:
+        word = words.pop(0)
+        if word == "-" or not word.startswith("-"):
+            name = next(positionals, None)
+            if name is None:
+                return None
+            given[name] = word
+        elif word not in rows or word in given:
+            return None
+        elif rows[word].get("action") == "store_true":
+            given[word] = True
+        elif words and (words[0] == "-" or not words[0].startswith("-")):
+            given[word] = words.pop(0)
+        else:
+            return None
+    for name, kwargs in rows.items():
+        dest = name.lstrip("-").replace("-", "_") if name.startswith("-") else name
+        if name not in given:
+            if kwargs.get("required") or not name.startswith("-"):
+                return None
+            args[dest] = kwargs.get("default", False if kwargs.get("action") else None)
+            continue
+        value = given[name]
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except ValueError:
+                return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        args[dest] = value
+    return types.SimpleNamespace(**args, handler=handler, kind=kind)
+
+
 def _build_parser(argv=None) -> _Parser:
-    """The parser for argv, built only along the path it names (all of it
-    for argv None)."""
-    parser = _Parser(prog="leibnizalg", description=_DESCRIPTION)
+    """The argparse parser for argv, built only along the path it names (all
+    of it for argv None)."""
+    parser = _parser_class()(prog="leibnizalg", description=_DESCRIPTION)
     _add_subcommands(parser, "", argv)
     return parser
 
@@ -383,11 +459,13 @@ def _human_lines(obj, indent=0) -> list[str]:
 
 
 def run_command(argv) -> int:
-    try:
-        args = _build_parser(argv).parse_args(argv)
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = _build_parser(argv).parse_args(argv)
+        except _UsageError as exc:
+            print(str(exc), file=sys.stderr)
+            return 1
     try:
         out = args.handler(args)
     except InternalCheckError as exc:

@@ -9,9 +9,10 @@ kernel on both action sides; the right action kills it in every module, so
 the left action on the kernel is checked first.
 Splitting itself goes through the commutant: primary components of a
 deterministic commutant element are invariant, and recursion refines them
-until every leaf has commutant dimension one. A piece is split on the action
-matrices induced on it, which prove it invariant; as a submodule of a valid
-module it needs no axiom check. The sum of the leaves is proved direct by
+until every leaf has commutant dimension one. A proper piece is split on the
+action matrices induced on it, which prove it invariant; as a submodule of a
+valid module it needs no axiom check. The first piece, the whole module, is
+split on its own action matrices. The sum of the leaves is proved direct by
 its dimensions. Two benchmark modules of dimension five round out the
 catalogue: the adjoint module of example 5.3, `simple_ext(5)` with its tail
 labelled x, y, which admits no irreducible decomposition, and one that
@@ -308,7 +309,8 @@ def decompose(rep: Representation) -> DecompositionResult:
     stack = [full]
     while stack:
         piece = stack.pop()
-        induced = [piece.induced(m) for m in mats]
+        # the first piece is the whole module, whose actions are mats themselves
+        induced = mats if piece is full else [piece.induced(m) for m in mats]
         if any(m is None for m in induced):
             raise InternalCheckError("component is not invariant")
         split = _try_split(induced, piece.dim)

@@ -19,9 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from . import poly
+from . import equations, poly
 from .algebra import InternalCheckError, LeibnizAlgebra, algebra_from_brackets
-from .equations import _axiom_rows
 from .linalg import Matrix, Subspace, _matrix_of, _solutions, _sparse_matmul
 from .reps import _VARIANTS, Representation, _variant_rep
 
@@ -175,14 +174,14 @@ def _tail_stage1_basis(n: int, m: int) -> list[list[Matrix]]:
     rho = sl2_irrep_rho(m)
     d = m + 1
     nx = n - 3
-    equations = []
+    system = []
     for k in range(nx):
         for y in range(3):
             cvec = alg._cell(3 + k, y)
             if any(cvec[:3]):
                 raise InternalCheckError("tail bracket left the kernel span")
-            equations.append((cvec[3:], k, rho[y], rho[y]))
-    space = _solutions(_axiom_rows(equations, d, d), nx * d * d)
+            system.append((cvec[3:], k, rho[y], rho[y]))
+    space = _solutions(equations._axiom_rows(system, d, d), nx * d * d)
     return [[Matrix.from_flat(v[k * d * d:(k + 1) * d * d], d, d) for k in range(nx)]
             for v in space.basis.data]
 
@@ -199,8 +198,8 @@ def _sl2_left_block_check(m: int) -> Subspace:
     rho = sl2_irrep_rho(m)
     d = m + 1
     sl2 = sl2_algebra()
-    equations = [(sl2._cell(x, y), x, rho[y], rho[y]) for x in range(3) for y in range(3)]
-    space = _solutions(_axiom_rows(equations, d, d), 3 * d * d)
+    system = [(sl2._cell(x, y), x, rho[y], rho[y]) for x in range(3) for y in range(3)]
+    space = _solutions(equations._axiom_rows(system, d, d), 3 * d * d)
     expected_dim = 1 if m >= 1 else 0
     if space.dim != expected_dim:
         raise InternalCheckError(

@@ -22,8 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import equations
 from .algebra import InternalCheckError, LeibnizAlgebra
-from .equations import _axiom_rows, _particular, matrix_commutant
 from .linalg import (
     Matrix, Subspace, Vector, _eliminate, _integral, _matrix_of, _norton, _solutions,
     _sparse_combination, _sparse_matmul, envelope_dimension, nullspace, subspace_sum,
@@ -219,7 +219,7 @@ def is_simple(alg: LeibnizAlgebra) -> SimplicityVerdict:
     # rad == kernel: [Q,Q]^perp = 0 in Q, so the Killing form of Q is nondegenerate
     ads = [quo.right_mult_matrix_basis(j) for j in range(quo.dim)]
     reason = ""
-    if len(matrix_commutant(ads, quo.dim)) != 1:
+    if len(equations.matrix_commutant(ads, quo.dim)) != 1:
         reason = "adjoint commutant of the Lie quotient has dimension above one"
     elif kernel.dim:
         mats, k = _kernel_action_matrices(alg, kernel), kernel.dim
@@ -318,16 +318,16 @@ def levi_subalgebra(alg: LeibnizAlgebra) -> Subspace:
     # X A_b^T - C_b X = -Gamma_b, one row per (b, a, m), with the
     # right-hand side in column q r
     rights = _kernel_action_matrices(alg, kernel)
-    rows = _axiom_rows([((), 0, rights[c].transpose(),
-                         Matrix([quo._cell(a, b) for a in range(q)]))
-                        for b, c in enumerate(comp)], q, r)
+    rows = equations._axiom_rows([((), 0, rights[c].transpose(),
+                                   Matrix([quo._cell(a, b) for a in range(q)]))
+                                  for b, c in enumerate(comp)], q, r)
     nz = alg._int_table
     cells = [dict(nz[comp[a]][comp[b]]) for b in range(q) for a in range(q)]
     gammas = (cell.get(p, 0) for cell in cells for p in kernel.pivots)
     for row, g in zip(rows, gammas):
         if g:
             row[q * r] = Fraction(-g, alg._den)
-    particular, _ = _particular(rows, q * r)
+    particular, _ = equations._particular(rows, q * r)
     if particular is None:
         raise InternalCheckError("Levi correction system is unsolvable")
     section = {a: {c: ONE} for a, c in enumerate(comp)}

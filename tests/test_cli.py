@@ -1,11 +1,14 @@
 """Command-line behaviour: golden outputs, exit codes, pipelines."""
 
+import contextlib
+import functools
 import io
 import json
 import pathlib
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leibnizalg import cli
 from leibnizalg.algebra import InternalCheckError
@@ -366,3 +369,87 @@ def test_parser_holds_only_the_invoked_path():
     assert len(choices(cli._build_parser(["--help"]))) == len(choices(eager_parser())) == 10
     rep = choices(cli._build_parser(["rep", "bogus"]))["rep"]
     assert list(choices(rep)) == [leaf[1] for leaf in LEAVES if leaf[0] == "rep"]
+
+
+# -- the table parser against the eager parser, on argv variants of every leaf --
+
+@functools.cache
+def cached_eager_parser():
+    return eager_parser()
+
+
+def eager_namespace(argv):
+    """The eager parser's namespace for argv as a dict, None where it prints
+    help or refuses argv."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return vars(cached_eager_parser().parse_args(argv))
+    except (cli._UsageError, SystemExit):
+        return None
+
+
+WORDS = st.sampled_from(["-", "x.json", "e,f,h", "", "a b", "-x", "-1", "--json", "a=b", "--"])
+
+
+def values(kwargs):
+    if "choices" in kwargs:
+        return st.sampled_from([*kwargs["choices"], "bad", "-"])
+    if kwargs.get("type") is int:
+        return st.integers(-3, 130).map(str) | st.sampled_from(["x", "", "1.5", " 7", "+3", "1_0"])
+    return WORDS | st.text(max_size=3)
+
+
+# edits of the argument words, each at a drawn index i; groups keep an
+# option next to its value
+EDITS = {
+    "equals": lambda groups, i: [["=".join(g)] if len(g) == 2 else g for g in groups],
+    "abbreviate": lambda groups, i: [[g[0][:-1], *g[1:]] if g[0].startswith("--") else g
+                                     for g in groups],
+    "repeat": lambda groups, i: groups[:i] + groups[i - 1:] if i else groups * 2,
+    "drop": lambda groups, i: groups[:i] + groups[i + 1:],
+    "extra": lambda groups, i: groups[:i] + [["extra.json"]] + groups[i:],
+    "stdin": lambda groups, i: groups[:i] + [["-"]] + groups[i:],
+    "separator": lambda groups, i: groups[:i] + [["--"]] + groups[i:],
+    "help": lambda groups, i: groups[:i] + [["-h"]] + groups[i:],
+    "unknown": lambda groups, i: groups[:i] + [["--bogus"]] + groups[i:],
+}
+
+
+@pytest.mark.parametrize("leaf", LEAVES, ids=" ".join)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_the_table_parser_gives_the_eager_namespace_or_declines(leaf, data):
+    groups, drawn = [], []
+    for (flag,), kwargs in cli._COMMANDS[" ".join(leaf)][3]():
+        if kwargs.get("action") == "store_true":
+            groups += [[flag]] * data.draw(st.booleans())
+            continue
+        value = data.draw(values(kwargs))
+        if not flag.startswith("-"):
+            groups.append([value])
+        elif kwargs.get("required") or data.draw(st.booleans()):
+            groups.append([flag, value])
+        else:
+            continue
+        drawn.append(value)
+    groups = data.draw(st.permutations(groups))
+    edits = data.draw(st.lists(st.sampled_from(sorted(EDITS)), max_size=2))
+    for edit in edits:
+        groups = EDITS[edit](groups, data.draw(st.integers(0, len(groups))))
+    words = [word for group in groups for word in group]
+    # options may also come before the subcommand's words
+    cut = data.draw(st.integers(0, len(leaf))) if edits else len(leaf)
+    argv = [*leaf[:cut], *words, *leaf[cut:]]
+    expected, ours = eager_namespace(argv), cli._parse(argv)
+    assert ours is None or vars(ours) == expected, argv
+    # a plain command line is read off the table, not declined
+    plain = not edits and all(v == "-" or not v.startswith("-") for v in drawn)
+    assert ours is not None or not plain or expected is None, argv
+
+
+@pytest.mark.parametrize("argv", [
+    [], [""], ["rep"], ["rep check", "x"], [" rep", "check", "x"], ["rep", "check ", "x"],
+    ["rep", "rep", "check", "x"], ["check", "check", "x"], ["x", "check"],
+], ids=repr)
+def test_the_table_parser_declines_what_names_no_subcommand(argv):
+    assert cli._parse(argv) is None and eager_namespace(argv) is None

@@ -21,7 +21,7 @@ LAYERS = ("linalg", "poly", "equations", "algebra", "structure", "reps", "sl2", 
           "fileio")
 MODULE_JOB = {"linalg", "algebra", "reps", "fileio"}  # what rep irreducible runs
 CHECK_JOB = {"linalg", "algebra", "fileio"}  # check and kernel: no module type
-ALGEBRA_JOB = CHECK_JOB | {"structure", "equations"}  # the other algebra subcommands
+ALGEBRA_JOB = CHECK_JOB | {"structure"}  # series, radical, semisimple, derivations
 
 ENTRY_POINTS = {
     # python -m leibnizalg.cli
@@ -79,17 +79,62 @@ def inputs(tmp_path_factory):
     (["rep", "check", "e55.rep.json"], MODULE_JOB),
     (["check", "ext5.alg.json"], CHECK_JOB),
     (["kernel", "ext5.alg.json"], CHECK_JOB),
-    (["simple", "ext5.alg.json"], ALGEBRA_JOB),
+    (["simple", "ext5.alg.json"], ALGEBRA_JOB | {"equations"}),
     (["radical", "ext5.alg.json"], ALGEBRA_JOB),
-    (["levi", "ext5.alg.json"], ALGEBRA_JOB),
+    (["derivations", "ext5.alg.json"], ALGEBRA_JOB),
+    (["levi", "ext5.alg.json"], ALGEBRA_JOB | {"equations"}),
     (["rep", "decompose", "e55.rep.json"], MODULE_JOB | {"decompose", "poly", "equations"}),
-    (["gen", "sl2-irrep", "--m", "2"], MODULE_JOB | {"sl2", "equations"}),
+    (["rep", "classify", "ext5.alg.json", "--m", "2"], MODULE_JOB | {"sl2"}),
+    (["gen", "sl2-irrep", "--m", "2"], MODULE_JOB | {"sl2"}),
 ], ids=["rep irreducible", "rep irreducible eigenvectors", "rep check", "check", "kernel",
-        "simple", "radical", "levi", "rep decompose", "gen sl2-irrep"])
+        "simple", "radical", "derivations", "levi", "rep decompose", "rep classify",
+        "gen sl2-irrep"])
 def test_a_subcommand_executes_only_the_layers_it_runs(inputs, entry, argv, executed):
     argv = [str(inputs / a) if a.endswith(".json") else a for a in argv]
     record = json.loads(python(RUN_AND_LIST % ENTRY_POINTS[entry], *argv).splitlines()[-1])
     assert record == {"code": 0, "executed": sorted(executed)}
+
+
+# runs the CLI, then lists which of argparse and gettext the process imported
+RUN_AND_LIST_PARSERS = """
+import json, runpy, sys
+sys.argv = ["leibnizalg", *sys.argv[1:]]
+try:
+    runpy.run_module("leibnizalg.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "imported": sorted({"argparse", "gettext"} & set(sys.modules))}))
+"""
+# a valid command line for every leaf of the command table
+VALID_RUNS = {
+    "check": ["ext5.alg.json"], "kernel": ["ext5.alg.json"], "series": ["ext5.alg.json"],
+    "radical": ["ext5.alg.json"], "semisimple": ["ext5.alg.json"],
+    "simple": ["ext5.alg.json", "--json"], "derivations": ["ext5.alg.json"],
+    "levi": ["ext5.alg.json"], "rep check": ["e55.rep.json"],
+    "rep irreducible": ["--json", "ladder2.rep.json"],
+    "rep classify": ["--m", "2", "ext5.alg.json"],
+    "rep equivalent": ["ladder2.rep.json", "ladder2.rep.json"],
+    "rep decompose": ["e55.rep.json"], "rep restrict": ["e55.rep.json", "--span", "e,f,h"],
+    "gen sl2-irrep": ["--m", "2", "--variant", "anti_symmetric"], "gen simple-ext": ["--n", "5"],
+    "gen example-5-3": ["--adjoint"], "gen example-5-5": ["--top", "anti_symmetric"],
+}
+
+
+def test_every_leaf_has_a_valid_run():
+    from leibnizalg.cli import _COMMANDS
+    assert sorted(VALID_RUNS) == sorted(path for path, (handler, *_) in _COMMANDS.items()
+                                        if handler)
+
+
+@pytest.mark.parametrize("argv, code, imported", [
+    *((path.split() + args, 0, []) for path, args in VALID_RUNS.items()),
+    (["rep", "irreducible", "--help"], 0, ["argparse", "gettext"]),
+    (["gen", "sl2-irrep", "--m", "x"], 1, ["argparse", "gettext"]),
+], ids=[*VALID_RUNS, "help", "usage error"])
+def test_a_valid_command_line_is_parsed_without_argparse(inputs, argv, code, imported):
+    argv = [str(inputs / a) if a.endswith(".json") else a for a in argv]
+    record = json.loads(python(RUN_AND_LIST_PARSERS, *argv).splitlines()[-1])
+    assert record == {"code": code, "imported": imported}
 
 
 def test_importing_the_cli_puts_every_layer_in_sys_modules():
