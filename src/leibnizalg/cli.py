@@ -8,21 +8,20 @@ errors, 2 when an internal consistency check failed.
 Each subcommand is a row of `_COMMANDS`. `_parse(argv)` reads a plain
 command line straight off the table: the words of one path, then each
 positional once and each option by its exact name at most once. Any other
-argv, help and usage errors among them, goes to argparse: `_build_parser(argv)`
-adds only the path that argv names; where argv names none, it adds all of
-them below, so help and usage errors read as from the whole tree. So a
-valid command line imports neither argparse nor gettext, while argparse
-stays the only source of help and usage text. The arguments of a row are a
-zero-argument callable, called when its subcommand is read, so the
-`--variant` choices read `reps._VARIANTS` only then. `reps` is bound with
-`from . import reps`, which does not load it, and the handlers import `sl2`
-and `decompose` when they run, so a job compiles only the layers its
-subcommand uses (see the package docstring).
+argv, help and usage errors among them, goes to argparse: `_build_parser()`
+adds every row of the table, in table order. So a valid command line
+imports neither argparse nor gettext, while argparse stays the only source
+of help and usage text. A handler returns file text, written as it is, or a
+report dict, written as JSON under `--json` and as indented text without.
+The arguments of a row are a zero-argument callable, called when its
+subcommand is read, so the `--variant` choices read `reps._VARIANTS` only
+then. `reps` is bound with `from . import reps`, which does not load it, and
+the handlers import `sl2` and `decompose` when they run, so a job compiles
+only the layers its subcommand uses (see the package docstring).
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 import types
@@ -38,23 +37,6 @@ from .linalg import Subspace
 
 class _UsageError(Exception):
     pass
-
-
-@functools.cache
-def _parser_class():
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        def error(self, message):  # exit code 1 for bad usage, not argparse's 2
-            raise _UsageError(f"{self.prog}: {message}")
-
-    return _Parser
-
-
-def __getattr__(name):  # PEP 562: `cli._Parser` imports argparse on first use
-    if name == "_Parser":
-        return _parser_class()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _read_source(path: str) -> str:
@@ -313,43 +295,43 @@ def _file_json():
     return _arg("file"), _JSON
 
 
-# path -> (handler, kind, help, arguments); arguments is a zero-argument
+# path -> (handler, help, arguments); a handler returns file text, or a
+# report dict on exactly the rows with --json. arguments is a zero-argument
 # callable giving the (flag, kwargs) pairs, called when the row is read, with
 # one flag each and no keywords but action="store_true", type, choices,
 # required, default and help, the ones `_parse` knows. A group has no
 # handler and no arguments, and its subcommands are the paths one word
 # longer, in table order
 _COMMANDS = {
-    "check": (_cmd_check, "report", "bracket identity, Lie flag, kernel size", _alg),
-    "kernel": (_cmd_kernel, "report", "kernel dimension and basis", _alg),
-    "series": (_cmd_series, "report", "lower central and derived series", _alg),
-    "radical": (_cmd_radical, "report", "maximal solvable ideal", _alg),
-    "semisimple": (_cmd_semisimple, "report", "radical equals kernel?", _alg),
-    "simple": (_cmd_simple, "report", "simplicity verdict", _alg),
-    "derivations": (_cmd_derivations, "report", "derivation algebra dimensions", _alg),
-    "levi": (_cmd_levi, "report", "Levi complement of a semisimple algebra", _alg),
-    "rep": (None, None, "representation commands", tuple),
-    "rep check": (_cmd_rep_check, "report", "axiom report",
+    "check": (_cmd_check, "bracket identity, Lie flag, kernel size", _alg),
+    "kernel": (_cmd_kernel, "kernel dimension and basis", _alg),
+    "series": (_cmd_series, "lower central and derived series", _alg),
+    "radical": (_cmd_radical, "maximal solvable ideal", _alg),
+    "semisimple": (_cmd_semisimple, "radical equals kernel?", _alg),
+    "simple": (_cmd_simple, "simplicity verdict", _alg),
+    "derivations": (_cmd_derivations, "derivation algebra dimensions", _alg),
+    "levi": (_cmd_levi, "Levi complement of a semisimple algebra", _alg),
+    "rep": (None, "representation commands", tuple),
+    "rep check": (_cmd_rep_check, "axiom report",
                   lambda: (_arg("file", help="representation file, or -"), _JSON)),
-    "rep irreducible": (_cmd_rep_irreducible, "report", "irreducibility verdict", _file_json),
-    "rep classify": (_cmd_rep_classify, "report", "irreducible reps of a catalog algebra",
+    "rep irreducible": (_cmd_rep_irreducible, "irreducibility verdict", _file_json),
+    "rep classify": (_cmd_rep_classify, "irreducible reps of a catalog algebra",
                      lambda: (_arg("file", help="algebra file, or -"), _arg(
                          "--m", type=int, required=True, help="ladder size parameter"), _JSON)),
-    "rep equivalent": (_cmd_rep_equivalent, "report", "equivalence of two representations",
+    "rep equivalent": (_cmd_rep_equivalent, "equivalence of two representations",
                        lambda: (_arg("file_a"), _arg("file_b"), _JSON)),
-    "rep decompose": (_cmd_rep_decompose, "report", "invariant direct-sum splitting",
-                      _file_json),
-    "rep restrict": (_cmd_rep_restrict, "data", "restrict to a spanned subalgebra", lambda: (
+    "rep decompose": (_cmd_rep_decompose, "invariant direct-sum splitting", _file_json),
+    "rep restrict": (_cmd_rep_restrict, "restrict to a spanned subalgebra", lambda: (
         _arg("file"),
         _arg("--span", required=True, help="comma-separated basis labels, e.g. e,f,h"))),
-    "gen": (None, None, "emit catalog objects as files", tuple),
-    "gen sl2-irrep": (_cmd_gen_sl2_irrep, "data", "ladder representation file", lambda: (
+    "gen": (None, "emit catalog objects as files", tuple),
+    "gen sl2-irrep": (_cmd_gen_sl2_irrep, "ladder representation file", lambda: (
         _arg("--m", type=int, required=True), *_variants("--variant"))),
-    "gen simple-ext": (_cmd_gen_simple_ext, "data", "simple extension algebra file",
+    "gen simple-ext": (_cmd_gen_simple_ext, "simple extension algebra file",
                        lambda: (_arg("--n", type=int, required=True),)),
-    "gen example-5-3": (_cmd_gen_example_5_3, "data", "benchmark simple algebra", lambda: (
+    "gen example-5-3": (_cmd_gen_example_5_3, "benchmark simple algebra", lambda: (
         _arg("--adjoint", action="store_true", help="emit its adjoint representation instead"),)),
-    "gen example-5-5": (_cmd_gen_example_5_5, "data", "benchmark split module",
+    "gen example-5-5": (_cmd_gen_example_5_5, "benchmark split module",
                         lambda: _variants("--top", "--bottom")),
 }
 
@@ -371,7 +353,7 @@ def _parse(argv):
         if " " in word or prefix + word not in _COMMANDS:
             return None
         args[prefix.replace(" ", "_") + "command"] = word
-        handler, kind, _, arguments = _COMMANDS[prefix + word]
+        handler, _, arguments = _COMMANDS[prefix + word]
         prefix += word + " "
     rows = {flags[0]: kwargs for flags, kwargs in arguments()}
     positionals = iter(name for name in rows if not name.startswith("-"))
@@ -407,33 +389,31 @@ def _parse(argv):
         if "choices" in kwargs and value not in kwargs["choices"]:
             return None
         args[dest] = value
-    return types.SimpleNamespace(**args, handler=handler, kind=kind)
+    return types.SimpleNamespace(**args, handler=handler)
 
 
-def _build_parser(argv=None) -> _Parser:
-    """The argparse parser for argv, built only along the path it names (all
-    of it for argv None)."""
-    parser = _parser_class()(prog="leibnizalg", description=_DESCRIPTION)
-    _add_subcommands(parser, "", argv)
-    return parser
+def _build_parser():
+    """The argparse parser of the whole command table, for help, usage
+    errors and every argv that `_parse` declines."""
+    import argparse
 
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # exit code 1 for bad usage, not argparse's 2
+            raise _UsageError(f"{self.prog}: {message}")
 
-def _add_subcommands(parser: _Parser, path: str, argv) -> None:
-    # only a first word picks the subcommand: after a leading option argparse
-    # may still dispatch, so every subcommand then comes with its arguments
-    prefix = path + " " if path else ""
-    sub = parser.add_subparsers(dest=prefix.replace(" ", "_") + "command", required=True)
-    names = [key[len(prefix):] for key in _COMMANDS if key.rpartition(" ")[0] == path]
-    names, argv = (argv[:1], argv[1:]) if argv and argv[0] in names else (names, None)
-    for name in names:
-        handler, kind, help_text, arguments = _COMMANDS[prefix + name]
-        p = sub.add_parser(name, help=help_text)
+    parser = _Parser(prog="leibnizalg", description=_DESCRIPTION)
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for path, (handler, help_text, arguments) in _COMMANDS.items():
+        parent, _, name = path.rpartition(" ")
+        p = groups[parent].add_parser(name, help=help_text)
         for flags, kwargs in arguments():
             p.add_argument(*flags, **kwargs)
         if handler is None:
-            _add_subcommands(p, prefix + name, argv)
+            groups[path] = p.add_subparsers(
+                dest=path.replace(" ", "_") + "_command", required=True)
         else:
-            p.set_defaults(handler=handler, kind=kind)
+            p.set_defaults(handler=handler)
+    return parser
 
 
 def _human_lines(obj, indent=0) -> list[str]:
@@ -462,7 +442,7 @@ def run_command(argv) -> int:
     args = _parse(argv)
     if args is None:
         try:
-            args = _build_parser(argv).parse_args(argv)
+            args = _build_parser().parse_args(argv)
         except _UsageError as exc:
             print(str(exc), file=sys.stderr)
             return 1
@@ -474,7 +454,7 @@ def run_command(argv) -> int:
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.kind == "data":
+    if isinstance(out, str):
         sys.stdout.write(out)
     elif getattr(args, "json", False):
         sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")

@@ -122,7 +122,7 @@ class Matrix:
     def from_flat(flat: Sequence, rows: int, cols: int) -> "Matrix":
         if len(flat) != rows * cols:
             raise ValueError("flat length does not match shape")
-        return Matrix([flat[i * cols:(i + 1) * cols] for i in range(rows)])
+        return Matrix([flat[i * cols:(i + 1) * cols] for i in range(rows)], cols)
 
     def __eq__(self, other) -> bool:
         # equal data: a matrix with no rows has no width to compare

@@ -115,9 +115,12 @@ def subalgebra_on(alg: LeibnizAlgebra, u: Subspace) -> LeibnizAlgebra:
             if u._remainder(w):
                 raise ValueError("subspace is not closed under the bracket")
             cells[a, b] = {k: w[p] / alg._den for k, p in enumerate(u.pivots) if p in w}
-    # an RREF row with one entry is the unit vector at its pivot
+    # an RREF row with one entry is the unit vector at its pivot; where its
+    # label is also a generated name, every row gets the generated one
     names = [alg.basis_names[p] if len(u.rows[a]) == 1 else f"u{a}"
              for a, p in enumerate(u.pivots)]
+    if len(set(names)) < len(names):
+        names = [f"u{a}" for a in range(len(names))]
     return LeibnizAlgebra._of(names, cells)
 
 

@@ -962,6 +962,8 @@ def subalgebra_on_reference(alg, u):
         raise ValueError("subspace is not closed under the bracket")
     names = [alg.basis_names[p] if len(u.rows[a]) == 1 else f"u{a}"
              for a, p in enumerate(u.pivots)]
+    if len(set(names)) < len(names):
+        names = [f"u{a}" for a in range(len(names))]
     return LeibnizAlgebra(names, table)
 
 
@@ -994,6 +996,30 @@ def test_levi_chain_matches_the_dense_routines():
             else:
                 assert alg.subalgebra_on(u) == expected, label
     assert refused >= 10  # subspaces that are not closed are covered
+
+
+def test_a_label_that_is_also_a_generated_name_renames_every_row():
+    # span{b0, b1 + b2}: the unit row keeps its label unless that label is
+    # the generated name of another row
+    u = Subspace.from_vectors(3, [(1, 0, 0), (0, 1, 1)])
+    for labels, names in ((["u1", "b", "c"], ("u0", "u1")), (["a", "b", "c"], ("a", "u1"))):
+        alg = LeibnizAlgebra(labels, abelian_algebra(3).table)
+        assert alg.subalgebra_on(u).basis_names == names
+        assert alg.subalgebra_on(u) == subalgebra_on_reference(alg, u)
+
+
+@pytest.mark.parametrize("label", ["u2", "e"])
+def test_levi_complement_holds_whatever_the_labels(label):
+    # simple_ext(5) in the basis (e, f, h + x0, x0, x1): the Levi complement
+    # holds h = (h + x0) - x0, a row that is not a unit row and is named u2
+    from leibnizalg.sl2 import simple_ext_algebra
+    p = Matrix([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 1, 1, 0],
+                [0, 0, 0, 0, 1]])
+    dense = change_basis(simple_ext_algebra(5), p)
+    alg = LeibnizAlgebra([label, "f", "h", "x0", "x1"], dense.table)
+    levi = alg.levi_subalgebra()
+    assert levi.dim == 3 and levi.basis.data[2] == (0, 0, 1, -1, 0)
+    assert alg.subalgebra_on(levi) == subalgebra_on_reference(alg, levi)
 
 
 def test_levi_chain_is_computed_once(monkeypatch):

@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import pathlib
+import re
 import sys
 
 import pytest
@@ -307,24 +308,7 @@ def test_human_output_has_no_json_braces():
     assert "{" not in out
 
 
-# -- the parser built for one argv against the eager parser of the same table --
-
-def eager_parser() -> cli._Parser:
-    """Reference: every subcommand of the command table, added in table order."""
-    parser = cli._Parser(prog="leibnizalg", description=cli._DESCRIPTION)
-    groups = {"": parser.add_subparsers(dest="command", required=True)}
-    for path, (handler, kind, help_text, arguments) in cli._COMMANDS.items():
-        parent, _, name = path.rpartition(" ")
-        p = groups[parent].add_parser(name, help=help_text)
-        for flags, kwargs in arguments():
-            p.add_argument(*flags, **kwargs)
-        if handler is None:
-            groups[path] = p.add_subparsers(
-                dest=path.replace(" ", "_") + "_command", required=True)
-        else:
-            p.set_defaults(handler=handler, kind=kind)
-    return parser
-
+# -- help and usage errors, from argparse --
 
 def run_or_exit(argv):
     """run, with argparse's exit after --help turned into its exit code."""
@@ -351,31 +335,26 @@ USAGE_ARGVS = (
 
 @pytest.mark.parametrize("argv", USAGE_ARGVS, ids=" ".join)
 def test_usage_and_help_text_match_the_eager_parser(argv, monkeypatch):
+    # help: exit 0 and the usage of the parser it names on stdout; a usage
+    # error: exit 1 and one line on stderr, prefixed by the refusing parser;
+    # a leaf with no required argument runs and prints its file
     monkeypatch.setenv("COLUMNS", "80")
-    ours = run_or_exit(argv)
-    monkeypatch.setattr(cli, "_build_parser", lambda argv=None: eager_parser())
-    assert ours == run_or_exit(argv)
-    assert ours[0] in (0, 1)
-
-
-def test_parser_holds_only_the_invoked_path():
-    def choices(parser):
-        return parser._subparsers._group_actions[0].choices
-
-    parser = cli._build_parser(["rep", "irreducible", "x.json", "--json"])
-    assert list(choices(parser)) == ["rep"]
-    assert list(choices(choices(parser)["rep"])) == ["irreducible"]
-    # where argv names no subcommand, all of them: 8 reports, rep and gen
-    assert len(choices(cli._build_parser(["--help"]))) == len(choices(eager_parser())) == 10
-    rep = choices(cli._build_parser(["rep", "bogus"]))["rep"]
-    assert list(choices(rep)) == [leaf[1] for leaf in LEAVES if leaf[0] == "rep"]
+    code, out, err = run_or_exit(argv)
+    helps = [i for i, word in enumerate(argv) if word in ("-h", "--help")]
+    if code == 1:
+        assert out == "" and re.fullmatch(r"leibnizalg( [a-z0-9-]+)*: [^\n]+\n", err), argv
+    elif helps:
+        usage = " ".join(["usage: leibnizalg", *argv[:helps[0]], ""])
+        assert (code, err) == (0, "") and out.startswith(usage), argv
+    else:
+        assert (code, err) == (0, "") and json.loads(out), argv
 
 
 # -- the table parser against the eager parser, on argv variants of every leaf --
 
 @functools.cache
 def cached_eager_parser():
-    return eager_parser()
+    return cli._build_parser()
 
 
 def eager_namespace(argv):
@@ -420,7 +399,7 @@ EDITS = {
 @given(data=st.data())
 def test_the_table_parser_gives_the_eager_namespace_or_declines(leaf, data):
     groups, drawn = [], []
-    for (flag,), kwargs in cli._COMMANDS[" ".join(leaf)][3]():
+    for (flag,), kwargs in cli._COMMANDS[" ".join(leaf)][2]():
         if kwargs.get("action") == "store_true":
             groups += [[flag]] * data.draw(st.booleans())
             continue

@@ -126,6 +126,22 @@ def test_every_leaf_has_a_valid_run():
                                         if handler)
 
 
+FILE_TEXT_ROWS = {"rep restrict", "gen sl2-irrep", "gen simple-ext", "gen example-5-3",
+                  "gen example-5-5"}
+
+
+@pytest.mark.parametrize("path", VALID_RUNS)
+def test_a_handler_returns_file_text_exactly_on_the_rows_without_json(inputs, path):
+    # run_command writes a str as it is and formats a dict as a report
+    from leibnizalg.cli import _COMMANDS, _parse
+    has_json = any(flags == ("--json",) for flags, _ in _COMMANDS[path][2]())
+    assert has_json is (path not in FILE_TEXT_ROWS)
+    args = _parse(path.split() + [str(inputs / a) if a.endswith(".json") else a
+                                  for a in VALID_RUNS[path]])
+    out = args.handler(args)
+    assert type(out) is (str if path in FILE_TEXT_ROWS else dict), path
+
+
 @pytest.mark.parametrize("argv, code, imported", [
     *((path.split() + args, 0, []) for path, args in VALID_RUNS.items()),
     (["rep", "irreducible", "--help"], 0, ["argparse", "gettext"]),

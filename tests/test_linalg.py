@@ -897,6 +897,7 @@ def test_nz_is_sparse_and_matrix_of_inverts_it():
                  m + Matrix.zeros(r, c), m.scale(QQ(1))]
         for f in forms:
             assert f == m and hash(f) == hash(m) and f.data == m.data and only_fractions(f)
+            assert (f.rows, f.cols) == (r, c)  # a matrix with no rows keeps its width
         assert len(set(forms)) == 1
         for other in previous[-6:] + [holey_matrix(rng, r, c)]:
             assert (other == m) == (other.data == m.data)
@@ -905,6 +906,7 @@ def test_nz_is_sparse_and_matrix_of_inverts_it():
     # a matrix with no rows has no width to compare
     assert Matrix.zeros(0, 4) == Matrix.zeros(0, 0) == Matrix([]) == Matrix([], cols=4)
     assert hash(Matrix.zeros(0, 4)) == hash(Matrix([]))
+    assert Matrix.from_flat([], 0, 5) * Matrix.zeros(5, 2) == Matrix.zeros(0, 2)
     assert Matrix.zeros(2, 0) != Matrix.zeros(3, 0) and Matrix.zeros(2, 3) != Matrix.zeros(2, 4)
     assert Matrix([[1, 0]]) != Matrix([[1, 0, 0]]) and Matrix([[1], [0]]) != Matrix([[1]])
     with pytest.raises(AttributeError, match="immutable"):
