@@ -1,6 +1,6 @@
 """Exact computation with finite-dimensional Leibniz algebras over the rationals.
 
-Importing the package registers its nine layers in `sys.modules` behind
+Importing the package registers its ten layers in `sys.modules` behind
 `importlib.util.LazyLoader`: a layer is compiled and run on first attribute
 access, and any `import` statement that reaches it loads it. So a process
 compiles only the layers it uses, while `sys.modules` holds every layer from
@@ -36,6 +36,7 @@ _EXPORTS = {
         "classify_extension_irreps", "extension_rep_solve", "simple_ext_algebra",
         "sl2_algebra", "sl2_irrep_rho", "sl2_leibniz_irrep",
     ),
+    "conic": ("ternary_zero",),
     "decompose": (
         "DecompositionResult", "EquivalenceVerdict", "KernelActionReport", "adjoint_rep",
         "commutant", "complete_reducibility_necessary", "decompose", "dichotomy_classify",

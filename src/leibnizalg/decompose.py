@@ -9,10 +9,13 @@ kernel on both action sides; the right action kills it in every module, so
 the left action on the kernel is checked first.
 Splitting itself goes through the commutant: primary components of a
 deterministic commutant element are invariant, and recursion refines them
-until every leaf has commutant dimension one. A proper piece is split on the
-action matrices induced on it, which prove it invariant; as a submodule of a
-valid module it needs no axiom check. The first piece, the whole module, is
-split on its own action matrices. The sum of the leaves is proved direct by
+until every leaf has commutant dimension one or a quaternion division
+commutant. A 4-dimensional commutant that no candidate element splits goes
+to `conic`, bound without loading it like `poly` and `equations`, so only
+such a piece compiles it. A proper piece is split on the action matrices
+induced on it, which prove it invariant; as a submodule of a valid module it
+needs no axiom check. The first piece, the whole module, is split on its own
+action matrices. The sum of the leaves is proved direct by
 its dimensions. Two benchmark modules of dimension five round out the
 catalogue: the adjoint module of example 5.3, `simple_ext(5)` with its tail
 labelled x, y, which admits no irreducible decomposition, and one that
@@ -26,7 +29,7 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple, Sequence
 
-from . import equations, poly
+from . import conic, equations, poly
 from .algebra import InternalCheckError, LeibnizAlgebra
 from .linalg import (
     Matrix, Subspace, _eliminate, _matrix_of, _solutions, _sparse_matmul, linear_combination,
@@ -228,26 +231,29 @@ def commutant(rep: Representation) -> list[Matrix]:
 class DecompositionResult(NamedTuple):
     """Verdict on splitting a module into invariant direct summands.
 
-    verdict "decomposed" comes with at least two components, each with a
-    trivial commutant; "indecomposable" means no decomposition into
-    irreducible components exists (the obstruction says whether the kernel
-    action or a trivial commutant proved it); "undetermined" means some
-    piece has a nontrivial commutant but no rational primary splitting was
-    found. Components always partition the module.
+    verdict "decomposed" comes with at least two components, each
+    indecomposable, with a trivial or a division commutant; "indecomposable"
+    means no decomposition into irreducible components exists (the
+    obstruction says whether the kernel action, a trivial commutant or a
+    quaternion division commutant proved it); "undetermined" means some
+    piece has a nontrivial commutant that neither a rational primary
+    splitting nor the quaternion step decided. Components always partition
+    the module.
     """
     verdict: str
     components: tuple[Subspace, ...]
     obstruction: str | None = None
 
 
-def _primary_components(c: Matrix) -> list[Subspace]:
+def _primary_components(c: Matrix, minpoly: Sequence | None = None) -> list[Subspace]:
     """Primary decomposition of the space under c, as far as rational roots go.
 
-    The minimal polynomial is split into (t - a)^e factors for each rational
-    root a plus a rootless leftover; the space is the direct sum of the
-    kernels of the factors at c, none zero: each divides the minimal polynomial.
+    The minimal polynomial (computed unless given) is split into (t - a)^e
+    factors for each rational root a plus a rootless leftover; the space is
+    the direct sum of the kernels of the factors at c, none zero: each
+    divides the minimal polynomial.
     """
-    roots, rest = poly._rational_factors(poly.minimal_polynomial(c))
+    roots, rest = poly._rational_factors(minpoly or poly.minimal_polynomial(c))
     # (t - a)^e by the binomial theorem, then the leftover without rational roots
     factors = [[comb(e, k) * (-a) ** (e - k) for k in range(e + 1)] for a, e in roots]
     if len(rest) > 1:
@@ -258,21 +264,31 @@ def _primary_components(c: Matrix) -> list[Subspace]:
     return pieces
 
 
-def _try_split(mats: list[Matrix], d: int) -> list[Subspace] | None:
+def _try_split(mats: list[Matrix], d: int) -> list[Subspace] | str:
     """One commutant splitting round on the action matrices of a piece.
 
-    Returns None when the commutant is trivial (certified indecomposable),
-    an empty list when it is nontrivial but no candidate splits rationally,
-    and otherwise at least two primary components.
+    Returns the obstruction that certifies the piece indecomposable (a
+    trivial or a division commutant), an empty list when the commutant is
+    nontrivial but nothing splits it rationally, and otherwise at least two
+    primary components. A 4-dimensional commutant where no candidate splits
+    goes to the quaternion step of `conic`: an idempotent other than 0 and 1
+    splits it, an anisotropic norm form makes it a division algebra.
     """
     basis = equations.matrix_commutant(mats, d)
     if len(basis) == 1:
-        return None
+        return "commutant dimension 1"
     generic = linear_combination(range(1, len(basis) + 1), basis, d, d)
-    for cand in [generic] + basis:
-        pieces = _primary_components(cand)
+    minpoly = poly.minimal_polynomial(generic)
+    for cand, mp in [(generic, minpoly), *((b, None) for b in basis)]:
+        pieces = _primary_components(cand, mp)
         if len(pieces) >= 2:
             return pieces
+    if len(basis) == 4:
+        e = conic.quaternion_idempotent(basis, generic, minpoly)
+        if e == "anisotropic":
+            return "commutant is a quaternion division algebra"
+        if e is not None:
+            return _primary_components(e, (0, -1, 1))
     return []
 
 
@@ -290,10 +306,11 @@ def decompose(rep: Representation) -> DecompositionResult:
 
     The kernel-action condition rules out any decomposition into
     irreducible components outright when it fails. Otherwise pieces are
-    refined through commutant primary splitting until every leaf has a
-    trivial commutant; a direct-sum splitting of a leaf would put the
-    projection onto a summand into its commutant, so such leaves are
-    indecomposable. Leaves that resist rational splitting leave the
+    refined through commutant primary splitting, and the idempotents of the
+    quaternion step, until every leaf has a trivial or a division
+    commutant; a direct-sum splitting of a leaf would put the projection
+    onto a summand, an idempotent other than 0 and 1, into its commutant, so
+    such leaves are indecomposable. Leaves that resist both leave the
     verdict undetermined rather than guessed.
     """
     rep._require_valid()
@@ -314,8 +331,9 @@ def decompose(rep: Representation) -> DecompositionResult:
         if any(m is None for m in induced):
             raise InternalCheckError("component is not invariant")
         split = _try_split(induced, piece.dim)
-        if split is None:
+        if isinstance(split, str):
             leaves.append(piece)
+            obstruction = split
         elif not split:
             stuck = True
             leaves.append(piece)
@@ -328,8 +346,7 @@ def decompose(rep: Representation) -> DecompositionResult:
             "undetermined", tuple(leaves),
             "commutant splitting found no rational idempotent")
     if len(leaves) == 1:
-        return DecompositionResult(
-            "indecomposable", tuple(leaves), "commutant dimension 1")
+        return DecompositionResult("indecomposable", tuple(leaves), obstruction)
     return DecompositionResult("decomposed", tuple(leaves))
 
 

@@ -13,6 +13,7 @@ dividing them out; `rational_roots` is its list of roots.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import Sequence
 
 from .linalg import ONE, ZERO, Echelon, Matrix, _frac, _integral, linear_combination
@@ -112,9 +113,11 @@ def _rational_factors(coeffs: Sequence) -> tuple[list[tuple[Fraction, int]], Pol
     """The rational roots of a nonzero polynomial in ascending order, each
     with its multiplicity, and the cofactor left after dividing them out.
 
-    The candidates are 0 and, by the rational root theorem, every +-p/q with
-    p dividing the lowest and q the leading nonzero coefficient of the
-    primitive integer form; each is divided out for as long as it is a root.
+    Up to degree 2 the candidates are the roots in closed form, rational
+    exactly when the discriminant is a square. Above it they are 0 and, by
+    the rational root theorem, every +-p/q with p dividing the lowest and q
+    the leading nonzero coefficient of the primitive integer form. Each is
+    divided out for as long as it is a root.
     """
     cs = [_frac(c) for c in coeffs]
     while cs and cs[-1] == 0:
@@ -122,8 +125,17 @@ def _rational_factors(coeffs: Sequence) -> tuple[list[tuple[Fraction, int]], Pol
     if not cs:
         raise ValueError("zero polynomial has every root")
     ints = _integral({k: c for k, c in enumerate(cs) if c})
-    cands = {ZERO} | {Fraction(s * p, q) for p in _divisors(ints[min(ints)])
-                      for q in _divisors(ints[max(ints)]) for s in (1, -1)}
+    c0, c1, c2 = (ints.get(k, 0) for k in range(3))
+    if len(cs) == 2:
+        cands = {Fraction(-c0, c1)}
+    elif len(cs) == 3:
+        disc = c1 * c1 - 4 * c2 * c0
+        root = isqrt(disc) if disc >= 0 else -1
+        cands = set() if root * root != disc else {
+            Fraction(-c1 + s * root, 2 * c2) for s in (1, -1)}
+    else:
+        cands = {ZERO} | {Fraction(s * p, q) for p in _divisors(ints[min(ints)])
+                          for q in _divisors(ints[max(ints)]) for s in (1, -1)}
     roots = []
     for a in sorted(cands):
         e = 0

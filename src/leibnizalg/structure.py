@@ -19,14 +19,15 @@ off the pivot entries of the products.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import equations
 from .algebra import InternalCheckError, LeibnizAlgebra
 from .linalg import (
-    Matrix, Subspace, Vector, _eliminate, _integral, _matrix_of, _norton, _solutions,
-    _sparse_combination, _sparse_matmul, envelope_dimension, nullspace, subspace_sum,
+    Echelon, Matrix, Subspace, Vector, _eliminate, _integral, _matrix_of, _norton, _primitive,
+    _solutions, _sparse_combination, _sparse_matmul, envelope_dimension, nullspace, subspace_sum,
 )
 
 ONE = Fraction(1)
@@ -261,6 +262,38 @@ def _kernel_action_matrices(alg: LeibnizAlgebra, kernel: Subspace) -> list[Matri
 
 # -- derivations --
 
+def _generators(alg: LeibnizAlgebra) -> list[int]:
+    """Basis indices that generate the algebra, picked in label order: each
+    one lies outside the span closure of those before it under their right
+    multiplications. That closure of a set G is the subalgebra G generates,
+    as R_[y,z] = R_z R_y - R_y R_z makes it closed under brackets. It grows
+    breadth first: a new generator is mapped by every R_g, and what was
+    found before by the new R_g alone."""
+    n, nz = alg.dim, alg._int_table
+    gens, rights, found, span = [], [], [], Echelon(n)
+    for k in range(n):
+        if not span._add({k: 1}):
+            continue
+        gens.append(k)
+        # row s of R_k, as a map on row vectors, is [b_s, b_k]
+        right = {s: dict(nz[s][k]) for s in range(n) if nz[s][k]}
+        queue = deque([({k: 1}, rights + [right])])
+        if right:
+            queue += [(v, [right]) for v in found]
+            rights.append(right)
+        found.append({k: 1})
+        while queue and span.dim < n:
+            v, maps = queue.popleft()
+            for m in maps:
+                image = _sparse_matmul({0: v}, m).get(0, {})
+                if span._add(image):
+                    found.append(_primitive(image))
+                    queue.append((found[-1], rights))
+        if span.dim == n:
+            break
+    return gens
+
+
 def derivations(alg: LeibnizAlgebra) -> Subspace:
     alg._require_valid()
     n, nz = alg.dim, alg._int_table
@@ -274,12 +307,15 @@ def derivations(alg: LeibnizAlgebra) -> Subspace:
                 right[q][r].append((s, c))
             for r, c in nz[q][s]:
                 left[q][r].append((s, c))
-    # only a triple where nz[p][q], right[q][r] or left[p][r] is nonempty can
+    # the rule D[y, z] = [Dy, z] + [y, Dz] holds for every z once it holds
+    # on generators: the z where [D, R_z] = R_{Dz} form a subalgebra, since
+    # R_[y,z] = R_z R_y - R_y R_z. So q runs over generators only, and only
+    # a triple where nz[p][q], right[q][r] or left[p][r] is nonempty can
     # give a nonzero row; sorted, the rows keep their (p, q, r) order
-    every = range(n)
-    triples = {(p, q, r) for p in every for q in every if nz[p][q] for r in every}
-    triples.update((p, q, r) for q in every for r in every if right[q][r] for p in every)
-    triples.update((p, q, r) for p in every for r in every if left[p][r] for q in every)
+    every, gens = range(n), _generators(alg)
+    triples = {(p, q, r) for p in every for q in gens if nz[p][q] for r in every}
+    triples.update((p, q, r) for q in gens for r in every if right[q][r] for p in every)
+    triples.update((p, q, r) for p in every for r in every if left[p][r] for q in gens)
     rows = []
     for p, q, r in sorted(triples):
         row = {r * n + s: c for s, c in nz[p][q]}

@@ -617,6 +617,44 @@ def test_derivations_match_the_dense_rows():
         assert alg.derivations() == derivations_by_dense_rows(alg), alg.name
 
 
+def derivations_on_every_pair(alg):
+    """Reference: the derivation rule imposed at every basis pair (p, q), on
+    the sparse rows that a nonzero structure constant reaches."""
+    from leibnizalg.linalg import _solutions
+    n, nz = alg.dim, alg._int_table
+    rows = []
+    for p in range(n):
+        for q in range(n):
+            for r in range(n):
+                row = Counter({r * n + s: c for s, c in nz[p][q]})
+                for s in range(n):
+                    row[s * n + p] -= dict(nz[s][q]).get(r, 0)
+                    row[s * n + q] -= dict(nz[p][s]).get(r, 0)
+                row = {k: v for k, v in row.items() if v}
+                if row:
+                    rows.append(row)
+    return _solutions(rows, n * n)
+
+
+def test_derivations_on_generators_match_every_pair():
+    from leibnizalg.sl2 import simple_ext_algebra, sl2_algebra
+    from leibnizalg.structure import _generators
+    rng = random.Random(3141)
+    catalogue = [sl2_algebra(), simple_ext_algebra(5), simple_ext_algebra(6),
+                 simple_ext_algebra(7)]
+    non_lie = direct_sum_algebra(nilp2(), heisenberg())
+    assert not non_lie.is_lie()
+    for base in catalogue + [non_lie]:
+        for alg in (base, change_basis(base, random_invertible(rng, base.dim))):
+            assert alg.derivations() == derivations_on_every_pair(alg), base.name
+    # generators picked in label order: e and f generate sl2, and x0 the tail
+    # of an extension; the nilpotent sum needs a, x and y
+    assert _generators(sl2_algebra()) == [0, 1]
+    assert _generators(simple_ext_algebra(7)) == [0, 1, 3]
+    assert _generators(non_lie) == [0, 2, 3]
+    assert _generators(abelian_algebra(3)) == [0, 1, 2]
+
+
 def inn_ideal_by_commutators(alg) -> bool:
     """Reference for check_inn_ideal: every [D, R_j] over a derivation basis is inner."""
     der = alg.derivations()

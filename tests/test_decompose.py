@@ -287,6 +287,16 @@ def test_decompose_matches_the_per_piece_reference():
     assert verdicts == ["decomposed"] * 10 + ["indecomposable", "undetermined", "decomposed"]
 
 
+def test_the_reference_cases_never_reach_the_quaternion_step(monkeypatch):
+    # the quaternion step runs only where the candidate elements are stuck,
+    # so with its entry point made to raise every case keeps its answer
+    def unreachable(*args):
+        raise AssertionError("quaternion step reached")
+
+    monkeypatch.setattr(sys.modules["leibnizalg.conic"], "quaternion_idempotent", unreachable)
+    test_decompose_matches_the_per_piece_reference()
+
+
 def test_partition_check_rejects_bad_leaves(monkeypatch):
     module = sys.modules["leibnizalg.decompose"]  # the package attribute is the function
     single = sl2_leibniz_irrep(1, "zero_lambda")

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from leibnizalg.algebra import LeibnizAlgebra
 from leibnizalg.decompose import direct_sum, example_5_5
 from leibnizalg.fileio import serialize_algebra, serialize_rep
 from leibnizalg.linalg import Matrix
@@ -17,8 +18,8 @@ from leibnizalg.reps import Representation
 from leibnizalg.sl2 import simple_ext_algebra, sl2_leibniz_irrep
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-LAYERS = ("linalg", "poly", "equations", "algebra", "structure", "reps", "sl2", "decompose",
-          "fileio")
+LAYERS = ("linalg", "poly", "equations", "algebra", "structure", "reps", "sl2", "conic",
+          "decompose", "fileio")
 MODULE_JOB = {"linalg", "algebra", "reps", "fileio"}  # what rep irreducible runs
 CHECK_JOB = {"linalg", "algebra", "fileio"}  # check and kernel: no module type
 ALGEBRA_JOB = CHECK_JOB | {"structure"}  # series, radical, semisimple, derivations
@@ -95,6 +96,31 @@ def test_a_subcommand_executes_only_the_layers_it_runs(inputs, entry, argv, exec
     assert record == {"code": 0, "executed": sorted(executed)}
 
 
+def pinned_module():
+    """ladder1 + ladder1 in dense algebra and module bases where no candidate
+    element of the commutant M_2(QQ) has a rational eigenvalue, so only the
+    quaternion step of `conic` splits it."""
+    rep = direct_sum(sl2_leibniz_irrep(1, "zero_lambda"), sl2_leibniz_irrep(1, "zero_lambda"))
+    q = Matrix([[-2, -1, 2], [2, -1, -1], [-1, 1, 1]])
+    p = Matrix([[-1, -1, 2, 2], [0, 2, -1, 1], [-1, -1, -2, 0], [0, -2, 2, 2]])
+    qi, pi = q.inverse(), p.inverse()
+    cols = [q.col(i) for i in range(3)]
+    alg = LeibnizAlgebra(rep.algebra.basis_names,
+                         [[qi.apply(rep.algebra.bracket(a, b)) for b in cols] for a in cols])
+    return Representation(alg, [pi * rep.rho_of(v) * p for v in cols],
+                          [pi * rep.lambda_of(v) * p for v in cols])
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_only_a_stuck_quaternion_commutant_executes_the_conic_layer(inputs, entry):
+    path = inputs / "pinned.rep.json"
+    path.write_text(serialize_rep(pinned_module()))
+    record = json.loads(python(RUN_AND_LIST % ENTRY_POINTS[entry], "rep", "decompose", "--json",
+                               str(path)).splitlines()[-1])
+    assert record == {"code": 0, "executed": sorted(
+        MODULE_JOB | {"decompose", "poly", "equations", "conic"})}
+
+
 # runs the CLI, then lists which of argparse and gettext the process imported
 RUN_AND_LIST_PARSERS = """
 import json, runpy, sys
@@ -159,8 +185,8 @@ def test_importing_the_cli_puts_every_layer_in_sys_modules():
 import sys
 import leibnizalg.cli
 layers = {name: sys.modules["leibnizalg." + name] for name in
-          ("algebra", "cli", "decompose", "equations", "fileio", "linalg", "poly", "reps", "sl2",
-           "structure")}
+          ("algebra", "cli", "conic", "decompose", "equations", "fileio", "linalg", "poly", "reps",
+           "sl2", "structure")}
 assert layers["cli"].run_command is not None
 assert layers["linalg"].Matrix.identity(2).rows == 2
 assert layers["poly"].poly_eval((1, 1), 2) == 3
@@ -181,7 +207,7 @@ import sys, types
 import leibnizalg
 
 layer = {name: sys.modules["leibnizalg." + name] for name in %r}
-assert len(leibnizalg.__all__) == len(set(leibnizalg.__all__)) == 61
+assert len(leibnizalg.__all__) == len(set(leibnizalg.__all__)) == 62
 assert {*leibnizalg.__all__, *layer} <= set(dir(leibnizalg))
 for name in leibnizalg.__all__:
     home = leibnizalg._HOME[name]
@@ -192,7 +218,7 @@ for name in leibnizalg.__all__:
 assert isinstance(leibnizalg.decompose, types.FunctionType)
 assert leibnizalg.decompose is layer["decompose"].decompose
 assert leibnizalg.sl2 is layer["sl2"]
-for name in ("linalg", "poly", "equations", "algebra", "structure", "reps", "fileio"):
+for name in ("linalg", "poly", "equations", "algebra", "structure", "reps", "conic", "fileio"):
     assert getattr(leibnizalg, name) is layer[name], name
 try:
     leibnizalg.no_such_name
@@ -282,7 +308,7 @@ PUBLIC_NAMES = (
     "parse_algebra", "parse_rep", "rational_roots", "restrict", "rref", "serialize_algebra",
     "serialize_rep", "simple_ext_algebra", "sl2_algebra", "sl2_irrep_rho", "sl2_leibniz_irrep",
     "solve", "solve_lowering_left", "spin_submodule", "subspace_intersect", "subspace_sum",
-    "sym_span",
+    "sym_span", "ternary_zero",
 )
 
 
