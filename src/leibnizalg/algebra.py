@@ -5,12 +5,14 @@ v -> [v, x] is a derivation, which is the content of the defining identity
 
     [[x, y], z] = [[x, z], y] + [x, [y, z]].
 
-A LeibnizAlgebra keeps its structure constants in one sparse integer form,
-which every operation reads; the dense table is a view built on demand. It
-validates the identity eagerly on construction and stores the violating
-triples; operations beyond the checks themselves refuse to run on an
+A LeibnizAlgebra keeps its structure constants scaled to integers, in two
+forms built once: the brackets, which the bilinear reads use, and the
+multiplication matrices R_k: v -> [v, b_k] and L_k: v -> [b_k, v], which
+every linear read uses and no other layer builds. The dense table is a view
+built on demand. The identity is validated eagerly on construction, with the
+violating triples stored; operations beyond the checks refuse to run on an
 invalid table. The identity is pairing axiom (1), R_[y,z] = R_z R_y - R_y R_z,
-of the right multiplications, checked one pair at a time in O(n^2) memory.
+of the R_k, checked one pair at a time in O(n^2) memory.
 
 This layer holds what every job runs: the constructor with its identity
 check, the bracket, the multiplication matrices, the Leibniz kernel and
@@ -29,8 +31,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import structure
 from .linalg import (
-    Matrix, Subspace, Vector, _eliminate, _matrix_of, _pairing_defects, _sparse, _span_closure,
-    vec,
+    Matrix, Subspace, Vector, _eliminate, _matrix_of, _pairing_defects, _sparse,
+    _sparse_combination, _span_closure, _transpose, vec,
 )
 
 if TYPE_CHECKING:
@@ -53,7 +55,8 @@ class LeibnizAlgebra:
     The constants are stored once, scaled to integers by their common
     denominator _den: _int_table[i][j] lists the nonzero (t, c) of
     [b_i, b_j] = sum_t (c / _den) b_t in increasing t. The form is canonical,
-    so equality and hash read it. table[i][j] is a view built on first access.
+    so equality and hash read it. _right[k] and _left[k] are _den R_k and
+    _den L_k in the form of Matrix.nz. table[i][j] is built on first access.
     """
 
     def __init__(
@@ -98,6 +101,10 @@ class LeibnizAlgebra:
             tuple(sorted((t, c.numerator * (den // c.denominator))
                          for t, c in cells.get((i, j), {}).items() if c))
             for j in range(n)) for i in range(n))
+        # column i of R_j and column j of L_i are [b_i, b_j]
+        nz, every = self._int_table, range(n)
+        self._right = [_transpose({i: dict(nz[i][j]) for i in every if nz[i][j]}) for j in every]
+        self._left = [_transpose({j: dict(nz[i][j]) for j in every if nz[i][j]}) for i in every]
         self.leibniz_violations = self._find_violations()
 
     @cached_property
@@ -118,12 +125,9 @@ class LeibnizAlgebra:
     def _find_violations(self) -> tuple[tuple[int, int, int], ...]:
         """Triples (i, j, k), in (j, k, i) order, where
         [[b_i,b_j],b_k] - [[b_i,b_k],b_j] - [b_i,[b_j,b_k]] is not zero: column
-        i of the defect of axiom (1) at (j, k) for the right multiplications
-        R_k: v -> [v, b_k]. Row i of R_k^T is [b_i, b_k]; with e = -1 their
-        defects are the transposed ones, so the rows name the violating i."""
-        n, nz = self.dim, self._int_table
-        cols = [{i: dict(nz[i][k]) for i in range(n) if nz[i][k]} for k in range(n)]
-        bad = [(i, j, k) for j, k, defect in _pairing_defects(cols, nz, -1, 1) for i in defect]
+        i of the defect of axiom (1) at (j, k) for the right multiplications."""
+        bad = {(i, j, k) for j, k, defect in _pairing_defects(self._right, self._int_table, 1, 1)
+               for row in defect.values() for i in row}
         return tuple(sorted(bad, key=lambda t: (t[1], t[2], t[0])))
 
     @property
@@ -185,19 +189,13 @@ class LeibnizAlgebra:
 
     def right_mult_matrix_basis(self, j: int) -> Matrix:
         """Matrix of v -> [v, b_j]."""
-        return self._mult_matrix(row[j] for row in self._int_table)
+        return _matrix_of(_sparse_combination([(Fraction(1, self._den), self._right[j])]),
+                          self.dim, self.dim)
 
     def left_mult_matrix_basis(self, j: int) -> Matrix:
         """Matrix of v -> [b_j, v]."""
-        return self._mult_matrix(self._int_table[j])
-
-    def _mult_matrix(self, cells: Iterable[tuple]) -> Matrix:
-        """The matrix whose column i is the bracket with integer constants cells[i]."""
-        out: dict = {}
-        for i, cell in enumerate(cells):
-            for t, c in cell:
-                out.setdefault(t, {})[i] = Fraction(c, self._den)
-        return _matrix_of(out, self.dim, self.dim)
+        return _matrix_of(_sparse_combination([(Fraction(1, self._den), self._left[j])]),
+                          self.dim, self.dim)
 
     # -- basic structure --
 
@@ -224,11 +222,8 @@ class LeibnizAlgebra:
     def ideal_closure(self, seeds: Iterable[Sequence]) -> Subspace:
         """Smallest two-sided ideal containing the seed vectors."""
         self._require_valid()
-        n, nonzero = self.dim, self._int_table
-        # column k of v -> [v, b_j] is [b_k, b_j]; of v -> [b_j, v] it is [b_j, b_k]
-        maps = [{k: dict(nonzero[k][j]) for k in range(n) if nonzero[k][j]} for j in range(n)]
-        maps += [{k: dict(cell) for k, cell in enumerate(nonzero[j]) if cell} for j in range(n)]
-        return _span_closure([_sparse(s, n) for s in seeds], maps, n).subspace()
+        seeds = [_sparse(s, self.dim) for s in seeds]
+        return _span_closure(seeds, self._right + self._left, self.dim).subspace()
 
     # -- structure theory: each method below runs in the `structure` layer --
 

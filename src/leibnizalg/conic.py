@@ -30,12 +30,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import Sequence
 
 from .algebra import InternalCheckError
 from .linalg import (
-    Matrix, _eliminate, _int_matrix, _matrix_of, _solutions, _sparse_combination,
+    Matrix, _eliminate, _flat, _int_matrices, _matrix_of, _solutions, _sparse_combination,
     _sparse_matmul, linear_combination,
 )
 
@@ -232,25 +232,24 @@ def quaternion_idempotent(basis: Sequence[Matrix], g: Matrix,
     d = g.rows
     if len(basis) != 4 or len(minpoly) != 3:
         return None
-    [i] = _integral_multiples([linear_combination((1, minpoly[1] / 2),
-                                                  (g, Matrix.identity(d)), d, d)])
+    _, [i] = _int_matrices([linear_combination((1, minpoly[1] / 2),
+                                               (g, Matrix.identity(d)), d, d)])
     a = _square_scalar(i, d)
     if a is None:
         return None
     # y = sum_k y_k basis[k]: one equation per entry of i y + y i
     anti = [_sparse_combination(((1, _sparse_matmul(i, m)), (1, _sparse_matmul(m, i))))
-            for m in _integral_multiples(basis)]
+            for m in _int_matrices(basis)[1]]
     rows = [{k: m[r][s] for k, m in enumerate(anti) if s in m.get(r, {})}
             for r in range(d) for s in range(d)]
     sols = _solutions(rows, 4)
     if sols.dim != 2:
         return None
-    [j] = _integral_multiples([linear_combination(sols.basis.data[0], basis, d, d)])
+    _, [j] = _int_matrices([linear_combination(sols.basis.data[0], basis, d, d)])
     b = _square_scalar(j, d)
     if b is None:
         return None
-    flat = ({r * d + c: x for r, row in m.items() for c, x in row.items()}
-            for m in (_scalar(1, d), i, j, _sparse_matmul(i, j)))
+    flat = (_flat(m, d) for m in (_scalar(1, d), i, j, _sparse_matmul(i, j)))
     if _eliminate(flat, d * d).dim != 4:
         return None
     # alpha y^2 = A (y / di)^2 and beta z^2 = B (z / dj)^2, so for a zero
@@ -265,13 +264,6 @@ def quaternion_idempotent(basis: Sequence[Matrix], g: Matrix,
         raise InternalCheckError("quaternion zero gives no idempotent")
     return _matrix_of({r: {k: Fraction(v, c) for k, v in row.items()} for r, row in m.items()},
                       d, d)
-
-
-def _integral_multiples(mats: Sequence[Matrix]) -> list[dict]:
-    """den * m as sparse integer matrices, for the least den that clears
-    every denominator of the matrices."""
-    den = lcm(*[x.denominator for m in mats for row in m.nz.values() for x in row.values()])
-    return [_int_matrix(m, den) for m in mats]
 
 
 def _scalar(c: int, d: int) -> dict:

@@ -18,11 +18,10 @@ or 0, and rho(h) lies in the algebra that rho(e) and rho(f) generate.
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Iterable, Sequence
 
 from .linalg import (
-    ZERO, Echelon, Matrix, Subspace, Vector, _eliminate, _int_matrix, _integral, _kernel,
+    ZERO, Echelon, Matrix, Subspace, Vector, _eliminate, _int_matrices, _integral, _kernel,
     _matrix_of, _sparse_matmul, _unflatten, vec,
 )
 
@@ -117,8 +116,7 @@ def intertwiner_space(
     for a, b in pairs:
         if a.rows != cols_dim or b.rows != rows_dim:
             raise ValueError("equation factors do not match the unknown shape")
-        den = lcm(*[x.denominator for m in (a, b) for row in m.nz.values() for x in row.values()])
-        a_int, b_int = _int_matrix(a, den), _int_matrix(b, den)
+        _, (a_int, b_int) = _int_matrices((a, b))
         if ech.rows and all(_sparse_matmul(x, a_int) == _sparse_matmul(b_int, x) for x in ker):
             continue
         for row in _axiom_rows([((), 0, a, b)], rows_dim, cols_dim):

@@ -9,8 +9,9 @@ rows, `nz`; its dense rows, `data`, are a view built on each access, and
 `_matrix_of` wraps a sparse matrix as a Matrix as it is. The form has one
 product, `_sparse_matmul`, behind `Matrix * Matrix`, and one linear
 combination, `_sparse_combination`, behind `linear_combination`, the sum,
-difference and scaling of matrices and `poly._shift`. `_int_matrix` scales
-it to integers, where `_pairing_defects` is the one check of pairing axiom
+difference and scaling of matrices and `poly._shift`, and one row-major
+flattening, `_flat`. `_int_matrices` scales matrices to integers over one
+denominator, where `_pairing_defects` is the one check of pairing axiom
 (1), rho_[x,y] = rho_y rho_x - rho_x rho_y, one pair at a time in O(d^2) memory:
 the module axiom check in `reps` and the Leibniz identity (axiom (1) of the
 right multiplications) run on it. The tail quadratics in `sl2` multiply in
@@ -31,13 +32,13 @@ so do the layers above: `poly` (`minimal_polynomial`) and `equations`
 
 Span closure has one routine on the same kernel, `_span_closure`: the
 smallest subspace that contains some seed rows and is closed under a list
-of linear maps, each the sparse matrix `k -> {i: x}` of its columns and
-scaled once to integers, grown breadth first from the images that enlarge
-it. `envelope_dimension` (X -> X g on flattened matrices),
-`reps.spin_submodule` (the action matrices, read as the rows of m^T) and
-`LeibnizAlgebra.ideal_closure` (right and left multiplications read from
-the integer structure constants) call it; Norton's certificate `_norton`
-spins twice, over width d, before `reps` and `is_simple` try the envelope.
+of maps v -> m v, each m in the same sparse form, grown breadth first from
+the images that enlarge it. `envelope_dimension` (X -> g X on flattened
+matrices), `reps.spin_submodule` (the action matrices),
+`LeibnizAlgebra.ideal_closure` and the generator search of `structure`
+(the algebra's integer multiplication matrices) call it; Norton's
+certificate `_norton` spins twice, over width d, before `reps` and
+`is_simple` try the envelope.
 
 The benchmark tracer (`bench/child.py`) reads four names here whose home
 is `poly` or `equations`; `__getattr__` (PEP 562) resolves exactly those,
@@ -178,11 +179,7 @@ class Matrix:
                      for r in range(self.rows))
 
     def transpose(self) -> "Matrix":
-        out: dict = {}
-        for r, row in self.nz.items():
-            for c, x in row.items():
-                out.setdefault(c, {})[r] = x
-        return _matrix_of(out, self.cols, self.rows)
+        return _matrix_of(_transpose(self.nz), self.cols, self.rows)
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
@@ -291,6 +288,19 @@ def _unflatten(row: dict, cols: int) -> dict:
     for k, x in row.items():
         r, c = divmod(k, cols)
         out.setdefault(r, {})[c] = x
+    return out
+
+
+def _flat(m: dict, cols: int) -> dict:
+    """Row-major flattening of a sparse matrix with cols columns, the inverse of _unflatten."""
+    return {r * cols + c: x for r, row in m.items() for c, x in row.items()}
+
+
+def _transpose(m: dict) -> dict:
+    out: dict = {}
+    for r, row in m.items():
+        for c, x in row.items():
+            out.setdefault(c, {})[r] = x
     return out
 
 
@@ -526,26 +536,24 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 
 def _span_closure(seeds: Iterable[dict], maps: Sequence[dict], width: int) -> Echelon:
     """Echelon of the smallest subspace of QQ^width that contains the sparse
-    seed rows and is closed under every map.
+    seed rows and is closed under every map v -> m v, each m a sparse matrix.
 
-    A map is the sparse matrix k -> {i: x} of its columns: maps[t][k] holds
-    the image of the k-th unit vector. A map in the span of the identity and
-    the maps before it cannot grow the closure and is dropped; the others
-    are scaled once to primitive integer maps. The closure runs breadth
-    first: every image that grows the span is queued, made primitive, and
-    mapped in turn, until the queue is empty or the span is full. The queue
-    holds images, never the echelon rows: images of images grow only
-    linearly in bit length, while the entries of reduced rows compound when
-    they are mapped again.
+    A map in the span of the identity and the maps before it cannot grow the
+    closure and is dropped; the others are flattened transposed and scaled
+    once to primitive integer maps, kept as their columns. The closure runs
+    breadth first: every image that grows the span is queued, made
+    primitive, and mapped in turn, until the queue is empty or the span is
+    full. The queue holds images, never the echelon rows: images of images
+    grow only linearly in bit length, while the entries of reduced rows
+    compound when they are mapped again.
     """
     spanned = Echelon(width * width)  # the identity and the maps kept so far
     spanned._add({k * width + k: 1 for k in range(width)})
     columns = []
-    for cols in maps:
-        flat = {k * width + i: x for k, col in cols.items() for i, x in col.items()}
-        if not spanned._add(flat):
-            continue
-        columns.append(_unflatten(_integral(flat), width))
+    for m in maps:
+        flat = _flat(_transpose(m), width)
+        if spanned._add(flat):
+            columns.append(_unflatten(_integral(flat), width))
     ech = Echelon(width)
     queue = deque()
     for row in seeds:
@@ -562,7 +570,7 @@ def _span_closure(seeds: Iterable[dict], maps: Sequence[dict], width: int) -> Ec
                         image[i] = y
                     else:
                         del image[i]
-            if ech._add(image):
+            if image and ech._add(image):
                 queue.append(_primitive(image))
                 if ech.dim == width:
                     break
@@ -572,15 +580,14 @@ def _span_closure(seeds: Iterable[dict], maps: Sequence[dict], width: int) -> Ec
 def envelope_dimension(generators: Sequence[Matrix], dim: int) -> int:
     """Dimension of the unital associative algebra generated inside dim x dim matrices.
 
-    The closure of the identity under right multiplication by each
-    generator, X -> X g on row-major flattened X, reaches every word.
+    The closure of the identity under left multiplication by each
+    generator, X -> g X on row-major flattened X, reaches every word.
     """
     for g in generators:
         if g.rows != dim or g.cols != dim:
             raise ValueError("generator shape does not match the ambient dimension")
-    # column i*dim + k of X -> X g puts row k of g into row i
-    maps = [{i * dim + k: {i * dim + j: x for j, x in row.items()}
-             for i in range(dim) for k, row in g.nz.items()} for g in generators]
+    maps = [{i * dim + j: {k * dim + j: x for k, x in row.items()}
+             for i, row in g.nz.items() for j in range(dim)} for g in generators]
     identity = {i * dim + i: ONE for i in range(dim)}
     return _span_closure([identity], maps, dim * dim).dim
 
@@ -595,8 +602,8 @@ def _norton(mats: Sequence[Matrix], d: int) -> bool:
     for theta in mats:
         ech = _eliminate(theta.nz.values(), d)
         if ech.dim == d - 1:
-            spins = ((_kernel(ech.rref(), d), [m.transpose().nz for m in mats]),
-                     (nullspace(theta.transpose()), [m.nz for m in mats]))
+            spins = ((_kernel(ech.rref(), d), [m.nz for m in mats]),
+                     (nullspace(theta.transpose()), [m.transpose().nz for m in mats]))
             return all(_span_closure(ker.rows.values(), maps, d).dim == d
                        for ker, maps in spins)
     return False
@@ -622,11 +629,12 @@ def _pairing_defects(mats: Sequence[dict], table: Sequence[Sequence[tuple]],
                         yield a, b, defect
 
 
-def _int_matrix(m: Matrix, den: int) -> dict:
-    """den * m as a sparse integer matrix, row -> {col: int}, with no empty
-    row stored; den must be a multiple of every denominator of m."""
-    return {r: {c: x.numerator * (den // x.denominator) for c, x in row.items()}
-            for r, row in m.nz.items()}
+def _int_matrices(mats: Sequence[Matrix]) -> tuple[int, list[dict]]:
+    """The least den that clears every denominator of the matrices, and
+    den * m for each m as a sparse integer matrix row -> {col: int}."""
+    den = lcm(*[x.denominator for m in mats for row in m.nz.values() for x in row.values()])
+    return den, [{r: {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+                  for r, row in m.nz.items()} for m in mats]
 
 
 def _sparse_matmul(a: dict, b: dict) -> dict:

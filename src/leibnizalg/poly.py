@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
-from .linalg import ONE, ZERO, Echelon, Matrix, _frac, _integral, linear_combination
+from .linalg import ONE, ZERO, Echelon, Matrix, _flat, _frac, _integral, linear_combination
 
 Poly = tuple[Fraction, ...]
 
@@ -47,7 +47,7 @@ def minimal_polynomial(m: Matrix) -> Poly:
     for k in range(n + 1):
         if k:
             power = power * m
-        row = {r * n + c: x for r, prow in power.nz.items() for c, x in prow.items()}
+        row = _flat(power.nz, n)
         row[tags + k] = ONE
         ech._add(row)
         last = max(ech.rows)

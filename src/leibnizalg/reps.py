@@ -33,14 +33,13 @@ bench scripts read `direct_sum` and `module_restriction` here, which
 from __future__ import annotations
 
 import sys
-from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import poly
 from .algebra import LeibnizAlgebra
 from .linalg import (
     Matrix,
-    _int_matrix,
+    _int_matrices,
     _norton,
     _pairing_defects,
     _sparse,
@@ -102,10 +101,8 @@ class Representation:
         the integer form of the check is described in the module docstring."""
         alg = self.algebra
         n, e = alg.dim, alg._den
-        den = lcm(*[x.denominator for m in self.right + self.left
-                    for row in m.nz.values() for x in row.values()])
-        right = [_int_matrix(m, den) for m in self.right]
-        left = [_int_matrix(m, den) for m in self.left]
+        den, mats = _int_matrices(self.right + self.left)
+        right, left = mats[:n], mats[n:]
         one = {(i, j) for i, j, _ in _pairing_defects(right, alg._int_table, e, den)}
         bad = []
         for i in range(n):
@@ -177,7 +174,7 @@ def _variant_rep(algebra: LeibnizAlgebra, right: Sequence[Matrix], variant: str,
 def spin_submodule(rep: Representation, seeds: Sequence[Sequence]) -> Subspace:
     """Smallest subspace containing the seeds and invariant under both actions."""
     d = rep.space_dim
-    maps = [m.transpose().nz for m in rep.action_matrices()]
+    maps = [m.nz for m in rep.action_matrices()]
     return _span_closure([_sparse(s, d) for s in seeds], maps, d).subspace()
 
 

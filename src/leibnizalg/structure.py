@@ -15,19 +15,24 @@ computed and verified once per algebra (`_levi_chain`, cached as
 lift of the radical of Q by the section e_k -> b_comp[k]. `quotient` reads
 its projection off the RREF rows of the ideal, and `subalgebra_on` its table
 off the pivot entries of the products.
+
+The Killing form, `derivations`, `inner_derivations` and `_generators`
+read the algebra's integer multiplication matrices R_k and L_k.
+`_generators` picks the generating set on which `derivations` imposes its
+rule, with one `linalg._span_closure` per pick.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import equations
 from .algebra import InternalCheckError, LeibnizAlgebra
 from .linalg import (
-    Echelon, Matrix, Subspace, Vector, _eliminate, _integral, _matrix_of, _norton, _primitive,
-    _solutions, _sparse_combination, _sparse_matmul, envelope_dimension, nullspace, subspace_sum,
+    Echelon, Matrix, Subspace, Vector, _eliminate, _flat, _integral, _matrix_of, _norton,
+    _solutions, _span_closure, _sparse_combination, _sparse_matmul, envelope_dimension, nullspace,
+    subspace_sum,
 )
 
 ONE = Fraction(1)
@@ -165,10 +170,10 @@ def killing_form(alg: LeibnizAlgebra) -> Matrix:
     alg._require_valid()
     if not alg.is_lie():
         raise ValueError("Killing form is only computed on Lie tables")
-    n, nz = alg.dim, alg._int_table
-    ads = [{(s, k): c for k in range(n) for s, c in nz[i][k]} for i in range(n)]  # ad b_i
-    return Matrix([[Fraction(sum(c * b.get((k, s), 0) for (s, k), c in a.items()),
-                             alg._den ** 2) for b in ads] for a in ads])
+    # trace(ad b_i ad b_j), with ad b_i = L_i
+    return Matrix([[Fraction(sum(c * b.get(k, {}).get(s, 0)
+                                 for s, row in a.items() for k, c in row.items()),
+                             alg._den ** 2) for b in alg._left] for a in alg._left])
 
 
 def _levi_chain(alg: LeibnizAlgebra) -> tuple[
@@ -266,61 +271,37 @@ def _generators(alg: LeibnizAlgebra) -> list[int]:
     """Basis indices that generate the algebra, picked in label order: each
     one lies outside the span closure of those before it under their right
     multiplications. That closure of a set G is the subalgebra G generates,
-    as R_[y,z] = R_z R_y - R_y R_z makes it closed under brackets. It grows
-    breadth first: a new generator is mapped by every R_g, and what was
-    found before by the new R_g alone."""
-    n, nz = alg.dim, alg._int_table
-    gens, rights, found, span = [], [], [], Echelon(n)
+    as R_[y,z] = R_z R_y - R_y R_z makes it closed under brackets."""
+    n, gens, span = alg.dim, [], Echelon(alg.dim)
     for k in range(n):
-        if not span._add({k: 1}):
-            continue
-        gens.append(k)
-        # row s of R_k, as a map on row vectors, is [b_s, b_k]
-        right = {s: dict(nz[s][k]) for s in range(n) if nz[s][k]}
-        queue = deque([({k: 1}, rights + [right])])
-        if right:
-            queue += [(v, [right]) for v in found]
-            rights.append(right)
-        found.append({k: 1})
-        while queue and span.dim < n:
-            v, maps = queue.popleft()
-            for m in maps:
-                image = _sparse_matmul({0: v}, m).get(0, {})
-                if span._add(image):
-                    found.append(_primitive(image))
-                    queue.append((found[-1], rights))
         if span.dim == n:
             break
+        if span._add({k: 1}):
+            gens.append(k)
+            span = _span_closure([{g: 1} for g in gens], [alg._right[g] for g in gens], n)
     return gens
 
 
 def derivations(alg: LeibnizAlgebra) -> Subspace:
     alg._require_valid()
-    n, nz = alg.dim, alg._int_table
+    n, nz, right, left = alg.dim, alg._int_table, alg._right, alg._left
     # entry (r, s) of d is unknown r*n + s; the equation at (p, q, r) is
-    # sum_s c_pq^s d_rs - c_sq^r d_sp - c_ps^r d_sq = 0, in integers
-    right = [[[] for _ in range(n)] for _ in range(n)]  # right[q][r]: (s, c_sq^r)
-    left = [[[] for _ in range(n)] for _ in range(n)]  # left[p][r]: (s, c_ps^r)
-    for s in range(n):
-        for q in range(n):
-            for r, c in nz[s][q]:
-                right[q][r].append((s, c))
-            for r, c in nz[q][s]:
-                left[q][r].append((s, c))
-    # the rule D[y, z] = [Dy, z] + [y, Dz] holds for every z once it holds
+    # sum_s c_pq^s d_rs - c_sq^r d_sp - c_ps^r d_sq = 0, in integers, where
+    # c_sq^r and c_ps^r are the entries (r, s) of R_q and of L_p.
+    # The rule D[y, z] = [Dy, z] + [y, Dz] holds for every z once it holds
     # on generators: the z where [D, R_z] = R_{Dz} form a subalgebra, since
     # R_[y,z] = R_z R_y - R_y R_z. So q runs over generators only, and only
-    # a triple where nz[p][q], right[q][r] or left[p][r] is nonempty can
+    # a triple where nz[p][q], row r of R_q or row r of L_p is nonempty can
     # give a nonzero row; sorted, the rows keep their (p, q, r) order
     every, gens = range(n), _generators(alg)
     triples = {(p, q, r) for p in every for q in gens if nz[p][q] for r in every}
-    triples.update((p, q, r) for q in gens for r in every if right[q][r] for p in every)
-    triples.update((p, q, r) for p in every for r in every if left[p][r] for q in gens)
+    triples.update((p, q, r) for q in gens for r in right[q] for p in every)
+    triples.update((p, q, r) for p in every for r in left[p] for q in gens)
     rows = []
     for p, q, r in sorted(triples):
         row = {r * n + s: c for s, c in nz[p][q]}
-        terms = [(s * n + p, c) for s, c in right[q][r]]
-        terms += [(s * n + q, c) for s, c in left[p][r]]
+        terms = [(s * n + p, c) for s, c in right[q].get(r, {}).items()]
+        terms += [(s * n + q, c) for s, c in left[p].get(r, {}).items()]
         for col, c in terms:
             y = row.get(col, 0) - c
             if y:
@@ -335,9 +316,7 @@ def derivations(alg: LeibnizAlgebra) -> Subspace:
 def inner_derivations(alg: LeibnizAlgebra) -> Subspace:
     alg._require_valid()
     n = alg.dim
-    mults = (alg.right_mult_matrix_basis(j).nz for j in range(n))
-    return _eliminate(({r * n + c: x for r, row in m.items() for c, x in row.items()}
-                       for m in mults), n * n).subspace()
+    return _eliminate((_flat(m, n) for m in alg._right), n * n).subspace()
 
 
 def check_inn_ideal(alg: LeibnizAlgebra) -> bool:

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from leibnizalg.algebra import (
     InternalCheckError,
@@ -653,6 +654,46 @@ def test_derivations_on_generators_match_every_pair():
     assert _generators(simple_ext_algebra(7)) == [0, 1, 3]
     assert _generators(non_lie) == [0, 2, 3]
     assert _generators(abelian_algebra(3)) == [0, 1, 2]
+
+
+def subalgebra_by_fixed_point(alg, vectors):
+    """Reference: the span of the vectors, grown by the brackets of its basis
+    vectors until it stops growing."""
+    span = Subspace.from_vectors(alg.dim, vectors)
+    while True:
+        basis = span.basis.data
+        grown = Subspace.from_vectors(
+            alg.dim, [*basis, *(alg.bracket(x, y) for x in basis for y in basis)])
+        if grown == span:
+            return span
+        span = grown
+
+
+def generator_bases():
+    from leibnizalg.sl2 import simple_ext_algebra, sl2_algebra
+    return [sl2_algebra(), *(simple_ext_algebra(n) for n in range(5, 9)),
+            direct_sum_algebra(nilp2(), heisenberg())]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, len(generator_bases()) - 1), st.data())
+def test_generators_are_the_greedy_picks_on_dense_bases(which, data):
+    """Index k is picked exactly when b_k lies outside the subalgebra that the
+    picks before it generate, and the picks generate the algebra."""
+    from leibnizalg.structure import _generators
+    base = generator_bases()[which]
+    n = base.dim
+    # a dense basis p = l u, with l and u unitriangular and so invertible
+    lower, upper = (data.draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))
+                    for _ in range(2))
+    l = Matrix([[lower[i * n + j] if j < i else int(i == j) for j in range(n)] for i in range(n)])
+    u = Matrix([[upper[i * n + j] if j > i else int(i == j) for j in range(n)] for i in range(n)])
+    alg = change_basis(base, l * u)
+    gens, units = _generators(alg), Matrix.identity(alg.dim).data
+    for k in range(alg.dim):
+        earlier = subalgebra_by_fixed_point(alg, [units[g] for g in gens if g < k])
+        assert (k in gens) == (not earlier.contains(units[k])), (base.name, k, gens)
+    assert subalgebra_by_fixed_point(alg, [units[g] for g in gens]).is_full()
 
 
 def inn_ideal_by_commutators(alg) -> bool:

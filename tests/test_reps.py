@@ -300,6 +300,24 @@ def test_spin_submodule_frozen():
             assert spin_submodule(rep, seeds) == spin_by_fixed_point(rep, seeds)
 
 
+def test_maps_act_on_column_vectors_not_transposed():
+    # the Jordan block J kills e_0 and maps e_1 to e_0; read transposed, as
+    # J^T, it would map e_0 to e_1 and spin e_0 to everything
+    jordan = Matrix([[0, 1], [0, 0]])
+    rep = Representation(abelian_algebra(1), [jordan], [Matrix.zeros(2, 2)])
+    assert rep.is_valid
+    assert spin_submodule(rep, [(1, 0)]) == Subspace.from_vectors(2, [(1, 0)])
+    assert spin_submodule(rep, [(0, 1)]).is_full()
+    assert irreducibility(rep) == IrreducibilityVerdict(
+        "reducible", Subspace.from_vectors(2, [(1, 0)]), "proper invariant subspace found")
+    # Norton on {J}: ker J = e_0 spins under J to itself, so no certificate.
+    # Spun the wrong way, ker J under J^T and ker J^T = e_1 under J would
+    # both reach QQ^2 and certify a reducible module
+    assert not _norton([jordan], 2)
+    assert _norton([jordan, jordan.transpose()], 2)
+    assert envelope_dimension([jordan], 2) == 2
+
+
 def test_is_invariant_agrees_with_induced_on_catalog_submodules():
     rng = random.Random(6007)
     sums = [direct_sum(ladder_rep(1, v), ladder_rep(2, v))
