@@ -18,8 +18,11 @@ This layer holds what every job runs: the constructor with its identity
 check, the bracket, the multiplication matrices, the Leibniz kernel and
 ideal closure. The structure theory (ideals, quotients, series, the Killing
 form, the Levi chain, simplicity and derivations) lives in the `structure`
-layer. The class keeps those methods under their names, each forwarding to
-that layer, so a module job never compiles it.
+layer, which holds each of those methods, body and contract, as a function
+of the algebra. The class reads them from there under their names through
+one descriptor, `_Structure`, which loads that layer on the first read: so
+`LeibnizAlgebra.radical is structure.radical`, `alg.radical()` calls it with
+the algebra first, and a module job never compiles the layer.
 """
 
 from __future__ import annotations
@@ -27,16 +30,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import structure
 from .linalg import (
     Matrix, Subspace, Vector, _eliminate, _matrix_of, _pairing_defects, _sparse,
     _sparse_combination, _span_closure, _transpose, vec,
 )
-
-if TYPE_CHECKING:
-    from .structure import SeriesReport, SimplicityVerdict, StructureReport
 
 ZERO = Fraction(0)
 
@@ -225,111 +225,33 @@ class LeibnizAlgebra:
         seeds = [_sparse(s, self.dim) for s in seeds]
         return _span_closure(seeds, self._right + self._left, self.dim).subspace()
 
-    # -- structure theory: each method below runs in the `structure` layer --
-
-    def product_space(self, u: Subspace, w: Subspace) -> Subspace:
-        """Span of [u', w'] over basis pairs of the two subspaces."""
-        return structure.product_space(self, u, w)
-
-    def is_subalgebra(self, u: Subspace) -> bool:
-        return structure.is_subalgebra(self, u)
-
-    def is_ideal(self, u: Subspace) -> bool:
-        return structure.is_ideal(self, u)
-
-    def quotient(self, ideal: Subspace) -> tuple["LeibnizAlgebra", Matrix]:
-        """Quotient algebra and the projection matrix onto it.
-
-        The quotient basis consists of the cosets of the unit vectors at the
-        non-pivot coordinates comp of the ideal, so the construction is
-        deterministic. b_comp[k] projects to e_k, a pivot to minus the rest
-        of its RREF row.
-        """
-        return structure.quotient(self, ideal)
-
-    def subalgebra_on(self, u: Subspace) -> "LeibnizAlgebra":
-        """The induced table on a subspace closed under the bracket: a product
-        with no remainder has its RREF coordinates at the pivots."""
-        return structure.subalgebra_on(self, u)
-
-    def lower_central_series(self) -> SeriesReport:
-        return structure.lower_central_series(self)
-
-    def derived_series(self) -> SeriesReport:
-        return structure.derived_series(self)
-
-    def is_solvable(self) -> bool:
-        return structure.is_solvable(self)
-
-    def is_nilpotent(self) -> bool:
-        return structure.is_nilpotent(self)
-
-    def killing_form(self) -> Matrix:
-        """Gram matrix of (x, y) -> trace(ad x . ad y), summed from the integer
-        constants as sum_{k,s} c_ik^s c_js^k. Lie algebras only."""
-        return structure.killing_form(self)
-
     @cached_property
     def _levi_data(self) -> tuple[Subspace, tuple[int, ...], "LeibnizAlgebra", Subspace]:
         """The Levi chain (kernel, comp, Lie quotient, radical), computed once."""
         return structure._levi_chain(self)
 
-    def radical(self) -> Subspace:
-        """Largest solvable ideal, read off the verified Levi chain."""
-        return structure.radical(self)
 
-    def is_semisimple(self) -> bool:
-        """Radical equal to the kernel."""
-        return structure.is_semisimple(self)
+class _Structure:
+    """A method whose body and contract are the function of the same name in
+    the `structure` layer, which loads on the first read: on the class the
+    read gives that function, on an algebra the function bound to it."""
 
-    def is_simple(self) -> SimplicityVerdict:
-        """Three-valued simplicity test.
+    def __init__(self, name: str):
+        self.name = name
 
-        "no" comes with an explicit witness (a proper ideal other than the
-        kernel, or the failing bracket/radical condition). "yes" is only
-        reported when the Lie quotient is certifiably simple and the kernel
-        module is absolutely irreducible. Anything else is "undetermined"
-        with the blocking check named.
-        """
-        return structure.is_simple(self)
+    def __get__(self, alg, cls):
+        body = getattr(structure, self.name)
+        return body if alg is None else body.__get__(alg, cls)
 
-    def derivations(self) -> Subspace:
-        """All d with d[x,y] = [dx,y] + [x,dy], flattened row-major into QQ^(n^2)."""
-        return structure.derivations(self)
 
-    def inner_derivations(self) -> Subspace:
-        """Span of the right multiplications, flattened row-major."""
-        return structure.inner_derivations(self)
-
-    def check_inn_ideal(self) -> bool:
-        """Inner derivations form an ideal of the derivation Lie algebra.
-
-        For a derivation D and R_x: v -> [v, x], D R_x - R_x D = R_{Dx}, so
-        the inner derivations are an ideal as soon as they are derivations.
-        """
-        return structure.check_inn_ideal(self)
-
-    def levi_subalgebra(self) -> Subspace:
-        """A Lie complement S to the kernel K in a semisimple algebra.
-
-        The section s_a = e_comp[a] of the quotient (see _levi_data) is
-        corrected to s_a + w_a with w_a in K. K is
-        spanned by squares and [z, [y, y]] = 0 by the derivation rule, so
-        [L, K] = 0 and closure, [s_a + w_a, s_b + w_b] = sum_t c_ab^t
-        (s_t + w_t), is one Sylvester equation per quotient basis vector b:
-        C_b X - X A_b^T = Gamma_b. Row a of the q x r matrix X holds the
-        kernel coordinates of w_a, C_b[a][t] = c_ab^t, A_b is v -> [v, s_b]
-        on K, and row a of Gamma_b is [s_a, s_b] - sum_t c_ab^t s_t in kernel
-        coordinates: the entries of [s_a, s_b] at the pivots of K. The
-        correction exists in characteristic zero, so failure to solve is
-        reported as an internal error. The result is verified: S is a
-        subalgebra with a Lie table, intersects the kernel trivially, and
-        together they span everything.
-        """
-        return structure.levi_subalgebra(self)
-
-    def structure_report(self) -> StructureReport:
-        return structure.structure_report(self)
+for _name in (
+    "product_space", "is_subalgebra", "is_ideal", "quotient", "subalgebra_on",
+    "lower_central_series", "derived_series", "is_solvable", "is_nilpotent", "killing_form",
+    "radical", "is_semisimple", "is_simple", "derivations", "inner_derivations",
+    "check_inn_ideal", "levi_subalgebra", "structure_report",
+):
+    setattr(LeibnizAlgebra, _name, _Structure(_name))
+del _name
 
 
 def algebra_from_brackets(

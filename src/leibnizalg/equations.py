@@ -120,7 +120,7 @@ def intertwiner_space(
         if ech.rows and all(_sparse_matmul(x, a_int) == _sparse_matmul(b_int, x) for x in ker):
             continue
         for row in _axiom_rows([((), 0, a, b)], rows_dim, cols_dim):
-            ech._add(row)
+            ech.insert(row)
         space = _kernel(ech.rref(), width)
         ker = [_unflatten(_integral(row), cols_dim) for row in space.rows.values()]
     return [_matrix_of(_unflatten(row, cols_dim), rows_dim, cols_dim)

@@ -19,26 +19,27 @@ it. A Subspace lives in it too: it keeps the rows of its reduced row echelon
 form and their pivots, which makes equality of subspaces structural; its
 `basis` is the Matrix over those rows.
 
-All elimination runs on one sparse, fraction-free kernel, `Echelon`. Its
-rows are dicts from column to int: each input row has its denominators
-cleared once, rows are combined by integer cross-multiplication, and every
-row is divided by the gcd of its entries after each step. One division per
-pivot at the end gives the unique reduced row echelon form as Fraction
-rows, which `Echelon.subspace` hands to a Subspace as they are. `rref`,
-`nullspace`, `Subspace.from_vectors`, the sum and the (Zassenhaus)
-intersection of subspaces, `Matrix.rank` and `Matrix.inverse` run on it, and
-so do the layers above: `poly` (`minimal_polynomial`) and `equations`
-(`solve` and the linear equations in unknown matrices).
+All elimination runs on one sparse, fraction-free kernel, `Echelon`, whose
+one add, `Echelon.insert`, takes a sparse rational row. Its rows are dicts
+from column to int: each input row has its denominators cleared once, rows
+are combined by integer cross-multiplication, and every row is divided by
+the gcd of its entries after each step. One division per pivot at the end
+gives the unique reduced row echelon form as Fraction rows, which
+`Echelon.subspace` hands to a Subspace as they are. `rref`, `nullspace`,
+`Subspace.from_vectors`, the sum and the (Zassenhaus) intersection of
+subspaces, `Matrix.rank` and `Matrix.inverse` run on it, and so do the
+layers above: `poly` (`minimal_polynomial`) and `equations` (`solve` and
+the linear equations in unknown matrices).
 
 Span closure has one routine on the same kernel, `_span_closure`: the
 smallest subspace that contains some seed rows and is closed under a list
 of maps v -> m v, each m in the same sparse form, grown breadth first from
-the images that enlarge it. `envelope_dimension` (X -> g X on flattened
-matrices), `reps.spin_submodule` (the action matrices),
-`LeibnizAlgebra.ideal_closure` and the generator search of `structure`
-(the algebra's integer multiplication matrices) call it; Norton's
-certificate `_norton` spins twice, over width d, before `reps` and
-`is_simple` try the envelope.
+the images that enlarge it, each image one `_sparse_matmul`.
+`envelope_dimension` (X -> g X on flattened matrices),
+`reps.spin_submodule` (the action matrices), `LeibnizAlgebra.ideal_closure`
+and the generator search of `structure` (the algebra's integer
+multiplication matrices) call it; Norton's certificate `_norton` spins
+twice, over width d, before `reps` and `is_simple` try the envelope.
 
 The benchmark tracer (`bench/child.py`) reads four names here whose home
 is `poly` or `equations`; `__getattr__` (PEP 562) resolves exactly those,
@@ -323,7 +324,8 @@ class Echelon:
         self.width = width
         self.rows: dict[int, dict] = {}
 
-    def _add(self, row: dict) -> bool:
+    def insert(self, row: dict) -> bool:
+        """Add a sparse rational row to the span. Returns True when the span grew."""
         rows = self.rows
         w = _integral(row)
         heap = [c for c in w if c in rows]
@@ -339,10 +341,6 @@ class Echelon:
         if w:
             rows[min(w)] = w
         return bool(w)
-
-    def insert(self, v: Sequence[Fraction]) -> bool:
-        """Add v to the span. Returns True when the span grew."""
-        return self._add(_sparse(v, self.width))
 
     @property
     def dim(self) -> int:
@@ -372,7 +370,7 @@ def _eliminate(rows: Iterable[dict], width: int) -> Echelon:
     """Echelon form of sparse rational rows; stops once the rank is full."""
     ech = Echelon(width)
     for row in rows:
-        ech._add(row)
+        ech.insert(row)
         if ech.dim == width:
             break
     return ech
@@ -548,29 +546,22 @@ def _span_closure(seeds: Iterable[dict], maps: Sequence[dict], width: int) -> Ec
     compound when they are mapped again.
     """
     spanned = Echelon(width * width)  # the identity and the maps kept so far
-    spanned._add({k * width + k: 1 for k in range(width)})
+    spanned.insert({k * width + k: 1 for k in range(width)})
     columns = []
     for m in maps:
         flat = _flat(_transpose(m), width)
-        if spanned._add(flat):
+        if spanned.insert(flat):
             columns.append(_unflatten(_integral(flat), width))
     ech = Echelon(width)
     queue = deque()
     for row in seeds:
-        if ech._add(row):
+        if ech.insert(row):
             queue.append(_integral(row))
     while queue and ech.dim < width:
         v = queue.popleft()
         for cols in columns:
-            image: dict[int, int] = {}
-            for k, a in v.items():
-                for i, x in cols.get(k, {}).items():
-                    y = image.get(i, 0) + a * x
-                    if y:
-                        image[i] = y
-                    else:
-                        del image[i]
-            if image and ech._add(image):
+            image = _sparse_matmul({0: v}, cols).get(0)
+            if image and ech.insert(image):
                 queue.append(_primitive(image))
                 if ech.dim == width:
                     break

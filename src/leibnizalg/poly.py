@@ -49,7 +49,7 @@ def minimal_polynomial(m: Matrix) -> Poly:
             power = power * m
         row = _flat(power.nz, n)
         row[tags + k] = ONE
-        ech._add(row)
+        ech.insert(row)
         last = max(ech.rows)
         if last >= tags:
             dep = ech.rows[last]

@@ -126,22 +126,24 @@ class Representation:
     def is_valid(self) -> bool:
         return not self.axiom_violations
 
-    def check_axioms(self) -> tuple[tuple[int, int, int], ...]:
-        return self.axiom_violations
-
     def _require_valid(self) -> None:
         if not self.is_valid:
             raise AxiomViolationError(self.axiom_violations)
 
     def rho_of(self, x: Sequence) -> Matrix:
         """Right action of an arbitrary algebra vector."""
-        d = self.space_dim
-        return linear_combination(vec(x), self.right, d, d)
+        return self._action(x, self.right)
 
     def lambda_of(self, x: Sequence) -> Matrix:
         """Left action of an arbitrary algebra vector."""
+        return self._action(x, self.left)
+
+    def _action(self, x: Sequence, mats: tuple[Matrix, ...]) -> Matrix:
+        x = vec(x)
+        if len(x) != self.algebra.dim:
+            raise ValueError("coordinate vector must match the algebra dimension")
         d = self.space_dim
-        return linear_combination(vec(x), self.left, d, d)
+        return linear_combination(x, mats, d, d)
 
     def action_matrices(self) -> list[Matrix]:
         return list(self.right) + list(self.left)

@@ -1,12 +1,13 @@
 """Structure theory of a Leibniz algebra: ideals, quotients, series, the
 Killing form, the Levi chain, simplicity and derivations.
 
-Each public function here is the body of the `LeibnizAlgebra` method of the
-same name, which states its contract and calls it with the algebra first.
-A module job (`rep irreducible`, `rep decompose`) runs only the constructor
-path of `algebra`, so it never compiles this layer. Operations call one
-another through the algebra's methods, so a patch or a wrapper on a method
-sees every call.
+Each public function here, with its contract, is the `LeibnizAlgebra`
+method of the same name: the class reads it from this layer on first use,
+so `LeibnizAlgebra.quotient is quotient`, and `alg.quotient(u)` calls
+`quotient(alg, u)`. A module job (`rep irreducible`, `rep decompose`) runs
+only the constructor path of `algebra`, so it never compiles this layer.
+Operations call one another through the algebra's methods, so a patch or a
+wrapper on a method sees every call.
 
 The Levi chain, the kernel K, the Lie quotient Q = L/K and the radical, is
 computed and verified once per algebra (`_levi_chain`, cached as
@@ -66,6 +67,7 @@ class StructureReport(NamedTuple):
 
 
 def product_space(alg: LeibnizAlgebra, u: Subspace, w: Subspace) -> Subspace:
+    """Span of [u', w'] over basis pairs of the two subspaces."""
     alg._require_valid(u, w)
     n = alg.dim
     us = [_integral(a) for a in u.rows.values()]
@@ -88,6 +90,13 @@ def is_ideal(alg: LeibnizAlgebra, u: Subspace) -> bool:
 # -- quotients and subalgebras --
 
 def quotient(alg: LeibnizAlgebra, ideal: Subspace) -> tuple[LeibnizAlgebra, Matrix]:
+    """Quotient algebra and the projection matrix onto it.
+
+    The quotient basis consists of the cosets of the unit vectors at the
+    non-pivot coordinates comp of the ideal, so the construction is
+    deterministic. b_comp[k] projects to e_k, a pivot to minus the rest
+    of its RREF row.
+    """
     alg._require_valid()
     if not alg.is_ideal(ideal):
         raise ValueError("subspace is not an ideal")
@@ -112,6 +121,8 @@ def quotient(alg: LeibnizAlgebra, ideal: Subspace) -> tuple[LeibnizAlgebra, Matr
 
 
 def subalgebra_on(alg: LeibnizAlgebra, u: Subspace) -> LeibnizAlgebra:
+    """The induced table on a subspace closed under the bracket: a product
+    with no remainder has its RREF coordinates at the pivots."""
     alg._require_valid(u)
     rows = list(u.rows.values())
     cells = {}
@@ -167,6 +178,8 @@ def is_nilpotent(alg: LeibnizAlgebra) -> bool:
 # -- Killing form, radical, semisimplicity --
 
 def killing_form(alg: LeibnizAlgebra) -> Matrix:
+    """Gram matrix of (x, y) -> trace(ad x . ad y), summed from the integer
+    constants as sum_{k,s} c_ik^s c_js^k. Lie algebras only."""
     alg._require_valid()
     if not alg.is_lie():
         raise ValueError("Killing form is only computed on Lie tables")
@@ -197,11 +210,13 @@ def _levi_chain(alg: LeibnizAlgebra) -> tuple[
 
 
 def radical(alg: LeibnizAlgebra) -> Subspace:
+    """Largest solvable ideal, read off the verified Levi chain."""
     alg._require_valid()
     return alg._levi_data[3]
 
 
 def is_semisimple(alg: LeibnizAlgebra) -> bool:
+    """Radical equal to the kernel."""
     return alg.radical() == alg._levi_data[0]
 
 
@@ -217,6 +232,14 @@ def _lie_radical(lie: LeibnizAlgebra) -> Subspace:
 # -- simplicity --
 
 def is_simple(alg: LeibnizAlgebra) -> SimplicityVerdict:
+    """Three-valued simplicity test.
+
+    "no" comes with an explicit witness (a proper ideal other than the
+    kernel, or the failing bracket/radical condition). "yes" is only
+    reported when the Lie quotient is certifiably simple and the kernel
+    module is absolutely irreducible. Anything else is "undetermined"
+    with the blocking check named.
+    """
     alg._require_valid()
     kernel, _, quo, rad = alg._levi_data
     full = alg.full_space()
@@ -276,13 +299,14 @@ def _generators(alg: LeibnizAlgebra) -> list[int]:
     for k in range(n):
         if span.dim == n:
             break
-        if span._add({k: 1}):
+        if span.insert({k: 1}):
             gens.append(k)
             span = _span_closure([{g: 1} for g in gens], [alg._right[g] for g in gens], n)
     return gens
 
 
 def derivations(alg: LeibnizAlgebra) -> Subspace:
+    """All d with d[x,y] = [dx,y] + [x,dy], flattened row-major into QQ^(n^2)."""
     alg._require_valid()
     n, nz, right, left = alg.dim, alg._int_table, alg._right, alg._left
     # entry (r, s) of d is unknown r*n + s; the equation at (p, q, r) is
@@ -314,18 +338,40 @@ def derivations(alg: LeibnizAlgebra) -> Subspace:
 
 
 def inner_derivations(alg: LeibnizAlgebra) -> Subspace:
+    """Span of the right multiplications, flattened row-major."""
     alg._require_valid()
     n = alg.dim
     return _eliminate((_flat(m, n) for m in alg._right), n * n).subspace()
 
 
 def check_inn_ideal(alg: LeibnizAlgebra) -> bool:
+    """Inner derivations form an ideal of the derivation Lie algebra.
+
+    For a derivation D and R_x: v -> [v, x], D R_x - R_x D = R_{Dx}, so
+    the inner derivations are an ideal as soon as they are derivations.
+    """
     return alg.derivations().contains_subspace(alg.inner_derivations())
 
 
 # -- Levi complement --
 
 def levi_subalgebra(alg: LeibnizAlgebra) -> Subspace:
+    """A Lie complement S to the kernel K in a semisimple algebra.
+
+    The section s_a = e_comp[a] of the quotient (see _levi_data) is
+    corrected to s_a + w_a with w_a in K. K is
+    spanned by squares and [z, [y, y]] = 0 by the derivation rule, so
+    [L, K] = 0 and closure, [s_a + w_a, s_b + w_b] = sum_t c_ab^t
+    (s_t + w_t), is one Sylvester equation per quotient basis vector b:
+    C_b X - X A_b^T = Gamma_b. Row a of the q x r matrix X holds the
+    kernel coordinates of w_a, C_b[a][t] = c_ab^t, A_b is v -> [v, s_b]
+    on K, and row a of Gamma_b is [s_a, s_b] - sum_t c_ab^t s_t in kernel
+    coordinates: the entries of [s_a, s_b] at the pivots of K. The
+    correction exists in characteristic zero, so failure to solve is
+    reported as an internal error. The result is verified: S is a
+    subalgebra with a Lie table, intersects the kernel trivially, and
+    together they span everything.
+    """
     alg._require_valid()
     kernel, comp, quo, rad = alg._levi_data
     if rad != kernel:

@@ -320,3 +320,58 @@ def test_the_algebra_keeps_its_methods_and_the_package_its_names():
     # the benchmark tracer wraps these as class attributes
     assert {"__init__", "bracket", "ideal_closure"} <= set(vars(LeibnizAlgebra))
     assert sorted(leibnizalg.__all__) == list(PUBLIC_NAMES)
+
+
+# the methods LeibnizAlgebra reads from the structure layer, and the first line
+# of the contract each one states there
+STRUCTURE_METHODS = (
+    "product_space", "is_subalgebra", "is_ideal", "quotient", "subalgebra_on",
+    "lower_central_series", "derived_series", "is_solvable", "is_nilpotent", "killing_form",
+    "radical", "is_semisimple", "is_simple", "derivations", "inner_derivations",
+    "check_inn_ideal", "levi_subalgebra", "structure_report",
+)
+CONTRACTS = {
+    "product_space": "Span of [u', w'] over basis pairs of the two subspaces.",
+    "quotient": "Quotient algebra and the projection matrix onto it.",
+    "subalgebra_on": "The induced table on a subspace closed under the bracket: a product",
+    "killing_form": "Gram matrix of (x, y) -> trace(ad x . ad y), summed from the integer",
+    "radical": "Largest solvable ideal, read off the verified Levi chain.",
+    "is_semisimple": "Radical equal to the kernel.",
+    "is_simple": "Three-valued simplicity test.",
+    "derivations": "All d with d[x,y] = [dx,y] + [x,dy], flattened row-major into QQ^(n^2).",
+    "inner_derivations": "Span of the right multiplications, flattened row-major.",
+    "check_inn_ideal": "Inner derivations form an ideal of the derivation Lie algebra.",
+    "levi_subalgebra": "A Lie complement S to the kernel K in a semisimple algebra.",
+}
+# building an algebra leaves the structure layer unexecuted; reading a method
+# executes it, on the class gives its function and on an algebra binds it
+READ_STRUCTURE_METHODS = """
+import sys, types
+from leibnizalg.algebra import LeibnizAlgebra
+structure = sys.modules["leibnizalg.structure"]
+alg = LeibnizAlgebra(["a", "b"], [[[0, 0], [1, 0]], [[0, 0], [0, 0]]])
+assert type(structure) is not types.ModuleType
+for name in sys.argv[1:]:
+    function = getattr(LeibnizAlgebra, name)
+    assert type(structure) is types.ModuleType
+    assert function is getattr(structure, name), name
+    method = getattr(alg, name)
+    assert method.__func__ is function and method.__self__ is alg, name
+print("ok")
+"""
+
+
+def test_each_structure_method_is_its_structure_function():
+    assert python(READ_STRUCTURE_METHODS, *STRUCTURE_METHODS) == "ok\n"
+
+
+def test_each_structure_method_has_one_definition_with_its_contract():
+    import inspect
+
+    from leibnizalg import structure
+    from leibnizalg.algebra import LeibnizAlgebra
+    assert set(STRUCTURE_METHODS) <= set(ALGEBRA_METHODS)
+    # no forwarder: the class attribute is the lazy reader, not a function
+    assert not any(inspect.isfunction(vars(LeibnizAlgebra)[name]) for name in STRUCTURE_METHODS)
+    for name, first in CONTRACTS.items():
+        assert inspect.getdoc(getattr(structure, name)).splitlines()[0] == first, name

@@ -41,6 +41,11 @@ from leibnizalg.sl2 import sl2_leibniz_irrep
 QQ = Fraction
 
 
+def sparse(v) -> dict:
+    """The sparse row {col: x} of a dense vector, the row form `Echelon.insert` takes."""
+    return {c: QQ(x) for c, x in enumerate(v) if x}
+
+
 def to_sympy(m: Matrix) -> sympy.Matrix:
     return sympy.Matrix(m.rows, m.cols,
                         [sympy.Rational(x.numerator, x.denominator) for x in m.flatten()])
@@ -193,14 +198,14 @@ def envelope_by_products(generators, dim: int) -> int:
     ech = Echelon(dim * dim)
     frontier = []
     for m in [Matrix.identity(dim)] + list(generators):
-        if ech.insert(m.flatten()):
+        if ech.insert(sparse(m.flatten())):
             frontier.append(m)
     while frontier and ech.dim < dim * dim:
         fresh = []
         for m in frontier:
             for g in generators:
                 prod = m * g
-                if ech.insert(prod.flatten()):
+                if ech.insert(sparse(prod.flatten())):
                     fresh.append(prod)
         frontier = fresh
     return ech.dim
@@ -433,9 +438,10 @@ def test_subspace_induced_matrix():
 
 def test_echelon_incremental():
     ech = Echelon(3)
-    assert ech.insert([1, 0, 1])
-    assert ech.insert([0, 1, 0])
-    assert not ech.insert([2, 3, 2])
+    assert ech.insert({0: 1, 2: 1})
+    assert ech.insert({1: QQ(1, 2)})
+    assert not ech.insert({0: 2, 1: 3, 2: 2})
+    assert not ech.insert({})
     assert ech.dim == 2
     assert ech.subspace() == Subspace.from_vectors(3, [[1, 0, 1], [0, 1, 0]])
 
@@ -455,7 +461,7 @@ def test_rref_matches_sympy_and_is_idempotent():
         assert again == ours
         # row by row insertion spans what the one-shot elimination spans
         ech = Echelon(m.cols)
-        for row in m.data:
+        for row in m.nz.values():
             ech.insert(row)
         assert ech.dim == len(spivots)
         assert ech.subspace() == Subspace.from_vectors(m.cols, m.data)
@@ -1001,7 +1007,7 @@ def test_subspace_form_ignores_the_spanning_vectors():
         combos = [tuple(sum(x) for x in zip(*vectors[:k])) for k in range(2, len(vectors) + 1)]
         ech = Echelon(n)
         for v in reversed(shuffled + combos):
-            ech.insert(v)
+            ech.insert(sparse(v))
         forms = [s, Subspace.from_vectors(n, shuffled + combos), ech.subspace(),
                  Subspace(n, s.basis), Subspace(n, Matrix(s.basis.data, cols=n)),
                  Subspace(n, scrambled(s.basis, rng)),

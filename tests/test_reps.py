@@ -38,6 +38,7 @@ from leibnizalg.reps import (
     irreducibility,
     spin_submodule,
 )
+from leibnizalg.sl2 import sl2_leibniz_irrep
 
 F = Fraction
 
@@ -142,6 +143,18 @@ def test_right_action_of_kernel_vanishes():
         rep = adjoint_rep(alg)
         for v in alg.leibniz_kernel().basis.data:
             assert rep.rho_of(v).is_zero()
+
+
+def test_an_action_needs_one_coordinate_per_algebra_basis_vector():
+    rep = sl2_leibniz_irrep(1, "anti_symmetric")
+    assert rep.rho_of((0, 0, 1)) == rep.right[2]
+    assert rep.lambda_of((0, 0, 1)) == rep.left[2]
+    for x in ((1,), (1, 0), (1, 0, 0, 5, 7), ()):
+        for action in (rep.rho_of, rep.lambda_of):
+            with pytest.raises(ValueError, match="algebra dimension"):
+                action(x)
+        with pytest.raises(ValueError, match="algebra dimension"):
+            rep.algebra.bracket(x, x)
 
 
 def test_from_lie_rep_matches_direct_construction():
