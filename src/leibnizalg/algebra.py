@@ -14,15 +14,15 @@ violating triples stored; operations beyond the checks refuse to run on an
 invalid table. The identity is pairing axiom (1), R_[y,z] = R_z R_y - R_y R_z,
 of the R_k, checked one pair at a time in O(n^2) memory.
 
-This layer holds what every job runs: the constructor with its identity
-check, the bracket, the multiplication matrices, the Leibniz kernel and
-ideal closure. The structure theory (ideals, quotients, series, the Killing
-form, the Levi chain, simplicity and derivations) lives in the `structure`
-layer, which holds each of those methods, body and contract, as a function
-of the algebra. The class reads them from there under their names through
-one descriptor, `_Structure`, which loads that layer on the first read: so
-`LeibnizAlgebra.radical is structure.radical`, `alg.radical()` calls it with
-the algebra first, and a module job never compiles the layer.
+This layer holds what every job runs: the constructor with its identity check,
+the bracket, the multiplication matrices, the Leibniz kernel, eliminated once
+per algebra, and ideal closure. The structure theory (ideals, quotients,
+series, the Killing form, the Levi chain, simplicity and derivations) lives in
+the `structure` layer, which holds each of those methods, body and contract,
+as a function of the algebra. The class reads them from there under their
+names through one descriptor, `_Structure`, which loads that layer on the
+first read: so `LeibnizAlgebra.radical is structure.radical`, `alg.radical()`
+calls it with the algebra first, and a module job never compiles the layer.
 """
 
 from __future__ import annotations
@@ -212,6 +212,10 @@ class LeibnizAlgebra:
         and two-sided.
         """
         self._require_valid()
+        return self._kernel
+
+    @cached_property
+    def _kernel(self) -> Subspace:
         n = self.dim
         seeds = ({i: 1, j: 1} for i in range(n) for j in range(i, n))
         return _eliminate((self._product(s, s) for s in seeds), n).subspace()

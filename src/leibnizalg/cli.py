@@ -13,11 +13,13 @@ adds every row of the table, in table order. So a valid command line
 imports neither argparse nor gettext, while argparse stays the only source
 of help and usage text. A handler returns file text, written as it is, or a
 report dict, written as JSON under `--json` and as indented text without.
-The arguments of a row are a zero-argument callable, called when its
-subcommand is read, so the `--variant` choices read `reps._VARIANTS` only
-then. `reps` is bound with `from . import reps`, which does not load it, and
-the handlers import `sl2` and `decompose` when they run, so a job compiles
-only the layers its subcommand uses (see the package docstring).
+A handler only reads its arguments and formats what a library layer
+decided, a verdict record through `_verdict_report`. The arguments of a row
+are a zero-argument callable, called when its subcommand is read, so the
+`--variant` choices read `reps._VARIANTS` only then. `reps` is bound with
+`from . import reps`, which does not load it, and the handlers import `sl2`
+and `decompose` when they run, so a job compiles only the layers its
+subcommand uses (see the package docstring).
 """
 
 from __future__ import annotations
@@ -109,23 +111,12 @@ def _cmd_radical(args):
 
 def _cmd_semisimple(args):
     alg = _load_algebra(args.file)
-    rad = alg.radical()
-    kernel = alg._levi_data[0]  # the kernel that gave the radical
-    return {
-        "semisimple": rad == kernel,
-        "radical_dim": rad.dim,
-        "kernel_dim": kernel.dim,
-    }
+    return {"semisimple": alg.is_semisimple(), "radical_dim": alg.radical().dim,
+            "kernel_dim": alg.leibniz_kernel().dim}
 
 
 def _cmd_simple(args):
-    verdict = _load_algebra(args.file).is_simple()
-    report = {"verdict": verdict.value}
-    if verdict.reason:
-        report["reason"] = verdict.reason
-    if verdict.witness is not None:
-        report["witness_dim"] = verdict.witness.dim
-    return report
+    return _verdict_report(_load_algebra(args.file).is_simple())
 
 
 def _cmd_derivations(args):
@@ -153,71 +144,58 @@ def _cmd_rep_check(args):
 
 
 def _cmd_rep_irreducible(args):
-    verdict = reps.irreducibility(_load_rep(args.file))
-    report = {"verdict": verdict.value}
-    if verdict.detail:
-        report["detail"] = verdict.detail
-    if verdict.witness is not None:
-        report["witness_dim"] = verdict.witness.dim
-    return report
+    return _verdict_report(reps.irreducibility(_load_rep(args.file)))
 
 
 def _cmd_rep_classify(args):
-    from .sl2 import (
-        _ladder_variants, classify_extension_irreps, simple_ext_algebra, sl2_algebra,
-        sl2_leibniz_irrep,
-    )
+    from .sl2 import catalogue_irreps
 
     m = args.m
     _check_dim("--m", m + 1)
     alg = _load_algebra(args.file)
     if m < 0:
         raise ParseError("--m must be nonnegative")
-    variants = _ladder_variants(m)
-    if alg.same_table(sl2_algebra()):
-        family, modules = "sl2", [sl2_leibniz_irrep(m, v) for v in variants]
-    elif alg.dim >= 5 and alg.same_table(simple_ext_algebra(alg.dim)):
-        family, modules = "simple_ext", classify_extension_irreps(alg.dim, m)
-    else:
-        raise ParseError(
-            "classification covers the (e, f, h) table and its simple extensions only")
+    family, modules = catalogue_irreps(alg, m)
     out = []
-    for variant, rep in zip(variants, modules):
+    for variant, rep in modules:
         obj = rep_to_object(rep)
         del obj["algebra"]
-        obj["variant"] = variant
-        out.append(obj)
-    return {"family": family, "n": alg.dim, "m": m,
-            "module_dim": m + 1, "reps": out}
+        out.append(dict(obj, variant=variant))
+    return {"family": family, "n": alg.dim, "m": m, "module_dim": m + 1, "reps": out}
 
 
 def _cmd_rep_equivalent(args):
     from .decompose import equivalence
 
-    a = _load_rep(args.file_a)
-    b = _load_rep(args.file_b)
-    verdict = equivalence(a, b)
-    report = {"verdict": verdict.value}
-    if verdict.detail:
-        report["detail"] = verdict.detail
-    if verdict.certificate is not None:
-        report["certificate"] = _matrix_to_rows(verdict.certificate)
-    return report
+    return _verdict_report(equivalence(_load_rep(args.file_a), _load_rep(args.file_b)))
 
 
 def _cmd_rep_decompose(args):
-    from .decompose import decompose
+    from .decompose import KERNEL_OBSTRUCTION, decompose
 
     result = decompose(_load_rep(args.file))
     report = {
         "verdict": result.verdict,
-        # decompose checks the kernel action first and names its failure
-        "kernel_acts_trivially": result.obstruction != "kernel acts nontrivially",
+        "kernel_acts_trivially": result.obstruction != KERNEL_OBSTRUCTION,
         "component_dims": [c.dim for c in result.components],
         "components": [_matrix_to_rows(c.basis) for c in result.components],
     }
     if result.obstruction:
         report["obstruction"] = result.obstruction
+    return report
+
+
+def _verdict_report(verdict) -> dict:
+    """The report of a verdict record: its value, its reason or detail when
+    not empty, the dimension of its witness and the rows of its certificate."""
+    report = {"verdict": verdict.value}
+    for key, x in verdict._asdict().items():
+        if key in ("reason", "detail") and x:
+            report[key] = x
+        elif key == "witness" and x is not None:
+            report["witness_dim"] = x.dim
+        elif key == "certificate" and x is not None:
+            report[key] = _matrix_to_rows(x)
     return report
 
 

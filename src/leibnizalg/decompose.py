@@ -245,6 +245,9 @@ class DecompositionResult(NamedTuple):
     obstruction: str | None = None
 
 
+KERNEL_OBSTRUCTION = "kernel acts nontrivially"
+
+
 def _primary_components(c: Matrix, minpoly: Sequence | None = None) -> list[Subspace]:
     """Primary decomposition of the space under c, as far as rational roots go.
 
@@ -318,8 +321,7 @@ def decompose(rep: Representation) -> DecompositionResult:
     full = Subspace.full(d)
     check = complete_reducibility_necessary(rep)
     if not check.ok:
-        return DecompositionResult(
-            "indecomposable", (full,), "kernel acts nontrivially")
+        return DecompositionResult("indecomposable", (full,), KERNEL_OBSTRUCTION)
     mats = rep.action_matrices()
     leaves: list[Subspace] = []
     stuck = False

@@ -7,10 +7,12 @@ matrices satisfy (each read off the module's pairing-axiom check at fixed
 basis pairs), and the n-dimensional simple Leibniz extensions whose tail
 representations are forced to zero. Every catalogue module, a ladder or a
 ladder extended by zero on the tail, is built from the variant table by
-`reps._variant_rep`. The forcing argument runs in two
-stages: a linear stage pairing tail elements with e, f, h, and a quadratic
-stage for the tail-tail pairs that peels equations of the perfect-square
-form q*(linear)^2 = 0 into linear ones.
+`reps._variant_rep`. `catalogue_irreps` alone recognises a catalogue table:
+it gives the family and the modules with their variants, which `rep
+classify` prints and the forcing solver checks its roots against. The
+forcing argument runs in two stages: a linear stage pairing tail elements
+with e, f, h, and a quadratic stage for the tail-tail pairs that peels
+equations of the perfect-square form q*(linear)^2 = 0 into linear ones.
 """
 
 from __future__ import annotations
@@ -368,8 +370,22 @@ def classify_extension_irreps(n: int, m: int) -> list[Representation]:
     return reps
 
 
-def _cross_check_against_catalog(n: int, m: int,
-                                 coeffs: tuple[Fraction, ...]) -> None:
-    classify_extension_irreps(n, m)
-    if sorted(coeffs) != sorted(_VARIANTS[v] for v in _ladder_variants(m)):
+def catalogue_irreps(alg: LeibnizAlgebra,
+                     m: int) -> tuple[str, list[tuple[str, Representation]]]:
+    """The family of a catalogue table and its irreducible modules on the
+    ladder of size m + 1, each paired with its variant, in `_VARIANTS` order:
+    one at m = 0, where the variants coincide. The family is "sl2" on the
+    (e, f, h) table and "simple_ext" on `simple_ext_algebra(n)`, n >= 5; any
+    other table raises ValueError."""
+    variants = _ladder_variants(m)
+    if alg.same_table(sl2_algebra()):
+        return "sl2", [(v, sl2_leibniz_irrep(m, v)) for v in variants]
+    if alg.dim >= 5 and alg.same_table(simple_ext_algebra(alg.dim)):
+        return "simple_ext", list(zip(variants, classify_extension_irreps(alg.dim, m)))
+    raise ValueError("classification covers the (e, f, h) table and its simple extensions only")
+
+
+def _cross_check_against_catalog(n: int, m: int, coeffs: tuple[Fraction, ...]) -> None:
+    _, modules = catalogue_irreps(simple_ext_algebra(n), m)
+    if sorted(coeffs) != sorted(_VARIANTS[v] for v, _ in modules):
         raise InternalCheckError("solver roots differ from the catalogue coefficients")

@@ -10,12 +10,12 @@ Operations call one another through the algebra's methods, so a patch or a
 wrapper on a method sees every call.
 
 The Levi chain, the kernel K, the Lie quotient Q = L/K and the radical, is
-computed and verified once per algebra (`_levi_chain`, cached as
-`LeibnizAlgebra._levi_data`); `radical`, `is_semisimple`, `is_simple`,
-`levi_subalgebra` and `structure_report` read it. The radical is K plus the
-lift of the radical of Q by the section e_k -> b_comp[k]. `quotient` reads
-its projection off the RREF rows of the ideal, and `subalgebra_on` its table
-off the pivot entries of the products.
+computed and verified once per algebra (`_levi_chain`, on the K that
+`leibniz_kernel` caches, cached as `_levi_data`); `radical`,
+`is_semisimple`, `is_simple`, `levi_subalgebra` and `structure_report` read
+it. The radical is K plus the lift of the radical of Q by the section e_k ->
+b_comp[k]. `quotient` reads its projection off the RREF rows of the ideal,
+and `subalgebra_on` its table off the pivot entries of the products.
 
 The Killing form, `derivations`, `inner_derivations` and `_generators`
 read the algebra's integer multiplication matrices R_k and L_k.

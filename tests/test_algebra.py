@@ -1116,6 +1116,31 @@ def test_levi_chain_is_computed_once(monkeypatch):
     assert calls == {"leibniz_kernel": 1, "quotient": 1}
 
 
+def test_the_kernel_is_eliminated_once_and_is_the_levi_chains(monkeypatch):
+    from leibnizalg import algebra
+    from leibnizalg.sl2 import simple_ext_algebra
+    eliminations = []
+    original = algebra._eliminate
+
+    def counted(*args):
+        eliminations.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(algebra, "_eliminate", counted)
+    rng = random.Random(11)
+    algs = [ext5(), nilp2(), sl2(), direct_sum_algebra(ext5(), abelian_algebra(1)),
+            change_basis(simple_ext_algebra(6), random_invertible(rng, 6))]
+    for alg in algs:
+        eliminations.clear()
+        # the reads of check, kernel, radical and semisimple, twice over
+        for _ in range(2):
+            kernel = alg.leibniz_kernel()
+            rad, semisimple = alg.radical(), alg.is_semisimple()
+        assert len(eliminations) == 1, alg
+        assert kernel is alg._levi_data[0] and kernel is alg.leibniz_kernel()
+        assert semisimple == (rad == kernel)
+
+
 def test_subspaces_of_another_ambient_dimension_are_refused():
     alg = sl2()
     full = alg.full_space()

@@ -59,13 +59,13 @@ def test_check_json_matches_golden(tmp_path):
 
 
 def test_series_and_radical_compute_each_fact_once(monkeypatch):
-    # series reads solvable and nilpotent off the terms it reports; radical
-    # and semisimple read the kernel off the Levi chain that gave the
-    # radical; rep decompose reads the kernel action off its one check
-    from leibnizalg import structure
-    from leibnizalg.algebra import LeibnizAlgebra
+    # series reads solvable and nilpotent off the terms it reports; check,
+    # radical and semisimple read the one cached kernel, which the Levi chain
+    # that gave the radical reads too; rep decompose reads the kernel action
+    # off its one check. The kernel is the one elimination of `algebra`
+    from leibnizalg import algebra, structure
     calls = []
-    for owner, name in ((structure, "_series"), (LeibnizAlgebra, "leibniz_kernel")):
+    for owner, name in ((structure, "_series"), (algebra, "_eliminate")):
         def counted(self, *args, _name=name, _method=getattr(owner, name)):
             calls.append(_name)
             return _method(self, *args)
@@ -76,19 +76,70 @@ def test_series_and_radical_compute_each_fact_once(monkeypatch):
     report = json.loads(out)
     assert (report["solvable"], report["nilpotent"]) == (False, False)
     calls.clear()
+    code, out, _ = run(["check", "--json", "-"], stdin_text=text)
+    assert code == 0 and calls == ["_eliminate"]
+    calls.clear()
     code, out, _ = run(["radical", "--json", "-"], stdin_text=text)
-    assert code == 0 and calls.count("leibniz_kernel") == 1
+    assert code == 0 and calls.count("_eliminate") == 1
     assert json.loads(out)["equals_kernel"] is True
     calls.clear()
     code, out, _ = run(["semisimple", "-"], stdin_text=text)
-    assert code == 0 and calls.count("leibniz_kernel") == 1
+    assert code == 0 and calls.count("_eliminate") == 1
     assert out == golden("semisimple_ext5.txt")
     _, e55, _ = run(["gen", "example-5-5"])
     for rep_text, trivially in ((e55, True), (golden("example_5_3_adjoint.rep.json"), False)):
         calls.clear()
         code, out, _ = run(["rep", "decompose", "--json", "-"], stdin_text=rep_text)
-        assert code == 0 and calls.count("leibniz_kernel") == 1
+        assert code == 0 and calls.count("_eliminate") == 1
         assert json.loads(out)["kernel_acts_trivially"] is trivially
+
+
+def test_classify_refuses_a_table_outside_the_catalogue():
+    from leibnizalg.algebra import LeibnizAlgebra, abelian_algebra, direct_sum_algebra
+    from leibnizalg.linalg import Matrix
+    from leibnizalg.sl2 import simple_ext_algebra
+    # simple_ext(5) in a dense basis, and sl2 plus a free label
+    ext5 = simple_ext_algebra(5)
+    p = Matrix([[2, 0, 0, 2, -2], [1, -1, -2, -1, -2], [0, 1, -1, 1, 2], [-2, 2, -1, -2, -1],
+                [1, 0, -1, 1, -1]])
+    pi, cols = p.inverse(), [p.col(i) for i in range(5)]
+    dense = LeibnizAlgebra(ext5.basis_names,
+                           [[pi.apply(ext5.bracket(a, b)) for b in cols] for a in cols])
+    for alg in (dense, direct_sum_algebra(sl2_algebra(), abelian_algebra(1))):
+        for argv in (["rep", "classify", "-", "--m", "1"],
+                     ["rep", "classify", "--json", "-", "--m", "0"]):
+            assert run(argv, stdin_text=serialize_algebra(alg)) == (1, "", (
+                "error: classification covers the (e, f, h) table and its simple "
+                "extensions only\n"))
+
+
+def test_decompose_reads_the_kernel_flag_off_the_named_obstruction():
+    from leibnizalg.decompose import KERNEL_OBSTRUCTION, direct_sum
+    from leibnizalg.fileio import serialize_rep
+    from leibnizalg.sl2 import sl2_leibniz_irrep
+    # a ladder sum splits; one ladder and example 5.3 are indecomposable, for
+    # different reasons
+    ladder = sl2_leibniz_irrep(2, "anti_symmetric")
+    ladders = direct_sum(sl2_leibniz_irrep(1, "zero_lambda"), ladder)
+    for text, trivially in ((serialize_rep(ladders), True), (serialize_rep(ladder), True),
+                            (golden("example_5_3_adjoint.rep.json"), False)):
+        code, out, _ = run(["rep", "decompose", "--json", "-"], stdin_text=text)
+        report = json.loads(out)
+        assert code == 0 and report["kernel_acts_trivially"] is trivially
+        assert (report.get("obstruction") == KERNEL_OBSTRUCTION) is not trivially
+    assert report["verdict"] == "indecomposable"
+
+
+def test_a_zero_dimensional_witness_prints_its_dimension():
+    from leibnizalg.algebra import abelian_algebra
+    from leibnizalg.linalg import Matrix
+    from leibnizalg.reps import Representation, irreducibility
+    code, out, _ = run(["simple", "--json", "-"], stdin_text=serialize_algebra(abelian_algebra(1)))
+    assert code == 0 and json.loads(out) == {
+        "verdict": "no", "reason": "[L,L] equals the kernel", "witness_dim": 0}
+    zero = Representation(sl2_algebra(), [Matrix.zeros(0, 0)] * 3, [Matrix.zeros(0, 0)] * 3)
+    assert cli._verdict_report(irreducibility(zero)) == {
+        "verdict": "reducible", "detail": "zero module", "witness_dim": 0}
 
 
 def test_semisimple_human_matches_golden():

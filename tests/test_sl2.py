@@ -1,13 +1,17 @@
 """Ladder representations, the twelve constraint identities, and the
 forced-representation solve for the simple extension family."""
 
+import random
+import re
 from fractions import Fraction
 
 import pytest
 import sympy
 
 from leibnizalg import sl2
-from leibnizalg.algebra import InternalCheckError
+from leibnizalg.algebra import (
+    InternalCheckError, LeibnizAlgebra, abelian_algebra, direct_sum_algebra,
+)
 from leibnizalg.decompose import equivalence, restrict
 from leibnizalg.linalg import Matrix, Subspace, nullspace
 from leibnizalg.reps import Representation, irreducibility
@@ -17,6 +21,7 @@ from leibnizalg.sl2 import (
     _tail_quadratic_matrices,
     _sl2_left_block_check,
     _tail_stage1_basis,
+    catalogue_irreps,
     check_sl2_constraints,
     classify_extension_irreps,
     extension_rep_solve,
@@ -461,6 +466,55 @@ def test_classified_reps_restrict_to_ladders():
                 assert cut.right == base.right
                 assert cut.left == base.left
                 assert cut.algebra == sl2_algebra()
+
+
+CATALOGUE_ONLY = "classification covers the (e, f, h) table and its simple extensions only"
+
+
+def dense_simple_ext5():
+    """simple_ext(5) after a seeded dense integer change of basis."""
+    base, rng = simple_ext_algebra(5), random.Random(5)
+    while True:
+        p = Matrix([[rng.randint(-2, 2) for _ in range(5)] for _ in range(5)])
+        if p.is_invertible():
+            break
+    pi, cols = p.inverse(), [p.col(i) for i in range(5)]
+    return LeibnizAlgebra(base.basis_names,
+                          [[pi.apply(base.bracket(a, b)) for b in cols] for a in cols])
+
+
+def test_catalogue_irreps_names_the_family_and_pairs_each_module_with_its_variant():
+    def shape(modules):
+        return [(v, rep.name, rep.right, rep.left) for v, rep in modules]
+
+    for m in range(4):
+        variants = ("zero_lambda", "anti_symmetric")[:1 if m == 0 else 2]
+        family, modules = catalogue_irreps(sl2_algebra(), m)
+        assert family == "sl2"
+        assert shape(modules) == shape((v, sl2_leibniz_irrep(m, v)) for v in variants)
+        for n in range(5, 9):
+            family, modules = catalogue_irreps(simple_ext_algebra(n), m)
+            assert family == "simple_ext"
+            assert shape(modules) == shape(zip(variants, classify_extension_irreps(n, m)))
+
+
+def test_catalogue_irreps_refuses_every_other_table():
+    dense = dense_simple_ext5()
+    assert dense.is_valid and not dense.same_table(simple_ext_algebra(5))
+    for alg in (dense, direct_sum_algebra(sl2_algebra(), abelian_algebra(1))):
+        with pytest.raises(ValueError, match=re.escape(CATALOGUE_ONLY)):
+            catalogue_irreps(alg, 1)
+
+
+def test_the_solver_checks_its_roots_against_the_catalogue_function(monkeypatch):
+    # with one variant missing from the catalogue the two roots of a + a^2 differ
+    def one_variant(alg, m):
+        family, modules = catalogue_irreps(alg, m)
+        return family, modules[:1]
+
+    monkeypatch.setattr(sl2, "catalogue_irreps", one_variant)
+    with pytest.raises(InternalCheckError, match="solver roots differ"):
+        extension_rep_solve(5, 1)
 
 
 def test_classified_reps_are_absolutely_irreducible():
