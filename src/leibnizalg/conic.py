@@ -21,9 +21,9 @@ the form undecided. Every zero is checked by substitution.
 `quaternion_idempotent` splits a 4-dimensional commutant C that is a
 quaternion algebra (alpha, beta)_QQ: it is M_2(QQ), and so holds an
 idempotent other than 0 and 1, exactly when x^2 - alpha y^2 - beta z^2 has
-a nonzero zero; otherwise it is a division algebra. Only `decompose` calls
-this layer, on a 4-dimensional commutant where no candidate element split,
-so no other job compiles it.
+a nonzero zero; otherwise it is a division algebra. Only the commutant
+splitter, `equations._try_split`, calls this layer, on a 4-dimensional
+commutant where no candidate element split, so no other job compiles it.
 """
 
 from __future__ import annotations

@@ -1,39 +1,34 @@
 """Module theory on top of `reps`: constructions (adjoint, direct sum, the
 Lie-module lift, restrictions), invariance, the symmetric-span dichotomy,
 equivalence and complete reducibility, none of which parsing or the
-irreducibility test compile. `poly` and `equations` are bound without
-loading them, so the constructions alone compile neither.
+irreducibility test compile. `equations` is bound without loading it, so
+the constructions alone do not compile it.
 
 A module that splits into irreducible components must kill the algebra's
 kernel on both action sides; the right action kills it in every module, so
 the left action on the kernel is checked first.
-Splitting itself goes through the commutant: primary components of a
-deterministic commutant element are invariant, and recursion refines them
-until every leaf has commutant dimension one or a quaternion division
-commutant. A 4-dimensional commutant that no candidate element splits goes
-to `conic`, bound without loading it like `poly` and `equations`, so only
-such a piece compiles it. A proper piece is split on the action matrices
-induced on it, which prove it invariant; as a submodule of a valid module it
-needs no axiom check. The first piece, the whole module, is split on its own
-action matrices. The sum of the leaves is proved direct by
-its dimensions. Two benchmark modules of dimension five round out the
-catalogue: the adjoint module of example 5.3, `simple_ext(5)` with its tail
-labelled x, y, which admits no irreducible decomposition, and one that
-splits as 3 + 2.
+Splitting itself runs the commutant splitter of `equations`, `_try_split`,
+on each piece, and recursion refines the pieces until every leaf has
+commutant dimension one or a quaternion division commutant. A proper piece
+is split on the action matrices induced on it, which prove it invariant; as
+a submodule of a valid module it needs no axiom check. The first piece, the
+whole module, is split on its own action matrices. The sum of the leaves is
+proved direct by its dimensions. Two benchmark modules of dimension five
+round out the catalogue: the adjoint module of example 5.3, `simple_ext(5)`
+with its tail labelled x, y, which admits no irreducible decomposition, and
+one that splits as 3 + 2.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
 from typing import NamedTuple, Sequence
 
-from . import conic, equations, poly
+from . import equations
 from .algebra import InternalCheckError, LeibnizAlgebra
 from .linalg import (
     Matrix, Subspace, _eliminate, _matrix_of, _solutions, _sparse_matmul, linear_combination,
-    nullspace,
 )
 from .reps import _VARIANTS, Representation, _variant_rep, irreducibility
 
@@ -248,53 +243,6 @@ class DecompositionResult(NamedTuple):
 KERNEL_OBSTRUCTION = "kernel acts nontrivially"
 
 
-def _primary_components(c: Matrix, minpoly: Sequence | None = None) -> list[Subspace]:
-    """Primary decomposition of the space under c, as far as rational roots go.
-
-    The minimal polynomial (computed unless given) is split into (t - a)^e
-    factors for each rational root a plus a rootless leftover; the space is
-    the direct sum of the kernels of the factors at c, none zero: each
-    divides the minimal polynomial.
-    """
-    roots, rest = poly._rational_factors(minpoly or poly.minimal_polynomial(c))
-    # (t - a)^e by the binomial theorem, then the leftover without rational roots
-    factors = [[comb(e, k) * (-a) ** (e - k) for k in range(e + 1)] for a, e in roots]
-    if len(rest) > 1:
-        factors.append(rest)
-    pieces = [nullspace(poly._poly_at(f, c)) for f in factors]
-    if sum(p.dim for p in pieces) != c.rows:
-        raise InternalCheckError("primary components do not fill the space")
-    return pieces
-
-
-def _try_split(mats: list[Matrix], d: int) -> list[Subspace] | str:
-    """One commutant splitting round on the action matrices of a piece.
-
-    Returns the obstruction that certifies the piece indecomposable (a
-    trivial or a division commutant), an empty list when the commutant is
-    nontrivial but nothing splits it rationally, and otherwise at least two
-    primary components. A 4-dimensional commutant where no candidate splits
-    goes to the quaternion step of `conic`: an idempotent other than 0 and 1
-    splits it, an anisotropic norm form makes it a division algebra.
-    """
-    basis = equations.matrix_commutant(mats, d)
-    if len(basis) == 1:
-        return "commutant dimension 1"
-    generic = linear_combination(range(1, len(basis) + 1), basis, d, d)
-    minpoly = poly.minimal_polynomial(generic)
-    for cand, mp in [(generic, minpoly), *((b, None) for b in basis)]:
-        pieces = _primary_components(cand, mp)
-        if len(pieces) >= 2:
-            return pieces
-    if len(basis) == 4:
-        e = conic.quaternion_idempotent(basis, generic, minpoly)
-        if e == "anisotropic":
-            return "commutant is a quaternion division algebra"
-        if e is not None:
-            return _primary_components(e, (0, -1, 1))
-    return []
-
-
 def _lift(sub: Subspace, piece: Subspace) -> Subspace:
     """Rewrite a subspace given in piece coordinates as an ambient subspace."""
     # both are reduced, so the product of their rows is: row k has pivot
@@ -332,7 +280,7 @@ def decompose(rep: Representation) -> DecompositionResult:
         induced = mats if piece is full else [piece.induced(m) for m in mats]
         if any(m is None for m in induced):
             raise InternalCheckError("component is not invariant")
-        split = _try_split(induced, piece.dim)
+        split = equations._try_split(induced, piece.dim)
         if isinstance(split, str):
             leaves.append(piece)
             obstruction = split

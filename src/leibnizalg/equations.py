@@ -14,15 +14,22 @@ pairing axioms in `sl2` (tail forcing and the left block over sl2),
 correction all build their equations with it. `intertwiner_space` skips
 each pair that the solutions so far satisfy: in a module lambda is often -rho
 or 0, and rho(h) lies in the algebra that rho(e) and rho(f) generate.
+
+The commutant splitter `_try_split` decides splitting for `decompose` and
+`structure.is_simple`. `algebra`, `conic` and `poly` are bound without
+loading them: only a commutant above dimension one compiles `poly`, and
+only a stuck 4-dimensional one compiles `conic`.
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterable, Sequence
 
+from . import algebra, conic, poly
 from .linalg import (
     ZERO, Echelon, Matrix, Subspace, Vector, _eliminate, _int_matrices, _integral, _kernel,
-    _matrix_of, _sparse_matmul, _unflatten, vec,
+    _matrix_of, _sparse_matmul, _unflatten, linear_combination, nullspace, vec,
 )
 
 
@@ -125,3 +132,50 @@ def intertwiner_space(
         ker = [_unflatten(_integral(row), cols_dim) for row in space.rows.values()]
     return [_matrix_of(_unflatten(row, cols_dim), rows_dim, cols_dim)
             for row in space.rows.values()]
+
+
+def _primary_components(c: Matrix, minpoly: Sequence | None = None) -> list[Subspace]:
+    """Primary decomposition of the space under c, as far as rational roots go.
+
+    The minimal polynomial (computed unless given) is split into (t - a)^e
+    factors for each rational root a plus a rootless leftover; the space is
+    the direct sum of the kernels of the factors at c, none zero: each
+    divides the minimal polynomial.
+    """
+    roots, rest = poly._rational_factors(minpoly or poly.minimal_polynomial(c))
+    # (t - a)^e by the binomial theorem, then the leftover without rational roots
+    factors = [[comb(e, k) * (-a) ** (e - k) for k in range(e + 1)] for a, e in roots]
+    if len(rest) > 1:
+        factors.append(rest)
+    pieces = [nullspace(poly._poly_at(f, c)) for f in factors]
+    if sum(p.dim for p in pieces) != c.rows:
+        raise algebra.InternalCheckError("primary components do not fill the space")
+    return pieces
+
+
+def _try_split(mats: list[Matrix], d: int) -> list[Subspace] | str:
+    """One commutant splitting round on the action matrices of a piece.
+
+    Returns the obstruction that certifies the piece indecomposable (a
+    trivial or a division commutant), an empty list when the commutant is
+    nontrivial but nothing splits it rationally, and otherwise at least two
+    primary components. A 4-dimensional commutant where no candidate splits
+    goes to the quaternion step of `conic`: an idempotent other than 0 and 1
+    splits it, an anisotropic norm form makes it a division algebra.
+    """
+    basis = matrix_commutant(mats, d)
+    if len(basis) == 1:
+        return "commutant dimension 1"
+    generic = linear_combination(range(1, len(basis) + 1), basis, d, d)
+    minpoly = poly.minimal_polynomial(generic)
+    for cand, mp in [(generic, minpoly), *((b, None) for b in basis)]:
+        pieces = _primary_components(cand, mp)
+        if len(pieces) >= 2:
+            return pieces
+    if len(basis) == 4:
+        e = conic.quaternion_idempotent(basis, generic, minpoly)
+        if e == "anisotropic":
+            return "commutant is a quaternion division algebra"
+        if e is not None:
+            return _primary_components(e, (0, -1, 1))
+    return []

@@ -3,16 +3,18 @@
 Polynomials are coefficient tuples in ascending degree order. Matrix
 polynomials have one Horner routine, `_poly_at`, on one diagonal shift,
 `_shift` (m + cI); the characteristic polynomial, the eigenvector candidates
-of `reps.irreducibility` and the primary splitting of `decompose` evaluate
+of `reps.irreducibility` and the primary splitting in `equations` evaluate
 their polynomials with them. `minimal_polynomial` runs on the elimination
 kernel of `linalg`. One routine, `_rational_factors`, finds the rational
-roots of a polynomial with their multiplicities and the cofactor left after
-dividing them out; `rational_roots` is its list of roots.
+roots of a polynomial with their multiplicities and the cofactor left
+after dividing them out, by p-adic lifting and one division, `_divmod`;
+`rational_roots` is its list of roots.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import isqrt
 from typing import Sequence
 
@@ -85,62 +87,60 @@ def char_poly(m: Matrix) -> Poly:
     return tuple(coeffs)
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _divmod(f: Sequence[Fraction], g: Sequence[Fraction]) -> tuple[list, list]:
+    """Quotient and remainder of f by g, whose last coefficient is nonzero;
+    the remainder has no trailing zeros."""
+    rest, q = list(f), [ZERO] * max(len(f) - len(g) + 1, 0)
+    for k in reversed(range(len(q))):
+        c = q[k] = Fraction(rest[k + len(g) - 1]) / g[-1]
+        for j, x in enumerate(g):
+            rest[k + j] -= c * x
+    rest = rest[:len(g) - 1]
+    while rest and not rest[-1]:
+        rest.pop()
+    return q, rest
 
 
-def _poly_divide_out_root(coeffs: list[Fraction], a: Fraction) -> list[Fraction]:
-    """Synthetic division of an ascending-coefficient polynomial by (t - a)."""
-    n = len(coeffs) - 1
-    out = [ZERO] * n
-    carry = ZERO
-    for k in range(n - 1, -1, -1):
-        carry = coeffs[k + 1] + a * carry
-        out[k] = carry
-    return out
+def _at(g: Sequence[int], r: int, m: int) -> int:
+    """g(r) mod m for an integer polynomial g."""
+    return sum(c * pow(r, k, m) for k, c in enumerate(g)) % m
 
 
 def _rational_factors(coeffs: Sequence) -> tuple[list[tuple[Fraction, int]], Poly]:
     """The rational roots of a nonzero polynomial in ascending order, each
     with its multiplicity, and the cofactor left after dividing them out.
 
-    Up to degree 2 the candidates are the roots in closed form, rational
-    exactly when the discriminant is a square. Above it they are 0 and, by
-    the rational root theorem, every +-p/q with p dividing the lowest and q
-    the leading nonzero coefficient of the primitive integer form. Each is
-    divided out for as long as it is a root.
+    The candidates are p-adic roots of the squarefree part g = f / gcd(f, f')
+    in primitive integers, at the first prime p not dividing its leading
+    coefficient c where every root mod p is simple, lifted by Newton's step
+    past 2 |c| (1 + max |g_i|), which bounds the integer c a for a root a.
+    Each is divided out for as long as it is a root.
     """
     cs = [_frac(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
     if not cs:
         raise ValueError("zero polynomial has every root")
-    ints = _integral({k: c for k, c in enumerate(cs) if c})
-    c0, c1, c2 = (ints.get(k, 0) for k in range(3))
-    if len(cs) == 2:
-        cands = {Fraction(-c0, c1)}
-    elif len(cs) == 3:
-        disc = c1 * c1 - 4 * c2 * c0
-        root = isqrt(disc) if disc >= 0 else -1
-        cands = set() if root * root != disc else {
-            Fraction(-c1 + s * root, 2 * c2) for s in (1, -1)}
-    else:
-        cands = {ZERO} | {Fraction(s * p, q) for p in _divisors(ints[min(ints)])
-                          for q in _divisors(ints[max(ints)]) for s in (1, -1)}
+    h, rest = cs, [k * c for k, c in enumerate(cs)][1:]
+    while rest:  # Euclid: h becomes gcd(f, f')
+        h, rest = rest, _divmod(h, rest)[1]
+    g = list(_integral(dict(enumerate(_divmod(cs, h)[0]))).values())
+    dg = [k * c for k, c in enumerate(g)][1:]
+    for p in count(2):
+        if g[-1] % p and all(p % q for q in range(2, isqrt(p) + 1)):
+            lifts = [r for r in range(p) if _at(g, r, p) == 0]
+            if all(_at(dg, r, p) for r in lifts):
+                break
+    bound, m = 2 * abs(g[-1]) * (1 + max(map(abs, g))), p
+    while m <= bound:
+        m *= m
+        lifts = [(r - _at(g, r, m) * pow(_at(dg, r, m), -1, m)) % m for r in lifts]
+    cands = sorted({Fraction((g[-1] * r + m // 2) % m - m // 2, g[-1]) for r in lifts})
     roots = []
-    for a in sorted(cands):
+    for a in cands:
         e = 0
         while poly_eval(cs, a) == 0:
-            cs = _poly_divide_out_root(cs, a)
+            cs = _divmod(cs, (-a, ONE))[0]
             e += 1
         if e:
             roots.append((a, e))
@@ -148,5 +148,5 @@ def _rational_factors(coeffs: Sequence) -> tuple[list[tuple[Fraction, int]], Pol
 
 
 def rational_roots(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """All rational roots of the polynomial, sorted, by the rational root theorem."""
+    """All rational roots of the polynomial, sorted."""
     return tuple(a for a, _ in _rational_factors(coeffs)[0])

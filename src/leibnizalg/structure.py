@@ -14,8 +14,11 @@ computed and verified once per algebra (`_levi_chain`, on the K that
 `leibniz_kernel` caches, cached as `_levi_data`); `radical`,
 `is_semisimple`, `is_simple`, `levi_subalgebra` and `structure_report` read
 it. The radical is K plus the lift of the radical of Q by the section e_k ->
-b_comp[k]. `quotient` reads its projection off the RREF rows of the ideal,
-and `subalgebra_on` its table off the pivot entries of the products.
+b_comp[k]. Past its two "no" checks, `is_simple` decides the adjoint module
+of Q and the kernel module with the commutant splitter of `equations`, the
+one that `decompose` runs. `quotient` reads its projection off the RREF
+rows of the ideal, and `subalgebra_on` its table off the pivot entries of
+the products.
 
 The Killing form, `derivations`, `inner_derivations` and `_generators`
 read the algebra's integer multiplication matrices R_k and L_k.
@@ -31,9 +34,8 @@ from typing import NamedTuple
 from . import equations
 from .algebra import InternalCheckError, LeibnizAlgebra
 from .linalg import (
-    Echelon, Matrix, Subspace, Vector, _eliminate, _flat, _integral, _matrix_of, _norton,
-    _solutions, _span_closure, _sparse_combination, _sparse_matmul, envelope_dimension, nullspace,
-    subspace_sum,
+    Echelon, Matrix, Subspace, _eliminate, _flat, _integral, _matrix_of, _norton, _solutions,
+    _span_closure, _sparse_combination, _sparse_matmul, nullspace, subspace_sum,
 )
 
 ONE = Fraction(1)
@@ -234,49 +236,43 @@ def _lie_radical(lie: LeibnizAlgebra) -> Subspace:
 def is_simple(alg: LeibnizAlgebra) -> SimplicityVerdict:
     """Three-valued simplicity test.
 
-    "no" comes with an explicit witness (a proper ideal other than the
-    kernel, or the failing bracket/radical condition). "yes" is only
-    reported when the Lie quotient is certifiably simple and the kernel
-    module is absolutely irreducible. Anything else is "undetermined"
-    with the blocking check named.
+    "no" comes with a witness: a proper ideal other than the kernel, or the
+    failing bracket or radical condition. Past those Q = L/K is semisimple,
+    so its adjoint module and the kernel module are completely reducible
+    (Weyl) and `equations._try_split` decides each, after Norton's
+    certificate on the kernel: an obstruction proves a side irreducible.
+    A commutant it cannot split leaves "undetermined", naming the side.
     """
     alg._require_valid()
-    kernel, _, quo, rad = alg._levi_data
-    full = alg.full_space()
-    derived = alg.product_space(full, full)
+    kernel, comp, quo, rad = alg._levi_data
+    derived = alg.product_space(alg.full_space(), alg.full_space())
     if derived == kernel:
         return SimplicityVerdict("no", derived, "[L,L] equals the kernel")
     if rad != kernel:
         return SimplicityVerdict("no", rad, "radical exceeds the kernel")
-    # rad == kernel: [Q,Q]^perp = 0 in Q, so the Killing form of Q is nondegenerate
-    ads = [quo.right_mult_matrix_basis(j) for j in range(quo.dim)]
-    reason = ""
-    if len(equations.matrix_commutant(ads, quo.dim)) != 1:
-        reason = "adjoint commutant of the Lie quotient has dimension above one"
-    elif kernel.dim:
-        mats, k = _kernel_action_matrices(alg, kernel), kernel.dim
-        if not _norton(mats, k) and envelope_dimension(mats, k) != k * k:
-            reason = "kernel module envelope is short of the full matrix algebra"
-    if not reason:
-        # Q = L/K is simple and K an irreducible module, so a proper ideal
-        # I other than K would have I + K = L and I meet K in 0. Then
-        # [K, L] = [K, I] = 0 and [L, K] = 0, so every square lies in I
-        # and K = 0: no seed can find one. The seed search runs only past
-        # a failed certificate, whose reason it keeps if it finds none.
-        return SimplicityVerdict("yes", None, "")
-    for seed in _ideal_seed_candidates(alg):
-        closure = alg.ideal_closure([seed])
-        if closure != kernel and not closure.is_zero() and closure != full:
-            return SimplicityVerdict(
-                "no", closure, "closure of a sampled vector is a proper ideal")
-    return SimplicityVerdict("undetermined", None, reason)
-
-
-def _ideal_seed_candidates(alg: LeibnizAlgebra) -> list[Vector]:
-    """The unit vectors, then the sums of two of them."""
-    units = Matrix.identity(alg.dim).data
-    return list(units) + [tuple(a + b for a, b in zip(units[i], units[j]))
-                          for i in range(alg.dim) for j in range(i + 1, alg.dim)]
+    # each side: its action matrices, the ambient rows of its basis and the
+    # rows added to a piece. A piece of Q is an ideal of Q, whose preimage K
+    # + lift is an ideal; a piece W of K is one as [W, L] <= W, [L, W] = 0
+    section = {k: {c: ONE} for k, c in enumerate(comp)}
+    sides = [("adjoint module of the Lie quotient",
+              [quo.right_mult_matrix_basis(j) for j in range(quo.dim)], section, kernel.rows)]
+    if kernel.dim:
+        mats = _kernel_action_matrices(alg, kernel)
+        if not _norton(mats, kernel.dim):
+            sides.append(("kernel module", mats, kernel.rows, {}))
+    for side, mats, basis, extra in sides:
+        split = equations._try_split(mats, len(basis))
+        if not split:
+            return SimplicityVerdict("undetermined", None,
+                                     f"commutant splitting of the {side} is stuck")
+        if not isinstance(split, str):
+            rows = [*extra.values(), *_sparse_matmul(split[0].rows, basis).values()]
+            return SimplicityVerdict("no", _eliminate(rows, alg.dim).subspace(),
+                                     f"the {side} splits")
+    # Q = L/K is simple and K an irreducible module, so a proper ideal I
+    # other than K would have I + K = L and I meet K in 0. Then [K, L] =
+    # [K, I] = 0 and [L, K] = 0, so every square lies in I and K = 0.
+    return SimplicityVerdict("yes", None, "")
 
 
 def _kernel_action_matrices(alg: LeibnizAlgebra, kernel: Subspace) -> list[Matrix]:

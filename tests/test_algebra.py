@@ -8,6 +8,7 @@ matrix code.
 
 import json
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -29,7 +30,7 @@ from leibnizalg.equations import intertwiner_space
 from leibnizalg.fileio import MAX_DIM, frac_str, serialize_algebra
 from leibnizalg.linalg import (Matrix, Subspace, linear_combination, nullspace,
                               subspace_intersect, subspace_sum)
-from leibnizalg.structure import _ideal_seed_candidates, _lie_radical
+from leibnizalg.structure import _lie_radical
 
 F = Fraction
 
@@ -475,10 +476,39 @@ def test_simple_no_for_sl2_square():
     assert two.is_ideal(v.witness)
 
 
+@pytest.mark.parametrize("parts, seeds", [
+    (("sl2", "sl2"), range(20)), (("ext5", "sl2"), range(20)), (("ext5", "ext5"), range(20)),
+    (("sl2", "sl2", "sl2"), range(10)), (("ext5",), range(20)),
+], ids=["sl2+sl2", "ext5+sl2", "ext5+ext5", "sl2+sl2+sl2", "ext5"])
+def test_simple_decides_dense_bases(parts, seeds):
+    # a direct sum answers "no" in every basis, with a proper ideal other
+    # than the kernel as witness, and ext5 answers "yes"; the basis is the
+    # first invertible matrix with entries in [-2, 2] from Random(seed)
+    base = {"sl2": sl2, "ext5": ext5}[parts[0]]()
+    for part in parts[1:]:
+        base = direct_sum_algebra(base, {"sl2": sl2, "ext5": ext5}[part]())
+    for seed in seeds:
+        alg = change_basis(base, random_invertible(random.Random(seed), base.dim))
+        verdict = alg.is_simple()
+        if len(parts) == 1:
+            assert verdict.value == "yes", seed
+            continue
+        w = verdict.witness
+        assert verdict.value == "no" and alg.is_ideal(w), seed
+        assert not w.is_zero() and not w.is_full() and w != alg.leibniz_kernel(), seed
+
+
+def _ideal_seed_candidates(alg):
+    """The unit vectors, then the sums of two of them."""
+    units = Matrix.identity(alg.dim).data
+    return list(units) + [tuple(a + b for a, b in zip(units[i], units[j]))
+                          for i in range(alg.dim) for j in range(i + 1, alg.dim)]
+
+
 def test_simple_yes_leaves_no_ideal_for_the_seeds():
-    # is_simple answers "yes" from its certificates without the seed search;
-    # here the search runs anyway and finds no proper ideal besides the
-    # kernel, and the left multiplications it leaves out vanish on the kernel
+    # an independent oracle of "yes": the ideal closure of every unit vector
+    # and of every sum of two is the kernel, zero or everything, and the
+    # left multiplications vanish on the kernel
     from leibnizalg.decompose import example_5_3
     from leibnizalg.sl2 import simple_ext_algebra
     rng = random.Random(9091)
@@ -522,35 +552,42 @@ def test_simple_ext_kernel_module_skips_the_envelope(monkeypatch):
     rng = random.Random(1717)
     algs = [simple_ext_algebra(n) for n in (5, 10, 16)]
     algs += [change_basis(simple_ext_algebra(n), random_invertible(rng, n)) for n in (8, 10)]
-    monkeypatch.setattr("leibnizalg.structure.envelope_dimension", None)
+    # Norton's certificate decides each kernel module, so the splitter
+    # only ever runs on the adjoint module of the Lie quotient, sl2
+    splitter = sys.modules["leibnizalg.equations"]._try_split
+
+    def quotient_only(mats, d):
+        if d != 3:
+            raise AssertionError(f"splitter called on a kernel module of dimension {d}")
+        return splitter(mats, d)
+
+    monkeypatch.setattr(sys.modules["leibnizalg.equations"], "_try_split", quotient_only)
     assert [alg.is_simple().value for alg in algs] == ["yes"] * 5
 
 
 def test_simple_reports_a_short_kernel_envelope(monkeypatch):
     # sl2 over two copies of the tail of simple_ext(5): the kernel module is
     # ladder1 + ladder1, where no action matrix has nullity 1 and the
-    # envelope is M_2(QQ) inside M_4(QQ); one copy of the tail is the ideal
-    import leibnizalg.structure as structure_module
-    from leibnizalg.linalg import envelope_dimension
+    # envelope is M_2(QQ) inside M_4(QQ); the splitter decides without the
+    # envelope, and the copy z0, z1 of the tail is the ideal
     from leibnizalg.sl2 import _SL2_BRACKETS
     brackets = dict(_SL2_BRACKETS)
     for y in "xz":
         brackets.update({(f"{y}0", "h"): {f"{y}0": 1}, (f"{y}1", "h"): {f"{y}1": -1},
                          (f"{y}0", "f"): {f"{y}1": 1}, (f"{y}1", "e"): {f"{y}0": -1}})
     alg = algebra_from_brackets(["e", "f", "h", "x0", "x1", "z0", "z1"], brackets)
-    envelopes = []
 
-    def counted(mats, d):
-        envelopes.append((d, envelope_dimension(mats, d)))
-        return envelopes[-1][1]
+    def unreachable(mats, d):
+        raise AssertionError("envelope closure reached")
 
-    monkeypatch.setattr(structure_module, "envelope_dimension", counted)
+    monkeypatch.setattr("leibnizalg.linalg.envelope_dimension", unreachable)
     verdict = alg.is_simple()
-    assert envelopes == [(4, 4)]
+    kernel = alg.leibniz_kernel()
     assert verdict.value == "no" and verdict.witness.dim == 2
-    assert verdict.witness == Subspace.from_vectors(7, [Matrix.identity(7).row(k) for k in (3, 4)])
+    assert verdict.witness == Subspace.from_vectors(7, [Matrix.identity(7).row(k) for k in (5, 6)])
     assert alg.is_ideal(verdict.witness)
-    assert verdict.reason == "closure of a sampled vector is a proper ideal"
+    assert verdict.witness != kernel and not verdict.witness.is_zero()
+    assert verdict.reason == "the kernel module splits"
 
 
 # -- derivations --

@@ -8,11 +8,10 @@ import sys
 import pytest
 import sympy
 
-from leibnizalg.algebra import InternalCheckError, abelian_algebra
+from leibnizalg.algebra import InternalCheckError, LeibnizAlgebra, abelian_algebra
 from leibnizalg.decompose import (
     DecompositionResult,
     _lift,
-    _primary_components,
     adjoint_rep,
     commutant,
     complete_reducibility_necessary,
@@ -25,8 +24,9 @@ from leibnizalg.decompose import (
     module_restriction,
     solve_lowering_left,
 )
+from leibnizalg.equations import _primary_components
 from leibnizalg.linalg import Matrix, Subspace, linear_combination, nullspace, subspace_intersect
-from leibnizalg.poly import _poly_divide_out_root, minimal_polynomial, poly_eval, rational_roots
+from leibnizalg.poly import _divmod, minimal_polynomial, poly_eval, rational_roots
 from leibnizalg.reps import Representation, irreducibility
 from leibnizalg.sl2 import simple_ext_algebra, sl2_algebra, sl2_leibniz_irrep
 
@@ -252,6 +252,13 @@ def ladder_sum(ms, variant):
     return rep
 
 
+def random_invertible(rng, n):
+    while True:
+        p = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        if p.is_invertible():
+            return p
+
+
 def conjugate(rep, p):
     """The module in the basis given by the columns of p."""
     pi = p.inverse()
@@ -270,13 +277,8 @@ def test_decompose_matches_the_per_piece_reference():
               for rep in sums]
     variants = ("zero_lambda", "anti_symmetric")
     rotation = Representation(abelian_algebra(1), (mat([[0, 2], [1, 0]]),), (Matrix.zeros(2, 2),))
-    # a dense basis: larger dense inputs stall in rational_roots
-    dense_rng = random.Random(5)
-    while True:
-        p = Matrix([[dense_rng.randint(-2, 2) for _ in range(5)] for _ in range(5)])
-        if p.is_invertible():
-            break
-    dense = conjugate(ladder_sum((1, 2), "zero_lambda"), p)
+    # a dense module basis
+    dense = conjugate(ladder_sum((1, 2), "zero_lambda"), random_invertible(random.Random(5), 5))
     cases = [*sums, *signed, *(example_5_5(t, b) for t in variants for b in variants),
              example_5_3()[1], rotation, dense]
     verdicts = []
@@ -285,6 +287,27 @@ def test_decompose_matches_the_per_piece_reference():
         assert result == decompose_by_restriction(rep)  # components in the same order
         verdicts.append(result.verdict)
     assert verdicts == ["decomposed"] * 10 + ["indecomposable", "undetermined", "decomposed"]
+
+
+def test_dense_sums_of_three_ladders_decompose():
+    # ladders 1 + 2 + 3 (d = 9) in a dense module basis, then a dense
+    # algebra basis, both the first invertible matrices with entries in
+    # [-2, 2] drawn from Random(seed): the minimal polynomial of the generic
+    # commutant element has 76-bit coefficients
+    rep = ladder_sum((1, 2, 3), "zero_lambda")
+    for seed in range(5):
+        rng = random.Random(seed)
+        p = random_invertible(rng, 9)
+        q = random_invertible(rng, 3)
+        module, qi = conjugate(rep, p), q.inverse()
+        cols = [q.col(i) for i in range(3)]
+        alg = LeibnizAlgebra(rep.algebra.basis_names,
+                             [[qi.apply(rep.algebra.bracket(a, b)) for b in cols] for a in cols])
+        dense = Representation(alg, [module.rho_of(v) for v in cols],
+                               [module.lambda_of(v) for v in cols])
+        result = decompose(dense)
+        assert result.verdict == "decomposed", seed
+        assert [c.dim for c in result.components] == [4, 3, 2], seed
 
 
 def test_the_reference_cases_never_reach_the_quaternion_step(monkeypatch):
@@ -298,7 +321,7 @@ def test_the_reference_cases_never_reach_the_quaternion_step(monkeypatch):
 
 
 def test_partition_check_rejects_bad_leaves(monkeypatch):
-    module = sys.modules["leibnizalg.decompose"]  # the package attribute is the function
+    module = sys.modules["leibnizalg.equations"]  # the splitter's home layer
     single = sl2_leibniz_irrep(1, "zero_lambda")
     rep = direct_sum(single, single)
     first = Subspace.from_vectors(4, [unit(0, 4), unit(1, 4)])
@@ -325,7 +348,7 @@ def primary_by_powers(c):
     for a in rational_roots(poly):
         e = 0
         while poly_eval(poly, a) == 0:
-            poly = _poly_divide_out_root(poly, a)
+            poly = _divmod(poly, (-a, 1))[0]
             e += 1
         acc = Matrix.identity(d)
         for _ in range(e):
@@ -366,10 +389,7 @@ def test_primary_components_match_the_power_loop():
     for base in list(cases):
         d = base.rows
         for _ in range(3):
-            while True:
-                p = Matrix([[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)])
-                if p.is_invertible():
-                    break
+            p = random_invertible(rng, d)
             cases.append(p * base * p.inverse())
     for c in cases:
         pieces = _primary_components(c)

@@ -5,17 +5,18 @@ process has long since loaded every layer."""
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
-from leibnizalg.algebra import LeibnizAlgebra
+from leibnizalg.algebra import LeibnizAlgebra, direct_sum_algebra
 from leibnizalg.decompose import direct_sum, example_5_5
 from leibnizalg.fileio import serialize_algebra, serialize_rep
 from leibnizalg.linalg import Matrix
 from leibnizalg.reps import Representation
-from leibnizalg.sl2 import simple_ext_algebra, sl2_leibniz_irrep
+from leibnizalg.sl2 import simple_ext_algebra, sl2_algebra, sl2_leibniz_irrep
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 LAYERS = ("linalg", "poly", "equations", "algebra", "structure", "reps", "sl2", "conic",
@@ -61,13 +62,29 @@ def dense_ladder_sum():
                           [p * m * pi for m in rep.left])
 
 
+def dense_sl2_square():
+    """sl2 + sl2 in the basis of the columns of the first invertible matrix
+    with entries in [-2, 2] from Random(0): the adjoint commutant of the
+    Lie quotient has dimension two, so `simple` runs the splitter on it."""
+    base = direct_sum_algebra(sl2_algebra(), sl2_algebra())
+    rng = random.Random(0)
+    while True:
+        p = Matrix([[rng.randint(-2, 2) for _ in range(6)] for _ in range(6)])
+        if p.is_invertible():
+            break
+    pi, cols = p.inverse(), [p.col(i) for i in range(6)]
+    return LeibnizAlgebra(base.basis_names,
+                          [[pi.apply(base.bracket(a, b)) for b in cols] for a in cols])
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("layers")
     files = {"ext5.alg.json": serialize_algebra(simple_ext_algebra(5)),
              "ladder2.rep.json": serialize_rep(sl2_leibniz_irrep(2, "zero_lambda")),
              "e55.rep.json": serialize_rep(example_5_5()),
-             "dense12.rep.json": serialize_rep(dense_ladder_sum())}
+             "dense12.rep.json": serialize_rep(dense_ladder_sum()),
+             "sl2sl2.alg.json": serialize_algebra(dense_sl2_square())}
     for name, text in files.items():
         (root / name).write_text(text)
     return root
@@ -81,6 +98,7 @@ def inputs(tmp_path_factory):
     (["check", "ext5.alg.json"], CHECK_JOB),
     (["kernel", "ext5.alg.json"], CHECK_JOB),
     (["simple", "ext5.alg.json"], ALGEBRA_JOB | {"equations"}),
+    (["simple", "sl2sl2.alg.json"], ALGEBRA_JOB | {"equations", "poly"}),
     (["radical", "ext5.alg.json"], ALGEBRA_JOB),
     (["derivations", "ext5.alg.json"], ALGEBRA_JOB),
     (["levi", "ext5.alg.json"], ALGEBRA_JOB | {"equations"}),
@@ -88,8 +106,8 @@ def inputs(tmp_path_factory):
     (["rep", "classify", "ext5.alg.json", "--m", "2"], MODULE_JOB | {"sl2"}),
     (["gen", "sl2-irrep", "--m", "2"], MODULE_JOB | {"sl2"}),
 ], ids=["rep irreducible", "rep irreducible eigenvectors", "rep check", "check", "kernel",
-        "simple", "radical", "derivations", "levi", "rep decompose", "rep classify",
-        "gen sl2-irrep"])
+        "simple", "simple splitter", "radical", "derivations", "levi", "rep decompose",
+        "rep classify", "gen sl2-irrep"])
 def test_a_subcommand_executes_only_the_layers_it_runs(inputs, entry, argv, executed):
     argv = [str(inputs / a) if a.endswith(".json") else a for a in argv]
     record = json.loads(python(RUN_AND_LIST % ENTRY_POINTS[entry], *argv).splitlines()[-1])
@@ -314,7 +332,7 @@ PUBLIC_NAMES = (
 
 def test_the_algebra_keeps_its_methods_and_the_package_its_names():
     import leibnizalg
-    from leibnizalg.algebra import LeibnizAlgebra
+    from leibnizalg.algebra import LeibnizAlgebra, direct_sum_algebra
     public = sorted(name for name in vars(LeibnizAlgebra) if not name.startswith("_"))
     assert public == list(ALGEBRA_METHODS)
     # the benchmark tracer wraps these as class attributes
@@ -347,7 +365,7 @@ CONTRACTS = {
 # executes it, on the class gives its function and on an algebra binds it
 READ_STRUCTURE_METHODS = """
 import sys, types
-from leibnizalg.algebra import LeibnizAlgebra
+from leibnizalg.algebra import LeibnizAlgebra, direct_sum_algebra
 structure = sys.modules["leibnizalg.structure"]
 alg = LeibnizAlgebra(["a", "b"], [[[0, 0], [1, 0]], [[0, 0], [0, 0]]])
 assert type(structure) is not types.ModuleType
@@ -369,7 +387,7 @@ def test_each_structure_method_has_one_definition_with_its_contract():
     import inspect
 
     from leibnizalg import structure
-    from leibnizalg.algebra import LeibnizAlgebra
+    from leibnizalg.algebra import LeibnizAlgebra, direct_sum_algebra
     assert set(STRUCTURE_METHODS) <= set(ALGEBRA_METHODS)
     # no forwarder: the class attribute is the lazy reader, not a function
     assert not any(inspect.isfunction(vars(LeibnizAlgebra)[name]) for name in STRUCTURE_METHODS)

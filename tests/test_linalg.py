@@ -603,10 +603,7 @@ def poly_mul(f, g):
 def test_rational_factors_rebuild_the_polynomial():
     """Random products of (t - a)^e and a factor without rational roots,
     scaled by a rational: the roots come back in ascending order with their
-    multiplicities, and the cofactor times the (t - a)^e is the input. The
-    numerators stay small, since the candidates come from trial division of
-    the end coefficients; random 20-digit coefficients wait for the p-adic
-    root finder of ROADMAP item 1, which removes that stall."""
+    multiplicities, and the cofactor times the (t - a)^e is the input."""
     t = sympy.Symbol("t")
     rootless = [[QQ(1)], [QQ(1), QQ(0), QQ(1)], [QQ(-2), QQ(0), QQ(1)], [QQ(1), QQ(1), QQ(3)]]
     rng = random.Random(4471)
@@ -631,6 +628,38 @@ def test_rational_factors_rebuild_the_polynomial():
         assert rational_roots(coeffs) == tuple(roots)
     with pytest.raises(ValueError, match="zero polynomial"):
         _rational_factors([QQ(0), QQ(0)])
+
+
+EIGHT_DIGITS = st.integers(-10 ** 8 + 1, 10 ** 8 - 1)
+# t^2 + 1, t^2 - 2, 3t^2 + t + 1 and the minimal polynomial of the rotation
+# [[0, 10000000000000061], [1, 0]], whose constant is a 17-digit prime
+ROOTLESS = ([QQ(1), QQ(0), QQ(1)], [QQ(-2), QQ(0), QQ(1)], [QQ(1), QQ(1), QQ(3)],
+            [QQ(-10000000000000061), QQ(0), QQ(1)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.just(QQ(0)), st.builds(QQ, EIGHT_DIGITS,
+                                                                EIGHT_DIGITS.filter(bool))),
+                          st.integers(1, 3)), max_size=4),
+       st.lists(st.sampled_from(ROOTLESS), max_size=2),
+       st.builds(QQ, EIGHT_DIGITS.filter(bool), st.integers(1, 10 ** 8)))
+def test_rational_factors_match_sympy_on_eight_digit_roots(linears, rootless, scale):
+    """Products of (t - a)^e with 8-digit a, zero among them, times rootless
+    factors: the roots and multiplicities are sympy's rational roots, and
+    the cofactor times the (t - a)^e is the input."""
+    coeffs = [scale]
+    for f in rootless + [[-a, QQ(1)] for a, e in linears for _ in range(e)]:
+        coeffs = poly_mul(coeffs, f)
+    found, cofactor = _rational_factors(coeffs)
+    t = sympy.Symbol("t")
+    oracle = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
+                        t, domain="QQ").ground_roots()
+    assert found == sorted((QQ(int(r.p), int(r.q)), e) for r, e in oracle.items())
+    rebuilt = list(cofactor)
+    for a, e in found:
+        for _ in range(e):
+            rebuilt = poly_mul(rebuilt, [-a, QQ(1)])
+    assert rebuilt == coeffs
 
 
 def test_envelope_of_single_matrix_is_minpoly_degree():
