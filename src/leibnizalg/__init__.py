@@ -1,6 +1,6 @@
 """Exact computation with finite-dimensional Leibniz algebras over the rationals.
 
-Importing the package registers its ten layers in `sys.modules` behind
+Importing the package registers its twelve layers in `sys.modules` behind
 `importlib.util.LazyLoader`: a layer is compiled and run on first attribute
 access, and any `import` statement that reaches it loads it. So a process
 compiles only the layers it uses, while `sys.modules` holds every layer from
@@ -23,14 +23,11 @@ _EXPORTS = {
     "poly": ("char_poly", "minimal_polynomial", "rational_roots"),
     "equations": ("matrix_commutant", "solve"),
     "algebra": (
-        "InternalCheckError", "InvalidAlgebraError", "LeibnizAlgebra", "abelian_algebra",
-        "algebra_from_brackets", "direct_sum_algebra",
+        "InternalCheckError", "InvalidAlgebraError", "LeibnizAlgebra", "algebra_from_brackets",
     ),
     "structure": ("SeriesReport", "SimplicityVerdict", "StructureReport"),
-    "reps": (
-        "AxiomViolationError", "IrreducibilityVerdict", "Representation", "irreducibility",
-        "spin_submodule",
-    ),
+    "reps": ("AxiomViolationError", "Representation", "spin_submodule"),
+    "irreducible": ("IrreducibilityVerdict", "irreducibility"),
     "sl2": (
         "ExtensionSolution", "Sl2ConstraintReport", "check_sl2_constraints",
         "classify_extension_irreps", "extension_rep_solve", "simple_ext_algebra",
@@ -38,10 +35,13 @@ _EXPORTS = {
     ),
     "conic": ("ternary_zero",),
     "decompose": (
-        "DecompositionResult", "EquivalenceVerdict", "KernelActionReport", "adjoint_rep",
-        "commutant", "complete_reducibility_necessary", "decompose", "dichotomy_classify",
-        "direct_sum", "equivalence", "example_5_3", "example_5_5", "from_lie_rep",
-        "h_gap_positions", "is_invariant", "module_restriction", "restrict",
+        "DecompositionResult", "KernelActionReport", "commutant",
+        "complete_reducibility_necessary", "decompose",
+    ),
+    "modules": (
+        "EquivalenceVerdict", "abelian_algebra", "adjoint_rep", "dichotomy_classify",
+        "direct_sum", "direct_sum_algebra", "equivalence", "example_5_3", "example_5_5",
+        "from_lie_rep", "h_gap_positions", "is_invariant", "module_restriction", "restrict",
         "solve_lowering_left", "sym_span",
     ),
     "fileio": (

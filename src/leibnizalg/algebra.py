@@ -16,7 +16,9 @@ of the R_k, checked one pair at a time in O(n^2) memory.
 
 This layer holds what every job runs: the constructor with its identity check,
 the bracket, the multiplication matrices, the Leibniz kernel, eliminated once
-per algebra, and ideal closure. The structure theory (ideals, quotients,
+per algebra, ideal closure and `algebra_from_brackets`, the parser's
+constructor. The abelian and direct-sum constructors, which no job runs, live
+in `modules`. The structure theory (ideals, quotients,
 series, the Killing form, the Levi chain, simplicity and derivations) lives in
 the `structure` layer, which holds each of those methods, body and contract,
 as a function of the algebra. The class reads them from there under their
@@ -275,20 +277,3 @@ def algebra_from_brackets(
                 raise ValueError(f"unknown basis label {label!r} in a bracket result")
             cell[index[label]] = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
     return LeibnizAlgebra._of(basis_names, cells, name=name)
-
-
-def abelian_algebra(n: int, name: str = "") -> LeibnizAlgebra:
-    return LeibnizAlgebra._of([f"a{i}" for i in range(n)], {}, name=name or f"abelian{n}")
-
-
-def direct_sum_algebra(a: LeibnizAlgebra, b: LeibnizAlgebra, name: str = "") -> LeibnizAlgebra:
-    """External direct sum; clashing labels get _1 and _2 suffixes."""
-    clash = set(a.basis_names) & set(b.basis_names)
-    names_a = [f"{s}_1" if clash else s for s in a.basis_names]
-    names_b = [f"{s}_2" if clash else s for s in b.basis_names]
-    cells = {}
-    for alg, shift in ((a, 0), (b, a.dim)):
-        for i, row in enumerate(alg._int_table):
-            for j, cell in enumerate(row):
-                cells[shift + i, shift + j] = {shift + t: Fraction(c, alg._den) for t, c in cell}
-    return LeibnizAlgebra._of(names_a + names_b, cells, name=name)

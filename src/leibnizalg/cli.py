@@ -16,10 +16,10 @@ report dict, written as JSON under `--json` and as indented text without.
 A handler only reads its arguments and formats what a library layer
 decided, a verdict record through `_verdict_report`. The arguments of a row
 are a zero-argument callable, called when its subcommand is read, so the
-`--variant` choices read `reps._VARIANTS` only then. `reps` is bound with
-`from . import reps`, which does not load it, and the handlers import `sl2`
-and `decompose` when they run, so a job compiles only the layers its
-subcommand uses (see the package docstring).
+`--variant` choices read `reps._VARIANTS` only then. `reps` and
+`irreducible` are bound with `from . import`, which does not load them, and
+the handlers import `sl2`, `decompose` and `modules` when they run, so a job
+compiles only the layers its subcommand uses (see the package docstring).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import json
 import sys
 import types
 
-from . import reps
+from . import irreducible, reps
 from .algebra import InternalCheckError, LeibnizAlgebra
 from .fileio import (
     MAX_DIM, ParseError, _matrix_to_rows, parse_algebra, parse_rep, serialize_algebra,
@@ -144,7 +144,7 @@ def _cmd_rep_check(args):
 
 
 def _cmd_rep_irreducible(args):
-    return _verdict_report(reps.irreducibility(_load_rep(args.file)))
+    return _verdict_report(irreducible.irreducibility(_load_rep(args.file)))
 
 
 def _cmd_rep_classify(args):
@@ -165,7 +165,7 @@ def _cmd_rep_classify(args):
 
 
 def _cmd_rep_equivalent(args):
-    from .decompose import equivalence
+    from .modules import equivalence
 
     return _verdict_report(equivalence(_load_rep(args.file_a), _load_rep(args.file_b)))
 
@@ -202,7 +202,7 @@ def _verdict_report(verdict) -> dict:
 # -- data handlers; each returns file-format text --
 
 def _cmd_rep_restrict(args):
-    from .decompose import restrict
+    from .modules import restrict
 
     rep = _load_rep(args.file)
     labels = [x.strip() for x in args.span.split(",") if x.strip()]
@@ -236,7 +236,7 @@ def _cmd_gen_simple_ext(args):
 
 
 def _cmd_gen_example_5_3(args):
-    from .decompose import example_5_3
+    from .modules import example_5_3
 
     alg, rep = example_5_3()
     if args.adjoint:
@@ -245,7 +245,7 @@ def _cmd_gen_example_5_3(args):
 
 
 def _cmd_gen_example_5_5(args):
-    from .decompose import example_5_5
+    from .modules import example_5_5
 
     return serialize_rep(example_5_5(args.top, args.bottom))
 

@@ -10,7 +10,7 @@ sparse rows of (X_0, ..., X_{u-1}) -> sum_t c_t X_t + X_i a - b X_i, read
 from the sparse forms of a^T and b, and `linalg._solutions` takes their
 kernel. The commutant and intertwiner systems (no c_t), the linearised
 pairing axioms in `sl2` (tail forcing and the left block over sl2),
-`decompose.solve_lowering_left` and the Sylvester equations of the Levi
+`modules.solve_lowering_left` and the Sylvester equations of the Levi
 correction all build their equations with it. `intertwiner_space` skips
 each pair that the solutions so far satisfy: in a module lambda is often -rho
 or 0, and rho(h) lies in the algebra that rho(e) and rho(f) generate.

@@ -39,7 +39,7 @@ the images that enlarge it, each image one `_sparse_matmul`.
 `reps.spin_submodule` (the action matrices), `LeibnizAlgebra.ideal_closure`
 and the generator search of `structure` (the algebra's integer
 multiplication matrices) call it; Norton's certificate `_norton` spins
-twice, over width d, in `reps.irreducibility` and `structure.is_simple`.
+twice, over width d, in `irreducible.irreducibility` and `structure.is_simple`.
 
 The benchmark tracer (`bench/child.py`) reads four names here whose home
 is `poly` or `equations`; `__getattr__` (PEP 562) resolves exactly those,

@@ -2,13 +2,15 @@
 
 Polynomials are coefficient tuples in ascending degree order. Matrix
 polynomials have one Horner routine, `_poly_at`, on one diagonal shift,
-`_shift` (m + cI); the characteristic polynomial, the eigenvector candidates
-of `reps.irreducibility` and the primary splitting in `equations` evaluate
-their polynomials with them. `minimal_polynomial` runs on the elimination
-kernel of `linalg`. One routine, `_rational_factors`, finds the rational
-roots of a polynomial with their multiplicities and the cofactor left
-after dividing them out, by p-adic lifting and one division, `_divmod`;
-`rational_roots` is its list of roots.
+`_shift` (m + cI); the characteristic polynomial, the eigenvector
+candidates of `irreducible.irreducibility` and the primary splitting in
+`equations` evaluate their polynomials with them. `minimal_polynomial`
+runs on the elimination kernel of `linalg`. One routine,
+`_rational_factors`, finds the rational roots of a polynomial with their
+multiplicities and the cofactor left after dividing them out, by p-adic
+lifting and one division, `_divmod`; `rational_roots` is its list of
+roots. Its gcd runs on primitive integer polynomials, whose remainders
+`_prem` gives: remainders over the rationals grow fractions at every step.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from itertools import count
 from math import isqrt
 from typing import Sequence
 
-from .linalg import ONE, ZERO, Echelon, Matrix, _flat, _frac, _integral, linear_combination
+from .linalg import (
+    ONE, ZERO, Echelon, Matrix, _flat, _frac, _integral, _primitive, linear_combination,
+)
 
 Poly = tuple[Fraction, ...]
 
@@ -101,6 +105,21 @@ def _divmod(f: Sequence[Fraction], g: Sequence[Fraction]) -> tuple[list, list]:
     return q, rest
 
 
+def _prem(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """The pseudo-remainder of f by g, integer polynomials with g[-1] nonzero,
+    divided by its content: a remainder of f by g times a nonzero rational,
+    primitive and without trailing zeros."""
+    rest = list(f)
+    while len(rest) >= len(g):
+        top, k = rest.pop(), len(rest) - len(g) + 1
+        rest = [g[-1] * x for x in rest]
+        for j, x in enumerate(g[:-1]):
+            rest[k + j] -= top * x
+        while rest and not rest[-1]:
+            rest.pop()
+    return list(_primitive(dict(enumerate(rest))).values())
+
+
 def _at(g: Sequence[int], r: int, m: int) -> int:
     """g(r) mod m for an integer polynomial g."""
     return sum(c * pow(r, k, m) for k, c in enumerate(g)) % m
@@ -121,10 +140,12 @@ def _rational_factors(coeffs: Sequence) -> tuple[list[tuple[Fraction, int]], Pol
         cs.pop()
     if not cs:
         raise ValueError("zero polynomial has every root")
-    h, rest = cs, [k * c for k, c in enumerate(cs)][1:]
-    while rest:  # Euclid: h becomes gcd(f, f')
-        h, rest = rest, _divmod(h, rest)[1]
-    g = list(_integral(dict(enumerate(_divmod(cs, h)[0]))).values())
+    f = list(_integral(dict(enumerate(cs))).values())
+    h, rest = f, [k * c for k, c in enumerate(f)][1:]
+    while rest:  # Euclid on primitive remainders: h becomes gcd(f, f')
+        h, rest = rest, _prem(h, rest)
+    # a constant gcd leaves f squarefree
+    g = f if len(h) == 1 else list(_integral(dict(enumerate(_divmod(cs, h)[0]))).values())
     dg = [k * c for k, c in enumerate(g)][1:]
     for p in count(2):
         if g[-1] % p and all(p % q for q in range(2, isqrt(p) + 1)):

@@ -23,34 +23,31 @@ which also checks the Leibniz identity: one pair at a time in O(d^2) memory,
 each product R_a R_b formed once for both orders. Products with a zero left
 action are never formed.
 
-This layer holds only what parsing, `rep check` and `rep irreducible` run;
-the constructions, the dichotomy and equivalence live in `decompose`, and
-the eigenvector fallback of `irreducibility` loads `poly` when it runs. The
-bench scripts read `direct_sum` and `module_restriction` here, which
-`__getattr__` (PEP 562) resolves from `decompose` on first access.
+This layer holds only what parsing and `rep check` run, with the catalogue
+variants, which `sl2` and `modules` build on, and spinning, which the
+irreducibility test runs. The irreducibility test lives in `irreducible`,
+and the constructions, the dichotomy and equivalence in `modules`. The bench scripts read `direct_sum`,
+`module_restriction` and `irreducibility` here, which `__getattr__`
+(PEP 562) resolves through the package table from their home layers on
+first access.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Sequence
 
-from . import poly
 from .algebra import LeibnizAlgebra
 from .linalg import (
     Matrix,
     _int_matrices,
-    _norton,
     _pairing_defects,
     _sparse,
     _sparse_combination,
     _sparse_matmul,
     _span_closure,
     Subspace,
-    Vector,
-    envelope_dimension,
     linear_combination,
-    nullspace,
     vec,
 )
 
@@ -153,12 +150,6 @@ class Representation:
         return f"<{label} dim={self.space_dim} over {self.algebra!r}>"
 
 
-class IrreducibilityVerdict(NamedTuple):
-    value: str  # "abs_irreducible", "reducible", "undetermined"
-    witness: Subspace | None = None
-    detail: str = ""
-
-
 # the two left actions of the catalogue modules, in catalogue order: variant
 # -> a, where the left action is a times the right one
 _VARIANTS = {"zero_lambda": 0, "anti_symmetric": -1}
@@ -180,52 +171,7 @@ def spin_submodule(rep: Representation, seeds: Sequence[Sequence]) -> Subspace:
     return _span_closure([_sparse(s, d) for s in seeds], maps, d).subspace()
 
 
-def irreducibility(rep: Representation) -> IrreducibilityVerdict:
-    """Three-valued irreducibility test.
-
-    The yes side is Norton's certificate (`linalg._norton`), with the
-    full-matrix-algebra envelope check as its fallback; both certify
-    absolute irreducibility and report the full envelope. The no side spins
-    the coordinate vectors before the envelope and the rational
-    eigenvectors of the action matrices after it, for a proper invariant
-    subspace. Neither firing leaves the question open.
-    """
-    rep._require_valid()
-    d = rep.space_dim
-    if d == 0:
-        return IrreducibilityVerdict("reducible", Subspace.zero(0),
-                                     "zero module")
-    mats = rep.action_matrices()
-    full = IrreducibilityVerdict("abs_irreducible", None, f"envelope dimension {d * d}")
-    if _norton(mats, d):
-        return full
-    sub = _proper_spin(rep, Matrix.identity(d).data)
-    if sub is None:
-        env = envelope_dimension(mats, d)
-        if env == d * d:
-            return full
-        sub = _proper_spin(rep, _eigenvectors(mats))
-        if sub is None:
-            return IrreducibilityVerdict(
-                "undetermined", None,
-                f"envelope dimension {env} below {d * d} but no witness found")
-    return IrreducibilityVerdict("reducible", sub, "proper invariant subspace found")
-
-
-def _proper_spin(rep: Representation, vectors: Iterable[Vector]) -> Subspace | None:
-    """The first spin of one of the vectors that is a proper nonzero subspace."""
-    spins = (spin_submodule(rep, [v]) for v in vectors)
-    return next((sub for sub in spins if 0 < sub.dim < rep.space_dim), None)
-
-
-def _eigenvectors(mats: Sequence[Matrix]) -> Iterator[Vector]:
-    """The rational eigenvectors of each matrix, generated lazily."""
-    for m in mats:
-        for root in poly.rational_roots(poly.minimal_polynomial(m)):
-            yield from nullspace(poly._shift(m, -root)).basis.data
-
-
-_FORWARDED = ("direct_sum", "module_restriction")
+_FORWARDED = ("direct_sum", "irreducibility", "module_restriction")
 
 
 def __getattr__(name):

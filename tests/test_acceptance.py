@@ -12,16 +12,22 @@ import sys
 from fractions import Fraction
 
 from leibnizalg import cli
-from leibnizalg.algebra import (
-    InternalCheckError,
-    abelian_algebra,
-    direct_sum_algebra,
+from leibnizalg.algebra import InternalCheckError
+from leibnizalg.decompose import complete_reducibility_necessary, decompose
+from leibnizalg.fileio import parse_algebra, parse_rep, serialize_algebra, serialize_rep
+from leibnizalg.irreducible import irreducibility
+from leibnizalg.linalg import (
+    Matrix,
+    Subspace,
+    envelope_dimension,
+    subspace_intersect,
+    subspace_sum,
 )
-from leibnizalg.decompose import (
+from leibnizalg.modules import (
+    abelian_algebra,
     adjoint_rep,
-    complete_reducibility_necessary,
-    decompose,
     dichotomy_classify,
+    direct_sum_algebra,
     equivalence,
     example_5_3,
     example_5_5,
@@ -31,15 +37,7 @@ from leibnizalg.decompose import (
     solve_lowering_left,
     sym_span,
 )
-from leibnizalg.fileio import parse_algebra, parse_rep, serialize_algebra, serialize_rep
-from leibnizalg.linalg import (
-    Matrix,
-    Subspace,
-    envelope_dimension,
-    subspace_intersect,
-    subspace_sum,
-)
-from leibnizalg.reps import Representation, irreducibility
+from leibnizalg.reps import Representation
 from leibnizalg.sl2 import (
     check_sl2_constraints,
     classify_extension_irreps,

@@ -21,15 +21,13 @@ from leibnizalg.algebra import (
     InternalCheckError,
     InvalidAlgebraError,
     LeibnizAlgebra,
-    abelian_algebra,
     algebra_from_brackets,
-    direct_sum_algebra,
 )
-from leibnizalg.decompose import adjoint_rep, restrict
 from leibnizalg.equations import intertwiner_space
 from leibnizalg.fileio import MAX_DIM, frac_str, serialize_algebra
 from leibnizalg.linalg import (Matrix, Subspace, linear_combination, nullspace,
                               subspace_intersect, subspace_sum)
+from leibnizalg.modules import abelian_algebra, adjoint_rep, direct_sum_algebra, restrict
 from leibnizalg.structure import _lie_radical
 
 F = Fraction
@@ -509,7 +507,7 @@ def test_simple_yes_leaves_no_ideal_for_the_seeds():
     # an independent oracle of "yes": the ideal closure of every unit vector
     # and of every sum of two is the kernel, zero or everything, and the
     # left multiplications vanish on the kernel
-    from leibnizalg.decompose import example_5_3
+    from leibnizalg.modules import example_5_3
     from leibnizalg.sl2 import simple_ext_algebra
     rng = random.Random(9091)
     catalog = zoo() + [simple_ext_algebra(n) for n in range(5, 8)] + [example_5_3()[0]]

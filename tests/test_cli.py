@@ -95,8 +95,9 @@ def test_series_and_radical_compute_each_fact_once(monkeypatch):
 
 
 def test_classify_refuses_a_table_outside_the_catalogue():
-    from leibnizalg.algebra import LeibnizAlgebra, abelian_algebra, direct_sum_algebra
+    from leibnizalg.algebra import LeibnizAlgebra
     from leibnizalg.linalg import Matrix
+    from leibnizalg.modules import abelian_algebra, direct_sum_algebra
     from leibnizalg.sl2 import simple_ext_algebra
     # simple_ext(5) in a dense basis, and sl2 plus a free label
     ext5 = simple_ext_algebra(5)
@@ -114,8 +115,9 @@ def test_classify_refuses_a_table_outside_the_catalogue():
 
 
 def test_decompose_reads_the_kernel_flag_off_the_named_obstruction():
-    from leibnizalg.decompose import KERNEL_OBSTRUCTION, direct_sum
+    from leibnizalg.decompose import KERNEL_OBSTRUCTION
     from leibnizalg.fileio import serialize_rep
+    from leibnizalg.modules import direct_sum
     from leibnizalg.sl2 import sl2_leibniz_irrep
     # a ladder sum splits; one ladder and example 5.3 are indecomposable, for
     # different reasons
@@ -131,9 +133,10 @@ def test_decompose_reads_the_kernel_flag_off_the_named_obstruction():
 
 
 def test_a_zero_dimensional_witness_prints_its_dimension():
-    from leibnizalg.algebra import abelian_algebra
+    from leibnizalg.irreducible import irreducibility
     from leibnizalg.linalg import Matrix
-    from leibnizalg.reps import Representation, irreducibility
+    from leibnizalg.modules import abelian_algebra
+    from leibnizalg.reps import Representation
     code, out, _ = run(["simple", "--json", "-"], stdin_text=serialize_algebra(abelian_algebra(1)))
     assert code == 0 and json.loads(out) == {
         "verdict": "no", "reason": "[L,L] equals the kernel", "witness_dim": 0}

@@ -12,12 +12,17 @@ from hypothesis import assume, given, settings, strategies as st
 from sympy import factorint, nextprime
 from sympy.ntheory import is_quad_residue
 
-from leibnizalg.algebra import LeibnizAlgebra, abelian_algebra, algebra_from_brackets
+from leibnizalg.algebra import LeibnizAlgebra, algebra_from_brackets
 from leibnizalg.conic import _factor, quaternion_idempotent, ternary_zero
-from leibnizalg.decompose import (
-    commutant, decompose, direct_sum, equivalence, from_lie_rep, module_restriction,
-)
+from leibnizalg.decompose import commutant, decompose
 from leibnizalg.linalg import Matrix
+from leibnizalg.modules import (
+    abelian_algebra,
+    direct_sum,
+    equivalence,
+    from_lie_rep,
+    module_restriction,
+)
 from leibnizalg.reps import Representation
 from leibnizalg.sl2 import sl2_leibniz_irrep
 

@@ -8,14 +8,20 @@ import sys
 import pytest
 import sympy
 
-from leibnizalg.algebra import InternalCheckError, LeibnizAlgebra, abelian_algebra
+from leibnizalg.algebra import InternalCheckError, LeibnizAlgebra
 from leibnizalg.decompose import (
     DecompositionResult,
     _lift,
-    adjoint_rep,
     commutant,
     complete_reducibility_necessary,
     decompose,
+)
+from leibnizalg.equations import _primary_components
+from leibnizalg.irreducible import irreducibility
+from leibnizalg.linalg import Matrix, Subspace, linear_combination, nullspace, subspace_intersect
+from leibnizalg.modules import (
+    abelian_algebra,
+    adjoint_rep,
     direct_sum,
     equivalence,
     example_5_3,
@@ -24,10 +30,8 @@ from leibnizalg.decompose import (
     module_restriction,
     solve_lowering_left,
 )
-from leibnizalg.equations import _primary_components
-from leibnizalg.linalg import Matrix, Subspace, linear_combination, nullspace, subspace_intersect
 from leibnizalg.poly import _divmod, minimal_polynomial, poly_eval, rational_roots
-from leibnizalg.reps import Representation, irreducibility
+from leibnizalg.reps import Representation
 from leibnizalg.sl2 import simple_ext_algebra, sl2_algebra, sl2_leibniz_irrep
 
 Q = Fraction

@@ -10,8 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leibnizalg import cli, fileio
-from leibnizalg.algebra import abelian_algebra, direct_sum_algebra
-from leibnizalg.decompose import example_5_3, example_5_5
 from leibnizalg.fileio import (
     MAX_DIGITS,
     MAX_DIM,
@@ -23,8 +21,14 @@ from leibnizalg.fileio import (
     serialize_algebra,
     serialize_rep,
 )
-from leibnizalg.decompose import adjoint_rep
 from leibnizalg.linalg import Matrix
+from leibnizalg.modules import (
+    abelian_algebra,
+    adjoint_rep,
+    direct_sum_algebra,
+    example_5_3,
+    example_5_5,
+)
 from leibnizalg.reps import Representation
 from leibnizalg.sl2 import (
     classify_extension_irreps,

@@ -11,17 +11,17 @@ import sys
 
 import pytest
 
-from leibnizalg.algebra import LeibnizAlgebra, direct_sum_algebra
-from leibnizalg.decompose import direct_sum, example_5_5
+from leibnizalg.algebra import LeibnizAlgebra
 from leibnizalg.fileio import serialize_algebra, serialize_rep
 from leibnizalg.linalg import Matrix
+from leibnizalg.modules import direct_sum, direct_sum_algebra, example_5_5
 from leibnizalg.reps import Representation
 from leibnizalg.sl2 import simple_ext_algebra, sl2_algebra, sl2_leibniz_irrep
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-LAYERS = ("linalg", "poly", "equations", "algebra", "structure", "reps", "sl2", "conic",
-          "decompose", "fileio")
-MODULE_JOB = {"linalg", "algebra", "reps", "fileio"}  # what rep irreducible runs
+LAYERS = ("linalg", "poly", "equations", "algebra", "structure", "reps", "irreducible", "sl2",
+          "conic", "decompose", "modules", "fileio")
+MODULE_JOB = {"linalg", "algebra", "reps", "fileio"}  # parse a module: what rep check runs
 CHECK_JOB = {"linalg", "algebra", "fileio"}  # check and kernel: no module type
 ALGEBRA_JOB = CHECK_JOB | {"structure"}  # series, radical, semisimple, derivations
 
@@ -92,8 +92,8 @@ def inputs(tmp_path_factory):
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 @pytest.mark.parametrize("argv, executed", [
-    (["rep", "irreducible", "ladder2.rep.json"], MODULE_JOB),
-    (["rep", "irreducible", "dense12.rep.json"], MODULE_JOB | {"poly"}),
+    (["rep", "irreducible", "ladder2.rep.json"], MODULE_JOB | {"irreducible"}),
+    (["rep", "irreducible", "dense12.rep.json"], MODULE_JOB | {"irreducible", "poly"}),
     (["rep", "check", "e55.rep.json"], MODULE_JOB),
     (["check", "ext5.alg.json"], CHECK_JOB),
     (["kernel", "ext5.alg.json"], CHECK_JOB),
@@ -105,9 +105,15 @@ def inputs(tmp_path_factory):
     (["rep", "decompose", "e55.rep.json"], MODULE_JOB | {"decompose", "poly", "equations"}),
     (["rep", "classify", "ext5.alg.json", "--m", "2"], MODULE_JOB | {"sl2"}),
     (["gen", "sl2-irrep", "--m", "2"], MODULE_JOB | {"sl2"}),
+    # the dichotomy of `modules` imports the irreducibility test by name
+    (["gen", "example-5-5"], MODULE_JOB | {"sl2", "modules", "irreducible"}),
+    (["rep", "equivalent", "ladder2.rep.json", "ladder2.rep.json"],
+     MODULE_JOB | {"modules", "irreducible", "equations"}),
+    (["rep", "restrict", "e55.rep.json", "--span", "e,f,h"],
+     MODULE_JOB | {"modules", "irreducible", "structure"}),
 ], ids=["rep irreducible", "rep irreducible eigenvectors", "rep check", "check", "kernel",
         "simple", "simple splitter", "radical", "derivations", "levi", "rep decompose",
-        "rep classify", "gen sl2-irrep"])
+        "rep classify", "gen sl2-irrep", "gen example-5-5", "rep equivalent", "rep restrict"])
 def test_a_subcommand_executes_only_the_layers_it_runs(inputs, entry, argv, executed):
     argv = [str(inputs / a) if a.endswith(".json") else a for a in argv]
     record = json.loads(python(RUN_AND_LIST % ENTRY_POINTS[entry], *argv).splitlines()[-1])
@@ -203,17 +209,20 @@ def test_importing_the_cli_puts_every_layer_in_sys_modules():
 import sys
 import leibnizalg.cli
 layers = {name: sys.modules["leibnizalg." + name] for name in
-          ("algebra", "cli", "conic", "decompose", "equations", "fileio", "linalg", "poly", "reps",
-           "sl2", "structure")}
+          ("algebra", "cli", "conic", "decompose", "equations", "fileio", "irreducible", "linalg",
+           "modules", "poly", "reps", "sl2", "structure")}
 assert layers["cli"].run_command is not None
 assert layers["linalg"].Matrix.identity(2).rows == 2
 assert layers["poly"].poly_eval((1, 1), 2) == 3
 assert layers["equations"].solve(layers["linalg"].Matrix.identity(1), (1,))[0] == (1,)
-assert layers["algebra"].abelian_algebra(2).dim == 2
+assert layers["algebra"].algebra_from_brackets(["a", "b"], {}).dim == 2
 assert layers["structure"].SeriesReport._fields[0] == "kind"
 assert layers["reps"]._VARIANTS
+assert layers["irreducible"].IrreducibilityVerdict._fields[0] == "value"
 assert layers["sl2"].sl2_algebra().dim == 3
-assert layers["decompose"].example_5_5().space_dim == 5
+assert layers["decompose"].KERNEL_OBSTRUCTION
+assert layers["modules"].example_5_5().space_dim == 5
+assert layers["modules"].abelian_algebra(2).dim == 2
 assert callable(layers["fileio"].parse_rep)
 print("ok")
 """)
@@ -236,7 +245,8 @@ for name in leibnizalg.__all__:
 assert isinstance(leibnizalg.decompose, types.FunctionType)
 assert leibnizalg.decompose is layer["decompose"].decompose
 assert leibnizalg.sl2 is layer["sl2"]
-for name in ("linalg", "poly", "equations", "algebra", "structure", "reps", "conic", "fileio"):
+for name in ("linalg", "poly", "equations", "algebra", "structure", "reps", "irreducible", "conic",
+             "modules", "fileio"):
     assert getattr(leibnizalg, name) is layer[name], name
 try:
     leibnizalg.no_such_name
@@ -255,6 +265,8 @@ print("ok")
 @pytest.mark.parametrize("first", [
     "import leibnizalg",
     "import leibnizalg.decompose",
+    "import leibnizalg.irreducible",
+    "from leibnizalg.modules import direct_sum\nassert callable(direct_sum)",
     "from leibnizalg.decompose import decompose\nassert callable(decompose)",
     "import leibnizalg.cli",
     "from leibnizalg import fileio\nimport sys\nassert fileio is sys.modules['leibnizalg.fileio']",
@@ -267,13 +279,16 @@ def test_public_names_resolve_to_their_home_layer_in_every_import_order(first):
 FORWARDED = (
     ("linalg", "solve", "equations"), ("linalg", "matrix_commutant", "equations"),
     ("linalg", "minimal_polynomial", "poly"), ("linalg", "char_poly", "poly"),
-    ("reps", "module_restriction", "decompose"), ("reps", "direct_sum", "decompose"),
+    ("reps", "module_restriction", "modules"), ("reps", "direct_sum", "modules"),
+    ("reps", "irreducibility", "irreducible"),
 )
-# reading the name executes its home layer and no other
+# the layers a home layer executes when it runs, as it imports names from them
+IMPORTED_BY_NAME = {"modules": ("irreducible",)}
+# reading the name executes its home layer and those it imports names from, and no other
 READ_FORWARDED = """
 import sys, types
 import leibnizalg
-old, name, home = sys.argv[1:]
+old, name, home, *imported = sys.argv[1:]
 def executed():
     return {layer for layer in %r
             if type(sys.modules["leibnizalg." + layer]) is types.ModuleType}
@@ -281,7 +296,7 @@ module = sys.modules["leibnizalg." + old]
 assert module.__name__ == "leibnizalg." + old  # any attribute executes the layer itself
 before = executed()
 obj = getattr(module, name)
-assert executed() - before == {home}, executed() - before
+assert executed() - before == {home, *imported}, executed() - before
 assert obj is getattr(sys.modules["leibnizalg." + home], name)
 print("ok")
 """ % (LAYERS,)
@@ -289,7 +304,7 @@ print("ok")
 
 @pytest.mark.parametrize("old, name, home", FORWARDED, ids=[f"{o}.{n}" for o, n, _ in FORWARDED])
 def test_a_forwarded_name_is_its_home_object_and_loads_its_home(old, name, home):
-    assert python(READ_FORWARDED, old, name, home) == "ok\n"
+    assert python(READ_FORWARDED, old, name, home, *IMPORTED_BY_NAME.get(home, ())) == "ok\n"
 
 
 def test_only_the_forwarded_names_resolve_through_their_former_layer():
@@ -298,7 +313,8 @@ def test_only_the_forwarded_names_resolve_through_their_former_layer():
     for old, module in (("linalg", linalg), ("reps", reps)):
         assert sorted(module._FORWARDED) == sorted(n for o, n, _ in FORWARDED if o == old)
     for module, name in ((linalg, "rational_roots"), (linalg, "_axiom_rows"),
-                         (reps, "equivalence"), (reps, "adjoint_rep")):
+                         (reps, "equivalence"), (reps, "adjoint_rep"),
+                         (reps, "IrreducibilityVerdict")):
         with pytest.raises(AttributeError):
             getattr(module, name)
 
@@ -332,7 +348,7 @@ PUBLIC_NAMES = (
 
 def test_the_algebra_keeps_its_methods_and_the_package_its_names():
     import leibnizalg
-    from leibnizalg.algebra import LeibnizAlgebra, direct_sum_algebra
+    from leibnizalg.algebra import LeibnizAlgebra
     public = sorted(name for name in vars(LeibnizAlgebra) if not name.startswith("_"))
     assert public == list(ALGEBRA_METHODS)
     # the benchmark tracer wraps these as class attributes
@@ -365,7 +381,7 @@ CONTRACTS = {
 # executes it, on the class gives its function and on an algebra binds it
 READ_STRUCTURE_METHODS = """
 import sys, types
-from leibnizalg.algebra import LeibnizAlgebra, direct_sum_algebra
+from leibnizalg.algebra import LeibnizAlgebra
 structure = sys.modules["leibnizalg.structure"]
 alg = LeibnizAlgebra(["a", "b"], [[[0, 0], [1, 0]], [[0, 0], [0, 0]]])
 assert type(structure) is not types.ModuleType
@@ -387,7 +403,7 @@ def test_each_structure_method_has_one_definition_with_its_contract():
     import inspect
 
     from leibnizalg import structure
-    from leibnizalg.algebra import LeibnizAlgebra, direct_sum_algebra
+    from leibnizalg.algebra import LeibnizAlgebra
     assert set(STRUCTURE_METHODS) <= set(ALGEBRA_METHODS)
     # no forwarder: the class attribute is the lazy reader, not a function
     assert not any(inspect.isfunction(vars(LeibnizAlgebra)[name]) for name in STRUCTURE_METHODS)

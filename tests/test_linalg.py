@@ -6,13 +6,13 @@ throughout this file.
 """
 
 from fractions import Fraction
+import math
 import random
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from leibnizalg.decompose import direct_sum
 from leibnizalg.equations import _axiom_rows, intertwiner_space, matrix_commutant, solve
 from leibnizalg.linalg import (
     Echelon,
@@ -32,8 +32,10 @@ from leibnizalg.linalg import (
     subspace_sum,
     vec,
 )
+from leibnizalg.modules import direct_sum
+from leibnizalg import poly
 from leibnizalg.poly import (
-    _poly_at, _rational_factors, _shift, char_poly, minimal_polynomial, poly_eval,
+    _divmod, _poly_at, _rational_factors, _shift, char_poly, minimal_polynomial, poly_eval,
     rational_roots,
 )
 from leibnizalg.sl2 import sl2_leibniz_irrep
@@ -660,6 +662,41 @@ def test_rational_factors_match_sympy_on_eight_digit_roots(linears, rootless, sc
         for _ in range(e):
             rebuilt = poly_mul(rebuilt, [-a, QQ(1)])
     assert rebuilt == coeffs
+
+
+def test_integer_euclid_matches_the_fraction_euclid(monkeypatch):
+    """Random rational multiples of products of linear and irreducible
+    quadratic factors, each to a power up to 3. Each primitive
+    pseudo-remainder of `_prem` is a rational multiple of the remainder
+    over the rationals, and the roots and cofactor are exactly those of the
+    reference, Euclid's algorithm on rational remainders."""
+    rng = random.Random(7723)
+    cases = []
+    for _ in range(150):
+        factors = [[QQ(-rng.randint(-9, 9), rng.randint(1, 5)), QQ(1)]
+                   for _ in range(rng.randint(0, 3))]
+        while len(factors) < rng.randint(1, 5):
+            a, b, c = rng.randint(1, 4), rng.randint(-6, 6), rng.randint(-9, 9)
+            disc = b * b - 4 * a * c
+            if disc < 0 or math.isqrt(disc) ** 2 != disc:  # no rational root
+                factors.append([QQ(c, rng.randint(1, 3)), QQ(b), QQ(a)])
+        coeffs = [QQ(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))]
+        for f in factors:
+            for _ in range(rng.randint(1, 3)):
+                coeffs = poly_mul(coeffs, f)
+        cases.append(coeffs)
+    cases += [[QQ(5)], [QQ(0), QQ(3)], [QQ(-10000000000000061), QQ(0), QQ(1)]]
+    for coeffs in cases:
+        den = math.lcm(*(c.denominator for c in coeffs))
+        f = [int(c * den) for c in coeffs]
+        df = [k * c for k, c in enumerate(f)][1:]
+        if df:
+            rem, reference = poly._prem(f, df), _divmod(f, df)[1]
+            assert len(rem) == len(reference) and math.gcd(*rem) in (0, 1)
+            assert [x * reference[-1] for x in rem] == [y * rem[-1] for y in reference]
+    found = [_rational_factors(c) for c in cases]
+    monkeypatch.setattr(poly, "_prem", lambda f, g: _divmod(f, g)[1])
+    assert found == [_rational_factors(c) for c in cases]
 
 
 def test_envelope_of_single_matrix_is_minpoly_degree():

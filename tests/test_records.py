@@ -7,12 +7,12 @@ import sys
 
 import pytest
 
-from leibnizalg.structure import SeriesReport, SimplicityVerdict, StructureReport
 from leibnizalg.decompose import DecompositionResult, KernelActionReport
+from leibnizalg.irreducible import IrreducibilityVerdict
 from leibnizalg.linalg import Matrix, Subspace
-from leibnizalg.decompose import EquivalenceVerdict
-from leibnizalg.reps import IrreducibilityVerdict
+from leibnizalg.modules import EquivalenceVerdict
 from leibnizalg.sl2 import ExtensionSolution, Sl2ConstraintReport
+from leibnizalg.structure import SeriesReport, SimplicityVerdict, StructureReport
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 

@@ -14,10 +14,13 @@ import pytest
 import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
-from leibnizalg import reps
-from leibnizalg.algebra import LeibnizAlgebra, abelian_algebra, algebra_from_brackets
-from leibnizalg.decompose import (
+from leibnizalg import irreducible
+from leibnizalg.algebra import LeibnizAlgebra, algebra_from_brackets
+from leibnizalg.irreducible import IrreducibilityVerdict, irreducibility
+from leibnizalg.linalg import Matrix, Subspace, _norton, envelope_dimension, nullspace
+from leibnizalg.modules import (
     EquivalenceVerdict,
+    abelian_algebra,
     adjoint_rep,
     dichotomy_classify,
     direct_sum,
@@ -29,15 +32,8 @@ from leibnizalg.decompose import (
     restrict,
     sym_span,
 )
-from leibnizalg.linalg import Matrix, Subspace, _norton, envelope_dimension, nullspace
 from leibnizalg.poly import minimal_polynomial, rational_roots
-from leibnizalg.reps import (
-    AxiomViolationError,
-    IrreducibilityVerdict,
-    Representation,
-    irreducibility,
-    spin_submodule,
-)
+from leibnizalg.reps import AxiomViolationError, Representation, spin_submodule
 from leibnizalg.sl2 import sl2_leibniz_irrep
 
 F = Fraction
@@ -731,13 +727,13 @@ def test_irreducibility_matches_the_envelope_first_reference():
 def test_ladder_in_a_dense_module_basis_skips_the_envelope(monkeypatch):
     # the envelope closure would eliminate over 13^2 = 169 columns
     rep = conjugate_rep(ladder_rep(12, "zero_lambda"), random_invertible(random.Random(12), 13))
-    monkeypatch.setattr(reps, "envelope_dimension", None)
+    monkeypatch.setattr(irreducible, "envelope_dimension", None)
     assert irreducibility(rep) == IrreducibilityVerdict(
         "abs_irreducible", None, "envelope dimension 169")
 
 
 def test_ladders_and_their_sums_never_call_the_envelope(monkeypatch):
-    monkeypatch.setattr(reps, "envelope_dimension", None)
+    monkeypatch.setattr(irreducible, "envelope_dimension", None)
     for m in (5, 10, 16):
         for v in ("zero_lambda", "anti_symmetric"):
             assert irreducibility(ladder_rep(m, v)).value == "abs_irreducible"

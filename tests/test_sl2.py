@@ -9,12 +9,11 @@ import pytest
 import sympy
 
 from leibnizalg import sl2
-from leibnizalg.algebra import (
-    InternalCheckError, LeibnizAlgebra, abelian_algebra, direct_sum_algebra,
-)
-from leibnizalg.decompose import equivalence, restrict
+from leibnizalg.algebra import InternalCheckError, LeibnizAlgebra
+from leibnizalg.irreducible import irreducibility
 from leibnizalg.linalg import Matrix, Subspace, nullspace
-from leibnizalg.reps import Representation, irreducibility
+from leibnizalg.modules import abelian_algebra, direct_sum_algebra, equivalence, restrict
+from leibnizalg.reps import Representation
 from leibnizalg.sl2 import (
     ExtensionSolution,
     _reduce_quadratics,
@@ -164,7 +163,7 @@ def test_identities_flag_left_e_and_h_injections_and_scaled_weights():
 
 
 def test_identities_require_the_sl2_table():
-    from leibnizalg.decompose import adjoint_rep
+    from leibnizalg.modules import adjoint_rep
     with pytest.raises(ValueError):
         check_sl2_constraints(adjoint_rep(simple_ext_algebra(5)))
 
