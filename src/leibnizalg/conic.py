@@ -19,7 +19,8 @@ prime bases, which decide it below `_MR_LIMIT`. A factor that resists leaves
 the form undecided. Every zero is checked by substitution.
 
 `quaternion_idempotent` splits a 4-dimensional commutant C that is a
-quaternion algebra (alpha, beta)_QQ: it is M_2(QQ), and so holds an
+quaternion algebra (alpha, beta)_QQ, as nonzero i^2 = alpha, j^2 = beta and
+ij = -ji make 1, i, j, ij independent: C is M_2(QQ), and so holds an
 idempotent other than 0 and 1, exactly when x^2 - alpha y^2 - beta z^2 has
 a nonzero zero; otherwise it is a division algebra. Only the commutant
 splitter, `equations._try_split`, calls this layer, on a 4-dimensional
@@ -35,8 +36,8 @@ from typing import Sequence
 
 from .algebra import InternalCheckError
 from .linalg import (
-    Matrix, _eliminate, _flat, _int_matrices, _matrix_of, _solutions, _sparse_combination,
-    _sparse_matmul, linear_combination,
+    Matrix, _int_matrices, _matrix_of, _solutions, _sparse_combination, _sparse_matmul,
+    linear_combination,
 )
 
 TRIAL_DIVISION_BOUND = 1 << 10  # trial divisors stay below this
@@ -222,8 +223,9 @@ def quaternion_idempotent(basis: Sequence[Matrix], g: Matrix,
 
     g is an element of C with minimal polynomial t^2 - tau t + nu. Then
     i = g - tau/2 has i^2 = alpha with alpha = tau^2/4 - nu; j is taken from
-    the solutions in C of i y + y i = 0 and has j^2 = beta; with 1, i, j, ij
-    independent, C = (alpha, beta)_QQ. For a zero (x, y, z) of
+    the solutions in C of i y + y i = 0 and has j^2 = beta. Then 1, i, j and
+    ij are independent, as conjugation by i fixes 1 and i, negates j and ij,
+    and j is invertible, so C = (alpha, beta)_QQ. For a zero (x, y, z) of
     x^2 - alpha y^2 - beta z^2, q = x + y i + z j has q^2 = 2x q, so q/(2x)
     is idempotent; when x = 0, qj has (qj)^2 = 2 z beta qj instead. The
     products run on integer multiples I = di i and J = dj j, with
@@ -248,9 +250,6 @@ def quaternion_idempotent(basis: Sequence[Matrix], g: Matrix,
     _, [j] = _int_matrices([linear_combination(sols.basis.data[0], basis, d, d)])
     b = _square_scalar(j, d)
     if b is None:
-        return None
-    flat = (_flat(m, d) for m in (_scalar(1, d), i, j, _sparse_matmul(i, j)))
-    if _eliminate(flat, d * d).dim != 4:
         return None
     # alpha y^2 = A (y / di)^2 and beta z^2 = B (z / dj)^2, so for a zero
     # (x, Y, Z) of <1, -A, -B>, q = x + Y I + Z J

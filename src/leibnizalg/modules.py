@@ -4,8 +4,9 @@ invariant subspace, invariance, the symmetric-span dichotomy and equivalence,
 with the two benchmark modules of dimension five, the lowering-left
 constraint, and the abelian and direct-sum algebra constructors. Neither
 decision a module job asks for, `rep irreducible` or `rep decompose`,
-compiles this layer. `equations` is bound without loading it, so the
-constructions alone do not compile it; the dichotomy runs `irreducible`.
+compiles this layer. `equations` and `irreducible` are bound without
+loading them, so the constructions alone compile neither; the dichotomy
+runs `irreducible`.
 
 The two benchmark modules are the adjoint module of example 5.3,
 `simple_ext(5)` with its tail labelled x, y, which admits no irreducible
@@ -18,9 +19,8 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from . import equations
+from . import equations, irreducible
 from .algebra import InternalCheckError, LeibnizAlgebra
-from .irreducible import irreducibility
 from .linalg import Matrix, Subspace, _eliminate, _matrix_of, _solutions, linear_combination
 from .reps import _VARIANTS, Representation, _variant_rep
 
@@ -127,7 +127,7 @@ def dichotomy_classify(rep: Representation) -> str:
     an internal error, as is calling this on a module that is not certified
     absolutely irreducible.
     """
-    verdict = irreducibility(rep)
+    verdict = irreducible.irreducibility(rep)
     if verdict.value != "abs_irreducible":
         raise ValueError("dichotomy needs an absolutely irreducible module")
     v = sym_span(rep)

@@ -8,9 +8,12 @@ candidates of `irreducible.irreducibility` and the primary splitting in
 runs on the elimination kernel of `linalg`. One routine,
 `_rational_factors`, finds the rational roots of a polynomial with their
 multiplicities and the cofactor left after dividing them out, by p-adic
-lifting and one division, `_divmod`; `rational_roots` is its list of
-roots. Its gcd runs on primitive integer polynomials, whose remainders
-`_prem` gives: remainders over the rationals grow fractions at every step.
+lifting; `rational_roots` is its list of roots. It works on primitive
+integer polynomials from input to output, with one division, `_pdivmod`,
+whose pseudo-remainders give the gcd and the root test and whose
+pseudo-quotients give the squarefree part and the cofactor (exact up to a
+unit, by Gauss's lemma): remainders over the rationals grow fractions at
+every step.
 """
 
 from __future__ import annotations
@@ -25,13 +28,6 @@ from .linalg import (
 )
 
 Poly = tuple[Fraction, ...]
-
-
-def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = ZERO
-    for c in reversed(list(coeffs)):
-        acc = acc * x + c
-    return acc
 
 
 def minimal_polynomial(m: Matrix) -> Poly:
@@ -91,33 +87,21 @@ def char_poly(m: Matrix) -> Poly:
     return tuple(coeffs)
 
 
-def _divmod(f: Sequence[Fraction], g: Sequence[Fraction]) -> tuple[list, list]:
-    """Quotient and remainder of f by g, whose last coefficient is nonzero;
-    the remainder has no trailing zeros."""
-    rest, q = list(f), [ZERO] * max(len(f) - len(g) + 1, 0)
-    for k in reversed(range(len(q))):
-        c = q[k] = Fraction(rest[k + len(g) - 1]) / g[-1]
-        for j, x in enumerate(g):
-            rest[k + j] -= c * x
-    rest = rest[:len(g) - 1]
-    while rest and not rest[-1]:
-        rest.pop()
-    return q, rest
-
-
-def _prem(f: Sequence[int], g: Sequence[int]) -> list[int]:
-    """The pseudo-remainder of f by g, integer polynomials with g[-1] nonzero,
-    divided by its content: a remainder of f by g times a nonzero rational,
-    primitive and without trailing zeros."""
-    rest = list(f)
+def _pdivmod(f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Pseudo-quotient and pseudo-remainder of f by g, integer polynomials
+    without trailing zeros, each divided by its content: nonzero rational
+    multiples of the quotient and remainder of f by g, primitive and without
+    trailing zeros. The remainder is empty exactly when g divides f."""
+    rest, q = list(f), [0] * max(len(f) - len(g) + 1, 0)
     while len(rest) >= len(g):
         top, k = rest.pop(), len(rest) - len(g) + 1
-        rest = [g[-1] * x for x in rest]
+        rest, q = [g[-1] * x for x in rest], [g[-1] * x for x in q]
+        q[k] = top
         for j, x in enumerate(g[:-1]):
             rest[k + j] -= top * x
         while rest and not rest[-1]:
             rest.pop()
-    return list(_primitive(dict(enumerate(rest))).values())
+    return tuple(list(_primitive(dict(enumerate(p))).values()) for p in (q, rest))
 
 
 def _at(g: Sequence[int], r: int, m: int) -> int:
@@ -143,9 +127,9 @@ def _rational_factors(coeffs: Sequence) -> tuple[list[tuple[Fraction, int]], Pol
     f = list(_integral(dict(enumerate(cs))).values())
     h, rest = f, [k * c for k, c in enumerate(f)][1:]
     while rest:  # Euclid on primitive remainders: h becomes gcd(f, f')
-        h, rest = rest, _prem(h, rest)
+        h, rest = rest, _pdivmod(h, rest)[1]
     # a constant gcd leaves f squarefree
-    g = f if len(h) == 1 else list(_integral(dict(enumerate(_divmod(cs, h)[0]))).values())
+    g = f if len(h) == 1 else _pdivmod(f, h)[0]
     dg = [k * c for k, c in enumerate(g)][1:]
     for p in count(2):
         if g[-1] % p and all(p % q for q in range(2, isqrt(p) + 1)):
@@ -158,14 +142,14 @@ def _rational_factors(coeffs: Sequence) -> tuple[list[tuple[Fraction, int]], Pol
         lifts = [(r - _at(g, r, m) * pow(_at(dg, r, m), -1, m)) % m for r in lifts]
     cands = sorted({Fraction((g[-1] * r + m // 2) % m - m // 2, g[-1]) for r in lifts})
     roots = []
-    for a in cands:
+    for a in cands:  # n/d is a root of f exactly when d t - n divides it
         e = 0
-        while poly_eval(cs, a) == 0:
-            cs = _divmod(cs, (-a, ONE))[0]
-            e += 1
+        while not (qr := _pdivmod(f, (-a.numerator, a.denominator)))[1]:
+            f, e = qr[0], e + 1
         if e:
             roots.append((a, e))
-    return roots, tuple(cs)
+    # f is a primitive multiple of the cofactor, whose leading coefficient is cs[-1]
+    return roots, tuple(cs[-1] / f[-1] * c for c in f)
 
 
 def rational_roots(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -28,7 +28,9 @@ from leibnizalg.fileio import MAX_DIM, frac_str, serialize_algebra
 from leibnizalg.linalg import (Matrix, Subspace, linear_combination, nullspace,
                               subspace_intersect, subspace_sum)
 from leibnizalg.modules import abelian_algebra, adjoint_rep, direct_sum_algebra, restrict
-from leibnizalg.structure import _lie_radical
+from leibnizalg.structure import SimplicityVerdict, _lie_radical
+
+from bases import change_algebra_basis, draw_invertible, random_invertible
 
 F = Fraction
 
@@ -307,7 +309,7 @@ def test_ideal_closure_frozen():
     assert everything.is_full()
     # against the fixed point, on the zoo and after dense changes of basis
     rng = random.Random(6151)
-    algs = zoo() + [change_basis(a, random_invertible(rng, a.dim))
+    algs = zoo() + [change_algebra_basis(a, random_invertible(rng, a.dim))
                     for a in (ext5(), heisenberg(), direct_sum_algebra(sl2(), nilp2()))]
     for alg in algs:
         n = alg.dim
@@ -486,7 +488,7 @@ def test_simple_decides_dense_bases(parts, seeds):
     for part in parts[1:]:
         base = direct_sum_algebra(base, {"sl2": sl2, "ext5": ext5}[part]())
     for seed in seeds:
-        alg = change_basis(base, random_invertible(random.Random(seed), base.dim))
+        alg = change_algebra_basis(base, random_invertible(random.Random(seed), base.dim))
         verdict = alg.is_simple()
         if len(parts) == 1:
             assert verdict.value == "yes", seed
@@ -515,7 +517,7 @@ def test_simple_yes_leaves_no_ideal_for_the_seeds():
                 direct_sum_algebra(ext5(), abelian_algebra(1))]
     yes = 0
     for base in catalog:
-        for alg in [base] + [change_basis(base, random_invertible(rng, base.dim))
+        for alg in [base] + [change_algebra_basis(base, random_invertible(rng, base.dim))
                              for _ in range(2)]:
             if alg.is_simple().value != "yes":
                 continue
@@ -537,7 +539,8 @@ def test_simple_verdicts_match_the_envelope_only_certificate(monkeypatch):
     from leibnizalg.sl2 import simple_ext_algebra
     rng = random.Random(1616)
     algs = zoo() + [simple_ext_algebra(n) for n in range(5, 10)]
-    algs += [change_basis(simple_ext_algebra(n), random_invertible(rng, n)) for n in range(5, 10)]
+    algs += [change_algebra_basis(simple_ext_algebra(n), random_invertible(rng, n))
+             for n in range(5, 10)]
     algs += [direct_sum_algebra(ext5(), ext5()), direct_sum_algebra(ext5(), abelian_algebra(1))]
     verdicts = [alg.is_simple() for alg in algs]
     assert Counter(v.value for v in verdicts) == Counter(yes=12, no=7)
@@ -549,7 +552,8 @@ def test_simple_ext_kernel_module_skips_the_envelope(monkeypatch):
     from leibnizalg.sl2 import simple_ext_algebra
     rng = random.Random(1717)
     algs = [simple_ext_algebra(n) for n in (5, 10, 16)]
-    algs += [change_basis(simple_ext_algebra(n), random_invertible(rng, n)) for n in (8, 10)]
+    algs += [change_algebra_basis(simple_ext_algebra(n), random_invertible(rng, n))
+             for n in (8, 10)]
     # Norton's certificate decides each kernel module, so the splitter
     # only ever runs on the adjoint module of the Lie quotient, sl2
     splitter = sys.modules["leibnizalg.equations"]._try_split
@@ -647,8 +651,8 @@ def test_derivations_match_the_dense_rows():
     rng = random.Random(2718)
     algs = zoo() + [direct_sum_algebra(sl2(), nilp2()), abelian_algebra(1),
                     simple_ext_algebra(6), simple_ext_algebra(7)]
-    algs += [change_basis(ext5(), random_invertible(rng, 5)),
-             change_basis(heisenberg(), random_invertible(rng, 3))]
+    algs += [change_algebra_basis(ext5(), random_invertible(rng, 5)),
+             change_algebra_basis(heisenberg(), random_invertible(rng, 3))]
     for alg in algs:
         assert alg.derivations() == derivations_by_dense_rows(alg), alg.name
 
@@ -681,7 +685,7 @@ def test_derivations_on_generators_match_every_pair():
     non_lie = direct_sum_algebra(nilp2(), heisenberg())
     assert not non_lie.is_lie()
     for base in catalogue + [non_lie]:
-        for alg in (base, change_basis(base, random_invertible(rng, base.dim))):
+        for alg in (base, change_algebra_basis(base, random_invertible(rng, base.dim))):
             assert alg.derivations() == derivations_on_every_pair(alg), base.name
     # generators picked in label order: e and f generate sl2, and x0 the tail
     # of an extension; the nilpotent sum needs a, x and y
@@ -723,7 +727,7 @@ def test_generators_are_the_greedy_picks_on_dense_bases(which, data):
                     for _ in range(2))
     l = Matrix([[lower[i * n + j] if j < i else int(i == j) for j in range(n)] for i in range(n)])
     u = Matrix([[upper[i * n + j] if j > i else int(i == j) for j in range(n)] for i in range(n)])
-    alg = change_basis(base, l * u)
+    alg = change_algebra_basis(base, l * u)
     gens, units = _generators(alg), Matrix.identity(alg.dim).data
     for k in range(alg.dim):
         earlier = subalgebra_by_fixed_point(alg, [units[g] for g in gens if g < k])
@@ -779,7 +783,7 @@ def test_levi_after_basis_change():
     rng = random.Random(1311)
     base = ext5()
     for _ in range(3):
-        alg = change_basis(base, random_invertible(rng, 5))
+        alg = change_algebra_basis(base, random_invertible(rng, 5))
         kernel = alg.leibniz_kernel()
         assert kernel.dim == 2
         levi = alg.levi_subalgebra()
@@ -792,7 +796,7 @@ def test_levi_after_basis_change():
 
 def test_levi_pinned_where_the_correction_is_not_unique():
     from leibnizalg.sl2 import simple_ext_algebra
-    alg = change_basis(simple_ext_algebra(6), random_invertible(random.Random(6), 6))
+    alg = change_algebra_basis(simple_ext_algebra(6), random_invertible(random.Random(6), 6))
     kernel = alg.leibniz_kernel()
     quo, _ = alg.quotient(kernel)
     comp = [c for c in range(6) if c not in kernel.pivots]
@@ -808,30 +812,11 @@ def test_levi_pinned_where_the_correction_is_not_unique():
 
 # -- basis-change invariance sweep --
 
-def random_invertible(rng, n):
-    while True:
-        m = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
-        if m.is_invertible():
-            return m
-
-
-def change_basis(alg, p):
-    pinv = p.inverse()
-    n = alg.dim
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(pinv.apply(alg.bracket(p.col(i), p.col(j))))
-        table.append(row)
-    return LeibnizAlgebra([f"v{i}" for i in range(n)], table)
-
-
 def test_structure_is_basis_free():
     rng = random.Random(427)
     for base in [sl2(), nilp2(), solv2(), ext5()]:
         for _ in range(3):
-            alg = change_basis(base, random_invertible(rng, base.dim))
+            alg = change_algebra_basis(base, random_invertible(rng, base.dim))
             assert alg.is_valid
             assert alg.leibniz_kernel().dim == base.leibniz_kernel().dim
             assert alg.radical().dim == base.radical().dim
@@ -842,8 +827,44 @@ def test_structure_is_basis_free():
 
 def test_simplicity_survives_basis_change():
     rng = random.Random(771)
-    alg = change_basis(ext5(), random_invertible(rng, 5))
+    alg = change_algebra_basis(ext5(), random_invertible(rng, 5))
     assert alg.is_simple().value == "yes"
+
+
+@pytest.mark.parametrize("base", [direct_sum_algebra(sl2(), sl2()), ext5(),
+                                  direct_sum_algebra(ext5(), sl2())],
+                         ids=["sl2+sl2", "ext5", "ext5+sl2"])
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_decided_simplicity_verdict_does_not_depend_on_the_basis(base, data):
+    """After a dense change of basis with entries in [-2, 2], a decided
+    verdict and the dimension of its witness are those of the canonical
+    basis. ext5 is simple_ext(5)."""
+    def shape(verdict):
+        return verdict.value, None if verdict.witness is None else verdict.witness.dim
+
+    verdict = shape(change_algebra_basis(base, draw_invertible(data, base.dim)).is_simple())
+    assert verdict in (shape(base.is_simple()), ("undetermined", None))
+
+
+def test_simplicity_is_undetermined_on_sl2_over_the_gaussian_rationals():
+    # sl2(QQ(i)) as a 6-dimensional QQ-algebra on x and ix: [ix, y] = [x, iy]
+    # = i[x, y] and [ix, iy] = -[x, y]. It is simple, but its centroid QQ(i)
+    # holds no rational idempotent, so the splitter cannot decide it
+    sl2_brackets = sl2().table
+    names = ["e", "f", "h", "ie", "if", "ih"]
+    table = [[[F(0)] * 6 for _ in range(6)] for _ in range(6)]
+    for a in range(3):
+        for b in range(3):
+            for t, c in enumerate(sl2_brackets[a][b]):
+                table[a][b][t] = c
+                table[a + 3][b][t + 3] = table[a][b + 3][t + 3] = c
+                table[a + 3][b + 3][t] = -c
+    alg = LeibnizAlgebra(names, table)
+    assert alg.is_lie() and alg.killing_form().rank() == 6
+    assert alg.is_simple() == SimplicityVerdict(
+        "undetermined", None,
+        "commutant splitting of the adjoint module of the Lie quotient is stuck")
 
 
 def test_semisimple_quotients_have_nondegenerate_killing_forms():
@@ -854,7 +875,7 @@ def test_semisimple_quotients_have_nondegenerate_killing_forms():
     catalog += [direct_sum_algebra(sl2(), nilp2()), direct_sum_algebra(sl2(), sl2())]
     semisimple = 0
     for base in catalog:
-        for alg in [base] + [change_basis(base, random_invertible(rng, base.dim))
+        for alg in [base] + [change_algebra_basis(base, random_invertible(rng, base.dim))
                              for _ in range(2)]:
             kernel = alg.leibniz_kernel()
             if alg.radical() == kernel:
@@ -1129,7 +1150,7 @@ def test_levi_complement_holds_whatever_the_labels(label):
     from leibnizalg.sl2 import simple_ext_algebra
     p = Matrix([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 1, 1, 0],
                 [0, 0, 0, 0, 1]])
-    dense = change_basis(simple_ext_algebra(5), p)
+    dense = change_algebra_basis(simple_ext_algebra(5), p)
     alg = LeibnizAlgebra([label, "f", "h", "x0", "x1"], dense.table)
     levi = alg.levi_subalgebra()
     assert levi.dim == 3 and levi.basis.data[2] == (0, 0, 1, -1, 0)
@@ -1138,7 +1159,7 @@ def test_levi_complement_holds_whatever_the_labels(label):
 
 def test_levi_chain_is_computed_once(monkeypatch):
     from leibnizalg.sl2 import simple_ext_algebra
-    alg = change_basis(simple_ext_algebra(7), random_invertible(random.Random(7), 7))
+    alg = change_algebra_basis(simple_ext_algebra(7), random_invertible(random.Random(7), 7))
     calls = Counter()
     for name in ("leibniz_kernel", "quotient", "bracket"):
         def counted(self, *args, _name=name, _original=getattr(LeibnizAlgebra, name)):
@@ -1164,7 +1185,7 @@ def test_the_kernel_is_eliminated_once_and_is_the_levi_chains(monkeypatch):
     monkeypatch.setattr(algebra, "_eliminate", counted)
     rng = random.Random(11)
     algs = [ext5(), nilp2(), sl2(), direct_sum_algebra(ext5(), abelian_algebra(1)),
-            change_basis(simple_ext_algebra(6), random_invertible(rng, 6))]
+            change_algebra_basis(simple_ext_algebra(6), random_invertible(rng, 6))]
     for alg in algs:
         eliminations.clear()
         # the reads of check, kernel, radical and semisimple, twice over

@@ -16,6 +16,8 @@ from leibnizalg.algebra import InternalCheckError
 from leibnizalg.fileio import serialize_algebra
 from leibnizalg.sl2 import sl2_algebra
 
+from bases import change_algebra_basis
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
@@ -95,7 +97,6 @@ def test_series_and_radical_compute_each_fact_once(monkeypatch):
 
 
 def test_classify_refuses_a_table_outside_the_catalogue():
-    from leibnizalg.algebra import LeibnizAlgebra
     from leibnizalg.linalg import Matrix
     from leibnizalg.modules import abelian_algebra, direct_sum_algebra
     from leibnizalg.sl2 import simple_ext_algebra
@@ -103,9 +104,7 @@ def test_classify_refuses_a_table_outside_the_catalogue():
     ext5 = simple_ext_algebra(5)
     p = Matrix([[2, 0, 0, 2, -2], [1, -1, -2, -1, -2], [0, 1, -1, 1, 2], [-2, 2, -1, -2, -1],
                 [1, 0, -1, 1, -1]])
-    pi, cols = p.inverse(), [p.col(i) for i in range(5)]
-    dense = LeibnizAlgebra(ext5.basis_names,
-                           [[pi.apply(ext5.bracket(a, b)) for b in cols] for a in cols])
+    dense = change_algebra_basis(ext5, p)
     for alg in (dense, direct_sum_algebra(sl2_algebra(), abelian_algebra(1))):
         for argv in (["rep", "classify", "-", "--m", "1"],
                      ["rep", "classify", "--json", "-", "--m", "0"]):

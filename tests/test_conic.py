@@ -8,23 +8,19 @@ from fractions import Fraction
 from math import gcd, isqrt, prod
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from sympy import factorint, nextprime
 from sympy.ntheory import is_quad_residue
 
-from leibnizalg.algebra import LeibnizAlgebra, algebra_from_brackets
+from leibnizalg.algebra import algebra_from_brackets
 from leibnizalg.conic import _factor, quaternion_idempotent, ternary_zero
 from leibnizalg.decompose import commutant, decompose
 from leibnizalg.linalg import Matrix
-from leibnizalg.modules import (
-    abelian_algebra,
-    direct_sum,
-    equivalence,
-    from_lie_rep,
-    module_restriction,
-)
+from leibnizalg.modules import direct_sum, equivalence, from_lie_rep, module_restriction
 from leibnizalg.reps import Representation
 from leibnizalg.sl2 import sl2_leibniz_irrep
+
+from bases import abelian_module, change_rep_basis, draw_invertible
 
 DIVISION = "commutant is a quaternion division algebra"
 
@@ -133,17 +129,6 @@ PINNED = (
 )
 
 
-def change_basis(rep, q, p):
-    """The module in the module basis given by the columns of p, over the
-    algebra in the basis given by the columns of q."""
-    alg, qi, pi = rep.algebra, q.inverse(), p.inverse()
-    cols = [q.col(i) for i in range(alg.dim)]
-    table = [[qi.apply(alg.bracket(a, b)) for b in cols] for a in cols]
-    new = LeibnizAlgebra(alg.basis_names, table)
-    return Representation(new, [pi * rep.rho_of(v) * p for v in cols],
-                          [pi * rep.lambda_of(v) * p for v in cols])
-
-
 def signs(rng, d):
     return Matrix([[rng.choice((1, -1)) if i == j else 0 for j in range(d)] for i in range(d)])
 
@@ -154,12 +139,12 @@ def test_pinned_modules_split_into_two_ladders(variant, q, p, seed):
     rng = random.Random(seed)
     q, p = Matrix(q) * signs(rng, 3), Matrix(p) * signs(rng, 4)
     ladder = sl2_leibniz_irrep(1, variant)
-    rep = change_basis(direct_sum(ladder, ladder), q, p)
+    rep = change_rep_basis(direct_sum(ladder, ladder), p, q)
     assert len(commutant(rep)) == 4
     result = decompose(rep)
     assert result.verdict == "decomposed" and result.obstruction is None
     assert [c.dim for c in result.components] == [2, 2]
-    ladder = change_basis(ladder, q, Matrix.identity(2))
+    ladder = change_rep_basis(ladder, q=q)
     for component in result.components:
         assert equivalence(module_restriction(rep, component), ladder).value == "equivalent"
 
@@ -209,10 +194,6 @@ def test_quaternion_step_turns_a_zero_with_x_zero_into_an_idempotent():
     assert e * e == e and not e.is_zero() and e != Matrix.identity(2)
 
 
-def abelian_module(rho):
-    return Representation(abelian_algebra(1), (Matrix(rho),), (Matrix.zeros(len(rho), len(rho)),))
-
-
 # rho = diag(r2, r3) with r_n^2 = n: the commutant is QQ(sqrt 2) x QQ(sqrt 3)
 TWO_FIELDS = [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 3], [0, 0, 1, 0]]
 # one block [[r2, 1], [0, r2]]: the commutant is QQ[t]/((t^2 - 2)^2)
@@ -241,18 +222,41 @@ def test_quaternion_step_rejects_what_it_cannot_certify():
     assert quaternion_idempotent(eight, eight[0], (-1, 1)) is None
 
 
+def kronecker(a, b):
+    return Matrix([[x * y for x in row_a for y in row_b]
+                   for row_a in a.data for row_b in b.data])
+
+
+def test_quaternion_step_rejects_a_nilpotent_i_or_j():
+    # the span of I (x) I, N (x) I, I (x) N and N (x) N, with N the 2 x 2
+    # nilpotent: g = N (x) I gives i^2 = 0, no nonzero alpha
+    one, n = Matrix.identity(2), Matrix([[0, 1], [0, 0]])
+    basis = [kronecker(a, b) for a, b in ((one, one), (n, one), (one, n), (n, n))]
+    assert quaternion_idempotent(basis, basis[1], (0, 0, 1)) is None
+    # the regular representation of span(1, i, n, in) with i^2 = 2, n^2 = 0
+    # and ni = -in: i^2 = 2, but the anticommutant span(n, in) squares to 0
+    def product(x, y):  # index a + 2b stands for i^a n^b; (index, coefficient) of x y
+        a, b, c, e = x % 2, x // 2, y % 2, y // 2
+        if b + e > 1:
+            return None
+        return (a + c) % 2 + 2 * (b + e), (-1) ** (b * c) * 2 ** ((a + c) // 2)
+
+    regular = []
+    for x in range(4):
+        cols = [product(x, y) for y in range(4)]
+        regular.append(Matrix([[c[1] if c and c[0] == r else 0 for c in cols]
+                               for r in range(4)]))
+    assert regular[1] * regular[2] == -(regular[2] * regular[1])
+    assert quaternion_idempotent(regular, regular[1], (-2, 0, 1)) is None
+
+
 @settings(max_examples=24, deadline=None, derandomize=True, database=None)
 @given(k=st.sampled_from([1, 2]), variant=st.sampled_from(["zero_lambda", "anti_symmetric"]),
        data=st.data())
 def test_two_copies_of_a_ladder_split_in_any_dense_basis(k, variant, data):
-    def invertible(d):
-        entries = data.draw(st.lists(st.integers(-2, 2), min_size=d * d, max_size=d * d))
-        m = Matrix([entries[r * d:(r + 1) * d] for r in range(d)])
-        assume(m.is_invertible())
-        return m
-
     ladder = sl2_leibniz_irrep(k, variant)
-    rep = change_basis(direct_sum(ladder, ladder), invertible(3), invertible(2 * k + 2))
+    q = draw_invertible(data, 3)
+    rep = change_rep_basis(direct_sum(ladder, ladder), draw_invertible(data, 2 * k + 2), q)
     result = decompose(rep)
     assert result.verdict == "decomposed"
     assert [c.dim for c in result.components] == [k + 1, k + 1]

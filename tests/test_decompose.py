@@ -7,8 +7,9 @@ import sys
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
-from leibnizalg.algebra import InternalCheckError, LeibnizAlgebra
+from leibnizalg.algebra import InternalCheckError
 from leibnizalg.decompose import (
     DecompositionResult,
     _lift,
@@ -30,9 +31,12 @@ from leibnizalg.modules import (
     module_restriction,
     solve_lowering_left,
 )
-from leibnizalg.poly import _divmod, minimal_polynomial, poly_eval, rational_roots
+from leibnizalg.poly import minimal_polynomial
 from leibnizalg.reps import Representation
 from leibnizalg.sl2 import simple_ext_algebra, sl2_algebra, sl2_leibniz_irrep
+
+from bases import abelian_module, change_rep_basis, draw_invertible, random_invertible
+import poly_reference
 
 Q = Fraction
 
@@ -256,33 +260,36 @@ def ladder_sum(ms, variant):
     return rep
 
 
-def random_invertible(rng, n):
-    while True:
-        p = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
-        if p.is_invertible():
-            return p
+@pytest.mark.parametrize("ms", [(1, 2), (2, 2)], ids=["1+2", "2+2"])
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_decided_decomposition_does_not_depend_on_the_basis(ms, data):
+    """After a dense change of the module basis and of the algebra basis,
+    with entries in [-2, 2], a decided verdict and the dimensions of its
+    components are those of the canonical basis."""
+    rep = ladder_sum(ms, "zero_lambda")
 
+    def shape(result):
+        return result.verdict, [c.dim for c in result.components]
 
-def conjugate(rep, p):
-    """The module in the basis given by the columns of p."""
-    pi = p.inverse()
-    mats = [pi * m * p for m in rep.action_matrices()]
-    n = rep.algebra.dim
-    return Representation(rep.algebra, mats[:n], mats[n:], name=rep.name)
+    p = draw_invertible(data, rep.space_dim)
+    verdict = shape(decompose(change_rep_basis(rep, p, draw_invertible(data, 3))))
+    assert verdict[0] == "undetermined" or verdict == shape(decompose(rep))
 
 
 def test_decompose_matches_the_per_piece_reference():
     rng = random.Random(1817)
     sums = [ladder_sum(ms, v) for ms, v in (((2, 3, 4, 4), "zero_lambda"),
                                            ((1, 1), "anti_symmetric"), ((0, 3), "zero_lambda"))]
-    signed = [conjugate(rep, Matrix([[rng.choice((1, -1)) if i == j else 0
-                                      for j in range(rep.space_dim)]
-                                     for i in range(rep.space_dim)]))
+    signed = [change_rep_basis(rep, Matrix([[rng.choice((1, -1)) if i == j else 0
+                                             for j in range(rep.space_dim)]
+                                            for i in range(rep.space_dim)]))
               for rep in sums]
     variants = ("zero_lambda", "anti_symmetric")
-    rotation = Representation(abelian_algebra(1), (mat([[0, 2], [1, 0]]),), (Matrix.zeros(2, 2),))
+    rotation = abelian_module([[0, 2], [1, 0]])
     # a dense module basis
-    dense = conjugate(ladder_sum((1, 2), "zero_lambda"), random_invertible(random.Random(5), 5))
+    dense = change_rep_basis(ladder_sum((1, 2), "zero_lambda"),
+                             random_invertible(random.Random(5), 5))
     cases = [*sums, *signed, *(example_5_5(t, b) for t in variants for b in variants),
              example_5_3()[1], rotation, dense]
     verdicts = []
@@ -302,14 +309,7 @@ def test_dense_sums_of_three_ladders_decompose():
     for seed in range(5):
         rng = random.Random(seed)
         p = random_invertible(rng, 9)
-        q = random_invertible(rng, 3)
-        module, qi = conjugate(rep, p), q.inverse()
-        cols = [q.col(i) for i in range(3)]
-        alg = LeibnizAlgebra(rep.algebra.basis_names,
-                             [[qi.apply(rep.algebra.bracket(a, b)) for b in cols] for a in cols])
-        dense = Representation(alg, [module.rho_of(v) for v in cols],
-                               [module.lambda_of(v) for v in cols])
-        result = decompose(dense)
+        result = decompose(change_rep_basis(rep, p, random_invertible(rng, 3)))
         assert result.verdict == "decomposed", seed
         assert [c.dim for c in result.components] == [4, 3, 2], seed
 
@@ -344,16 +344,13 @@ def test_partition_check_rejects_bad_leaves(monkeypatch):
 # -- primary components against the power loop --
 
 def primary_by_powers(c):
-    """Reference: (c - aI)^e as e products for each rational root a, the
-    rootless leftover by Horner over dense products; one kernel each."""
+    """Reference: (c - aI)^e as e products for each rational root a of
+    multiplicity e, found in rational arithmetic, and the rootless leftover
+    by Horner over dense products; one kernel each."""
     d = c.rows
-    poly = list(minimal_polynomial(c))
+    roots, poly = poly_reference.rational_factors(minimal_polynomial(c))
     pieces = []
-    for a in rational_roots(poly):
-        e = 0
-        while poly_eval(poly, a) == 0:
-            poly = _divmod(poly, (-a, 1))[0]
-            e += 1
+    for a, e in roots:
         acc = Matrix.identity(d)
         for _ in range(e):
             acc = acc * (c - Matrix.identity(d).scale(a))

@@ -15,8 +15,9 @@ from leibnizalg.algebra import LeibnizAlgebra
 from leibnizalg.fileio import serialize_algebra, serialize_rep
 from leibnizalg.linalg import Matrix
 from leibnizalg.modules import direct_sum, direct_sum_algebra, example_5_5
-from leibnizalg.reps import Representation
 from leibnizalg.sl2 import simple_ext_algebra, sl2_algebra, sl2_leibniz_irrep
+
+from bases import change_algebra_basis, change_rep_basis, random_invertible
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 LAYERS = ("linalg", "poly", "equations", "algebra", "structure", "reps", "irreducible", "sl2",
@@ -57,24 +58,15 @@ def dense_ladder_sum():
     rep = direct_sum(sl2_leibniz_irrep(1, "zero_lambda"), sl2_leibniz_irrep(2, "zero_lambda"))
     p = Matrix([[0, -1, -2, 1, -2], [1, 2, -1, -1, -2], [-1, -1, -1, -2, -1],
                 [1, -2, 1, 0, -1], [1, -1, 2, -2, 2]])
-    pi = p.inverse()
-    return Representation(rep.algebra, [p * m * pi for m in rep.right],
-                          [p * m * pi for m in rep.left])
+    return change_rep_basis(rep, p.inverse())
 
 
 def dense_sl2_square():
     """sl2 + sl2 in the basis of the columns of the first invertible matrix
     with entries in [-2, 2] from Random(0): the adjoint commutant of the
     Lie quotient has dimension two, so `simple` runs the splitter on it."""
-    base = direct_sum_algebra(sl2_algebra(), sl2_algebra())
-    rng = random.Random(0)
-    while True:
-        p = Matrix([[rng.randint(-2, 2) for _ in range(6)] for _ in range(6)])
-        if p.is_invertible():
-            break
-    pi, cols = p.inverse(), [p.col(i) for i in range(6)]
-    return LeibnizAlgebra(base.basis_names,
-                          [[pi.apply(base.bracket(a, b)) for b in cols] for a in cols])
+    return change_algebra_basis(direct_sum_algebra(sl2_algebra(), sl2_algebra()),
+                                random_invertible(random.Random(0), 6))
 
 
 @pytest.fixture(scope="module")
@@ -105,15 +97,16 @@ def inputs(tmp_path_factory):
     (["rep", "decompose", "e55.rep.json"], MODULE_JOB | {"decompose", "poly", "equations"}),
     (["rep", "classify", "ext5.alg.json", "--m", "2"], MODULE_JOB | {"sl2"}),
     (["gen", "sl2-irrep", "--m", "2"], MODULE_JOB | {"sl2"}),
-    # the dichotomy of `modules` imports the irreducibility test by name
-    (["gen", "example-5-5"], MODULE_JOB | {"sl2", "modules", "irreducible"}),
+    (["gen", "example-5-3"], MODULE_JOB | {"sl2", "modules"}),
+    (["gen", "example-5-5"], MODULE_JOB | {"sl2", "modules"}),
     (["rep", "equivalent", "ladder2.rep.json", "ladder2.rep.json"],
-     MODULE_JOB | {"modules", "irreducible", "equations"}),
+     MODULE_JOB | {"modules", "equations"}),
     (["rep", "restrict", "e55.rep.json", "--span", "e,f,h"],
-     MODULE_JOB | {"modules", "irreducible", "structure"}),
+     MODULE_JOB | {"modules", "structure"}),
 ], ids=["rep irreducible", "rep irreducible eigenvectors", "rep check", "check", "kernel",
         "simple", "simple splitter", "radical", "derivations", "levi", "rep decompose",
-        "rep classify", "gen sl2-irrep", "gen example-5-5", "rep equivalent", "rep restrict"])
+        "rep classify", "gen sl2-irrep", "gen example-5-3", "gen example-5-5", "rep equivalent",
+        "rep restrict"])
 def test_a_subcommand_executes_only_the_layers_it_runs(inputs, entry, argv, executed):
     argv = [str(inputs / a) if a.endswith(".json") else a for a in argv]
     record = json.loads(python(RUN_AND_LIST % ENTRY_POINTS[entry], *argv).splitlines()[-1])
@@ -127,12 +120,7 @@ def pinned_module():
     rep = direct_sum(sl2_leibniz_irrep(1, "zero_lambda"), sl2_leibniz_irrep(1, "zero_lambda"))
     q = Matrix([[-2, -1, 2], [2, -1, -1], [-1, 1, 1]])
     p = Matrix([[-1, -1, 2, 2], [0, 2, -1, 1], [-1, -1, -2, 0], [0, -2, 2, 2]])
-    qi, pi = q.inverse(), p.inverse()
-    cols = [q.col(i) for i in range(3)]
-    alg = LeibnizAlgebra(rep.algebra.basis_names,
-                         [[qi.apply(rep.algebra.bracket(a, b)) for b in cols] for a in cols])
-    return Representation(alg, [pi * rep.rho_of(v) * p for v in cols],
-                          [pi * rep.lambda_of(v) * p for v in cols])
+    return change_rep_basis(rep, p, q)
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
@@ -213,7 +201,7 @@ layers = {name: sys.modules["leibnizalg." + name] for name in
            "modules", "poly", "reps", "sl2", "structure")}
 assert layers["cli"].run_command is not None
 assert layers["linalg"].Matrix.identity(2).rows == 2
-assert layers["poly"].poly_eval((1, 1), 2) == 3
+assert layers["poly"].rational_roots((-2, 1)) == (2,)
 assert layers["equations"].solve(layers["linalg"].Matrix.identity(1), (1,))[0] == (1,)
 assert layers["algebra"].algebra_from_brackets(["a", "b"], {}).dim == 2
 assert layers["structure"].SeriesReport._fields[0] == "kind"
@@ -282,13 +270,11 @@ FORWARDED = (
     ("reps", "module_restriction", "modules"), ("reps", "direct_sum", "modules"),
     ("reps", "irreducibility", "irreducible"),
 )
-# the layers a home layer executes when it runs, as it imports names from them
-IMPORTED_BY_NAME = {"modules": ("irreducible",)}
-# reading the name executes its home layer and those it imports names from, and no other
+# reading the name executes its home layer and no other
 READ_FORWARDED = """
 import sys, types
 import leibnizalg
-old, name, home, *imported = sys.argv[1:]
+old, name, home = sys.argv[1:]
 def executed():
     return {layer for layer in %r
             if type(sys.modules["leibnizalg." + layer]) is types.ModuleType}
@@ -296,7 +282,7 @@ module = sys.modules["leibnizalg." + old]
 assert module.__name__ == "leibnizalg." + old  # any attribute executes the layer itself
 before = executed()
 obj = getattr(module, name)
-assert executed() - before == {home, *imported}, executed() - before
+assert executed() - before == {home}, executed() - before
 assert obj is getattr(sys.modules["leibnizalg." + home], name)
 print("ok")
 """ % (LAYERS,)
@@ -304,7 +290,7 @@ print("ok")
 
 @pytest.mark.parametrize("old, name, home", FORWARDED, ids=[f"{o}.{n}" for o, n, _ in FORWARDED])
 def test_a_forwarded_name_is_its_home_object_and_loads_its_home(old, name, home):
-    assert python(READ_FORWARDED, old, name, home, *IMPORTED_BY_NAME.get(home, ())) == "ok\n"
+    assert python(READ_FORWARDED, old, name, home) == "ok\n"
 
 
 def test_only_the_forwarded_names_resolve_through_their_former_layer():

@@ -33,12 +33,12 @@ from leibnizalg.linalg import (
     vec,
 )
 from leibnizalg.modules import direct_sum
-from leibnizalg import poly
 from leibnizalg.poly import (
-    _divmod, _poly_at, _rational_factors, _shift, char_poly, minimal_polynomial, poly_eval,
-    rational_roots,
+    _pdivmod, _poly_at, _rational_factors, _shift, char_poly, minimal_polynomial, rational_roots,
 )
 from leibnizalg.sl2 import sl2_leibniz_irrep
+
+import poly_reference
 
 QQ = Fraction
 
@@ -591,7 +591,8 @@ def test_rational_roots_sweep():
         found = rational_roots(coeffs)
         assert set(found) == set(roots)
         for r in found:
-            assert poly_eval(coeffs, r) == 0
+            assert poly_reference.poly_eval(coeffs, r) == 0
+        assert _rational_factors(coeffs) == poly_reference.rational_factors(coeffs)
 
 
 def poly_mul(f, g):
@@ -628,6 +629,7 @@ def test_rational_factors_rebuild_the_polynomial():
         assert rebuilt == coeffs and all(x.__class__ is QQ for x in cofactor)
         assert not sympy.Poly(list(reversed(cofactor)), t, domain="QQ").ground_roots()
         assert rational_roots(coeffs) == tuple(roots)
+        assert (found, cofactor) == poly_reference.rational_factors(coeffs)
     with pytest.raises(ValueError, match="zero polynomial"):
         _rational_factors([QQ(0), QQ(0)])
 
@@ -653,6 +655,7 @@ def test_rational_factors_match_sympy_on_eight_digit_roots(linears, rootless, sc
     for f in rootless + [[-a, QQ(1)] for a, e in linears for _ in range(e)]:
         coeffs = poly_mul(coeffs, f)
     found, cofactor = _rational_factors(coeffs)
+    assert (found, cofactor) == poly_reference.rational_factors(coeffs)
     t = sympy.Symbol("t")
     oracle = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
                         t, domain="QQ").ground_roots()
@@ -664,12 +667,21 @@ def test_rational_factors_match_sympy_on_eight_digit_roots(linears, rootless, sc
     assert rebuilt == coeffs
 
 
-def test_integer_euclid_matches_the_fraction_euclid(monkeypatch):
+def test_integer_euclid_matches_the_fraction_euclid():
     """Random rational multiples of products of linear and irreducible
-    quadratic factors, each to a power up to 3. Each primitive
-    pseudo-remainder of `_prem` is a rational multiple of the remainder
+    quadratic factors, each to a power up to 3. The pseudo-quotient and
+    pseudo-remainder of `_pdivmod`, by the derivative and by each factor,
+    are primitive rational multiples of the quotient and remainder
     over the rationals, and the roots and cofactor are exactly those of the
-    reference, Euclid's algorithm on rational remainders."""
+    reference, which runs Euclid, the root test and the divisions on
+    rational coefficients."""
+    def integral(cs):
+        den = math.lcm(*(c.denominator for c in cs))
+        return [int(c * den) for c in cs]
+
+    def proportional(xs, ys):
+        return len(xs) == len(ys) and all(x * ys[-1] == y * xs[-1] for x, y in zip(xs, ys))
+
     rng = random.Random(7723)
     cases = []
     for _ in range(150):
@@ -684,19 +696,18 @@ def test_integer_euclid_matches_the_fraction_euclid(monkeypatch):
         for f in factors:
             for _ in range(rng.randint(1, 3)):
                 coeffs = poly_mul(coeffs, f)
-        cases.append(coeffs)
-    cases += [[QQ(5)], [QQ(0), QQ(3)], [QQ(-10000000000000061), QQ(0), QQ(1)]]
-    for coeffs in cases:
-        den = math.lcm(*(c.denominator for c in coeffs))
-        f = [int(c * den) for c in coeffs]
+        cases.append((coeffs, factors))
+    cases += [([QQ(5)], []), ([QQ(0), QQ(3)], []), ([QQ(0), QQ(0), QQ(1)], []),
+              ([QQ(-10000000000000061), QQ(0), QQ(1)], [])]
+    for coeffs, factors in cases:
+        f = integral(coeffs)
         df = [k * c for k, c in enumerate(f)][1:]
-        if df:
-            rem, reference = poly._prem(f, df), _divmod(f, df)[1]
-            assert len(rem) == len(reference) and math.gcd(*rem) in (0, 1)
-            assert [x * reference[-1] for x in rem] == [y * rem[-1] for y in reference]
-    found = [_rational_factors(c) for c in cases]
-    monkeypatch.setattr(poly, "_prem", lambda f, g: _divmod(f, g)[1])
-    assert found == [_rational_factors(c) for c in cases]
+        for g in ([df] if df else []) + [integral(factor) for factor in factors]:
+            quotient, rest = _pdivmod(f, g)
+            reference = poly_reference.poly_divmod(f, g)
+            assert proportional(quotient, reference[0]) and proportional(rest, reference[1])
+            assert math.gcd(*quotient) == 1 and math.gcd(*rest) in (0, 1)
+        assert _rational_factors(coeffs) == poly_reference.rational_factors(coeffs)
 
 
 def test_envelope_of_single_matrix_is_minpoly_degree():

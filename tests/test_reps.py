@@ -36,6 +36,8 @@ from leibnizalg.poly import minimal_polynomial, rational_roots
 from leibnizalg.reps import AxiomViolationError, Representation, spin_submodule
 from leibnizalg.sl2 import sl2_leibniz_irrep
 
+from bases import change_rep_basis, random_invertible
+
 F = Fraction
 
 
@@ -385,13 +387,6 @@ def test_one_dimensional_reps():
 
 # -- equivalence --
 
-def random_invertible(rng, n):
-    while True:
-        m = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
-        if m.is_invertible():
-            return m
-
-
 def conjugate_rep(rep, p):
     pinv = p.inverse()
     return Representation(rep.algebra,
@@ -685,15 +680,6 @@ def irreducibility_by_envelope(rep):
         "undetermined", None, f"envelope dimension {env} below {d * d} but no witness found")
 
 
-def change_algebra_basis(rep, q):
-    """The same module over the algebra basis given by the columns of q."""
-    alg, qi = rep.algebra, q.inverse()
-    cols = [q.col(i) for i in range(alg.dim)]
-    table = [[qi.apply(alg.bracket(a, b)) for b in cols] for a in cols]
-    return Representation(LeibnizAlgebra(alg.basis_names, table),
-                          [rep.rho_of(c) for c in cols], [rep.lambda_of(c) for c in cols])
-
-
 def test_irreducibility_matches_the_envelope_first_reference():
     rng = random.Random(1414)
     variants = ("zero_lambda", "anti_symmetric")
@@ -710,11 +696,11 @@ def test_irreducibility_matches_the_envelope_first_reference():
     for m in (1, 2, 3, 4, 5, 6):
         for v in variants:
             rep = conjugate_rep(ladder_rep(m, v), random_invertible(rng, m + 1))
-            modules += [rep, change_algebra_basis(rep, random_invertible(rng, 3))]
+            modules += [rep, change_rep_basis(rep, q=random_invertible(rng, 3))]
     for a, b in ((1, 2), (1, 1), (2, 2)):
         rep = direct_sum(ladder_rep(a, "zero_lambda"), ladder_rep(b, "zero_lambda"))
-        modules.append(change_algebra_basis(
-            conjugate_rep(rep, random_invertible(rng, a + b + 2)), random_invertible(rng, 3)))
+        modules.append(change_rep_basis(
+            conjugate_rep(rep, random_invertible(rng, a + b + 2)), q=random_invertible(rng, 3)))
     decided = {True: 0, False: 0}
     for rep in modules:
         verdict = irreducibility(rep)

@@ -9,7 +9,7 @@ import pytest
 import sympy
 
 from leibnizalg import sl2
-from leibnizalg.algebra import InternalCheckError, LeibnizAlgebra
+from leibnizalg.algebra import InternalCheckError
 from leibnizalg.irreducible import irreducibility
 from leibnizalg.linalg import Matrix, Subspace, nullspace
 from leibnizalg.modules import abelian_algebra, direct_sum_algebra, equivalence, restrict
@@ -29,6 +29,8 @@ from leibnizalg.sl2 import (
     sl2_irrep_rho,
     sl2_leibniz_irrep,
 )
+
+from bases import change_algebra_basis, random_invertible
 
 Q = Fraction
 
@@ -472,14 +474,7 @@ CATALOGUE_ONLY = "classification covers the (e, f, h) table and its simple exten
 
 def dense_simple_ext5():
     """simple_ext(5) after a seeded dense integer change of basis."""
-    base, rng = simple_ext_algebra(5), random.Random(5)
-    while True:
-        p = Matrix([[rng.randint(-2, 2) for _ in range(5)] for _ in range(5)])
-        if p.is_invertible():
-            break
-    pi, cols = p.inverse(), [p.col(i) for i in range(5)]
-    return LeibnizAlgebra(base.basis_names,
-                          [[pi.apply(base.bracket(a, b)) for b in cols] for a in cols])
+    return change_algebra_basis(simple_ext_algebra(5), random_invertible(random.Random(5), 5))
 
 
 def test_catalogue_irreps_names_the_family_and_pairs_each_module_with_its_variant():
